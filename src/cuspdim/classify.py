@@ -10,6 +10,25 @@ all but one stubborn case, which a genus-two argument settles.
 
 Every answer ships as a Certificate naming the rule used and the exact
 quantities behind it; Undecided is a first-class verdict, not an error.
+
+The bounds are integer twelfths of the cusp widths w (c of them, summing to
+the index): strong = sum ceil(w/8) - index/12 - c/2 + mu2/4 + mu3/3, weak
+drops the mu terms, crude = index/24 - c/2.  No rule passes extra forms up
+from a divisor level: after the strong-bound rule it could never fire.
+1. weak - crude = sum (ceil(w/8) - w/8) >= 0; strong - weak = mu2/4 + mu3/3.
+2. index/cusps is multiplicative; at p^e it is at least (p+1)/2 and does
+   not decrease with e.  The cusp count of p^e sums phi(p^min(k, e-k)) over
+   k = 0..e; each j < e/2 occurs twice and phi(1) + ... + phi(p^j) = p^j,
+   so it is 2 p^f for e = 2f + 1 and 2 p^(f-1) + phi(p^f) = p^f + p^(f-1)
+   for e = 2f >= 2.  Against index p^(e-1) (p+1) the ratio runs
+   (p+1)/2, p, p(p+1)/2, p^2, ..., each step a factor 2p/(p+1) or (p+1)/2.
+3. For n > 1 there are c >= 2 cusps, so index >= 25c gives
+   crude >= 13c/24 > 1, and strong > 1 by step 1.
+So strong <= 1 forces index < 25c: by step 2 a depth-first search over
+prime powers finds all 137 such levels (the largest 576), and on them
+strong <= 1 holds exactly for the element orders of M23 (see the tests).
+That set is closed under divisors, so no divisor of an open level is
+decided by the bound.
 """
 
 from __future__ import annotations
@@ -20,7 +39,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import divisors
 from .gamma0 import CuspClass, GroupProfile, cusps, group_profile
 from .qseries import EtaQuotient, eta_quotient_cusp_order
 
@@ -29,7 +47,6 @@ __all__ = [
     "ClassificationReport",
     "CuspDivisor",
     "RULE_CANONICAL_EXCLUSION",
-    "RULE_DIVISOR_LEVEL",
     "RULE_EMPTY_DIVISOR",
     "RULE_SIMPLE_POLE",
     "RULE_STRONG_BOUND",
@@ -54,7 +71,6 @@ class Verdict(str, Enum):
 
 
 RULE_STRONG_BOUND = "strong-bound-exceeds-one"
-RULE_DIVISOR_LEVEL = "inherited-from-divisor-level"
 RULE_EMPTY_DIVISOR = "empty-pole-divisor"
 RULE_SIMPLE_POLE = "single-simple-pole-positive-genus"
 RULE_CANONICAL_EXCLUSION = "weight-two-form-excludes-canonical-class"
@@ -95,49 +111,44 @@ def pole_divisor(n: int) -> CuspDivisor:
     return CuspDivisor(n, entries)
 
 
+class LevelInvariants(NamedTuple):
+    """Bounds in integer twelfths (crude in 24ths), pole-divisor degree."""
+
+    profile: GroupProfile
+    strong_twelfths: int
+    weak_twelfths: int
+    crude_24ths: int
+    divisor_degree: int
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _level_invariants(n: int) -> LevelInvariants:
+    p = group_profile(n)
+    degree = sum((_ceil_eighth(w) - 1) * count for w, count in p.widths)
+    # ceil(w/8) - 1 vanishes for w <= 8, so sum ceil(w/8) = degree + cusps.
+    weak = 12 * (degree + p.cusp_count) - p.index - 6 * p.cusp_count
+    return LevelInvariants(
+        p, weak + 3 * p.mu2 + 4 * p.mu3, weak, p.index - 12 * p.cusp_count, degree
+    )
+
+
 def bound_strong(n: int) -> Fraction:
     """Exact Riemann-Roch lower bound for the dimension: equals
     deg(pole divisor) + 1 - genus, so it is always an integer."""
-    p = group_profile(n)
-    total = sum(_ceil_eighth(c.width) for c in cusps(n))
-    return (
-        Fraction(total)
-        - Fraction(p.index, 12)
-        - Fraction(p.cusp_count, 2)
-        + Fraction(p.mu2, 4)
-        + Fraction(p.mu3, 3)
-    )
+    return Fraction(_level_invariants(n).strong_twelfths, 12)
 
 
 def bound_weak(n: int) -> Fraction:
     """The strong bound with the elliptic-point credits dropped; a rational
     lower bound for it."""
-    p = group_profile(n)
-    total = sum(_ceil_eighth(c.width) for c in cusps(n))
-    return Fraction(total) - Fraction(p.index, 12) - Fraction(p.cusp_count, 2)
+    return Fraction(_level_invariants(n).weak_twelfths, 12)
 
 
 def bound_crude(n: int) -> Fraction:
     """index/24 - cusps/2: a lower bound for the weak bound that visibly
     grows with the level, so only finitely many levels can stay at
     dimension one."""
-    p = group_profile(n)
-    return Fraction(p.index, 24) - Fraction(p.cusp_count, 2)
-
-
-class LevelInvariants(NamedTuple):
-    profile: GroupProfile
-    divisor: CuspDivisor
-    strong: Fraction
-    weak: Fraction
-    crude: Fraction
-
-
-@lru_cache(maxsize=4096)
-def _level_invariants(n: int) -> LevelInvariants:
-    return LevelInvariants(
-        group_profile(n), pole_divisor(n), bound_strong(n), bound_weak(n), bound_crude(n)
-    )
+    return Fraction(_level_invariants(n).crude_24ths, 24)
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,7 @@ class Certificate:
         }
 
 
-def _weight_two_exclusion(inv: LevelInvariants) -> dict | None:
+def _weight_two_exclusion(p: GroupProfile) -> dict | None:
     """Genus-two endgame: exhibit a holomorphic weight-2 form whose divisor,
     read as a differential, is a sum of two distinct simple points, one of
     them the divisor's support cusp.
@@ -180,13 +191,13 @@ def _weight_two_exclusion(inv: LevelInvariants) -> dict | None:
     exactly deg + 1 - genus = 1.  Returns the witness data, or None when
     any precondition fails.
     """
-    p = inv.profile
     n = p.level
     if p.genus != 2 or p.mu2 != 0 or p.mu3 != 0:
         return None
-    if len(inv.divisor.entries) != 1:
+    divisor = pole_divisor(n)
+    if len(divisor.entries) != 1:
         return None
-    support, mult = inv.divisor.entries[0]
+    support, mult = divisor.entries[0]
     if mult != 2:
         return None
     quotient = EtaQuotient(n, {1: 2, n: 2})
@@ -214,44 +225,37 @@ def _weight_two_exclusion(inv: LevelInvariants) -> dict | None:
     }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096, typed=True)
 def classify(n: int) -> Certificate:
     """Decide whether the level-n space is one-dimensional, with proof data.
 
-    Rules are tried in order: a strong bound above one forces extra forms; a
-    higher level inherits extra forms from any divisor level that has them;
+    Rules are tried in order: a strong bound above one forces extra forms;
     an empty pole divisor leaves only multiples of the cube of eta; a single
     simple pole on a positive-genus curve admits no nonconstant function;
     and the genus-two exclusion settles level 23.  Anything else is
-    Undecided.
+    Undecided.  Only the last two rules look at individual cusp classes.
     """
     inv = _level_invariants(n)
     p = inv.profile
-    deg = inv.divisor.degree()
+    deg = inv.divisor_degree
+    strong = Fraction(inv.strong_twelfths, 12)
 
     def cert(verdict, rule, witness=None):
-        return Certificate(n, verdict, rule, inv.strong, p.genus, deg, witness)
+        return Certificate(n, verdict, rule, strong, p.genus, deg, witness)
 
-    if inv.strong > 1:
+    if inv.strong_twelfths > 12:
         return cert(Verdict.DIM_AT_LEAST_TWO, RULE_STRONG_BOUND)
-    for m in divisors(n):
-        if m == 1 or m == n:
-            continue
-        if classify(m).verdict is Verdict.DIM_AT_LEAST_TWO:
-            return cert(
-                Verdict.DIM_AT_LEAST_TWO, RULE_DIVISOR_LEVEL, {"divisor_level": m}
-            )
     if deg == 0:
         return cert(Verdict.DIM_ONE, RULE_EMPTY_DIVISOR)
     if deg == 1 and p.genus >= 1:
-        support, _ = inv.divisor.entries[0]
+        support, _ = pole_divisor(n).entries[0]
         return cert(
             Verdict.DIM_ONE,
             RULE_SIMPLE_POLE,
             {"support_cusp": str(support.representative), "width": support.width},
         )
     if n == 23:
-        witness = _weight_two_exclusion(inv)
+        witness = _weight_two_exclusion(p)
         if witness is not None:
             return cert(Verdict.DIM_ONE, RULE_CANONICAL_EXCLUSION, witness)
     return cert(Verdict.UNDECIDED, RULE_UNDECIDED)
@@ -309,31 +313,22 @@ class ClassificationReport:
 
 
 def certificate_tsv_rows(certs) -> list[tuple[str, ...]]:
-    """Tab-separated serialization rows, header first; witness_level is
-    filled only for inherited verdicts."""
+    """Tab-separated serialization rows, header first.  The witness_level
+    column is always empty: no rule names a divisor level, and the column
+    stays so that the rows keep their shape."""
     rows = [
         ("level", "verdict", "rule", "strong_bound", "genus", "divisor_degree", "witness_level")
     ]
-    for c in certs:
-        witness_level = ""
-        if c.witness and "divisor_level" in c.witness:
-            witness_level = str(c.witness["divisor_level"])
-        rows.append(
-            (
-                str(c.level),
-                c.verdict.value,
-                c.rule,
-                str(c.bound),
-                str(c.genus),
-                str(c.divisor_degree),
-                witness_level,
-            )
-        )
+    rows += [
+        (str(c.level), c.verdict.value, c.rule, str(c.bound), str(c.genus),
+         str(c.divisor_degree), "")
+        for c in certs
+    ]
     return rows
 
 
 def classify_range(n_max: int) -> ClassificationReport:
-    if not isinstance(n_max, int) or n_max < 1:
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     return ClassificationReport(
         n_max, tuple(classify(n) for n in range(1, n_max + 1))

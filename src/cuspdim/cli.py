@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classify import (
     Verdict,

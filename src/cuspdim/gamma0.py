@@ -2,18 +2,20 @@
 lower-left entry is divisible by n.
 
 Closed-form routes for the index, cusp classes with widths, elliptic point
-counts, and the genus of the compactified quotient curve.  The brute-force
-counterparts live in ``oracle`` so the two routes stay independent.
+counts, and the genus of the compactified quotient curve, all computed once
+from local data per prime power.  The brute-force counterparts live in
+``oracle`` so the two routes stay independent.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import divisors, euler_phi, factorize, kronecker
+from .exact import divisors, factorize, kronecker
 
 __all__ = [
     "CuspClass",
@@ -84,7 +86,7 @@ class UnimodularMatrix:
 
 
 def _check_level(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"level must be a positive integer, got {n!r}")
 
 
@@ -97,10 +99,7 @@ def is_member(mat: UnimodularMatrix, n: int) -> bool:
 def index(n: int) -> int:
     """Index of the level-n group in SL2(Z): product of p^e + p^(e-1) over p^e || n."""
     _check_level(n)
-    result = 1
-    for p, e in factorize(n).factors.items():
-        result *= p**e + p ** (e - 1)
-    return result
+    return group_profile(n).index
 
 
 def cusp_width(n: int, d: int) -> int:
@@ -121,10 +120,10 @@ def cusp_width(n: int, d: int) -> int:
 def cusp_count(n: int) -> int:
     """Number of cusp classes: sum of phi(gcd(d, n/d)) over divisors d of n."""
     _check_level(n)
-    return sum(euler_phi(math.gcd(d, n // d)) for d in divisors(n))
+    return group_profile(n).cusp_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CuspClass:
     """One cusp class of the level-n group.
 
@@ -150,9 +149,11 @@ def _canonical_a(r: int, g: int, d: int) -> int:
     raise AssertionError(f"no representative coprime to {d} in class {r} mod {g}")
 
 
-@lru_cache(maxsize=4096)
+# Typed caches: True must reach the level check, not the entry of 1.
+@lru_cache(maxsize=4096, typed=True)
 def cusps(n: int) -> tuple[CuspClass, ...]:
-    """All cusp classes of the level-n group, in deterministic order."""
+    """All cusp classes of the level-n group, in deterministic order,
+    checked against the width multiset of ``group_profile``."""
     _check_level(n)
     out = []
     for d in divisors(n):
@@ -162,6 +163,8 @@ def cusps(n: int) -> tuple[CuspClass, ...]:
         for r in residues:
             a = _canonical_a(r, g, d)
             out.append(CuspClass(n, a, d, w, Fraction(a, d)))
+    if Counter(c.width for c in out) != Counter(dict(group_profile(n).widths)):
+        raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
     return tuple(out)
 
 
@@ -169,66 +172,72 @@ def mu2(n: int) -> int:
     """Number of order-2 elliptic points: 0 when 4 | n, else a product of
     1 + (-4|p) over primes p | n."""
     _check_level(n)
-    if n % 4 == 0:
-        return 0
-    result = 1
-    for p in factorize(n).factors:
-        result *= 1 + kronecker(-4, p)
-    return result
+    return group_profile(n).mu2
 
 
 def mu3(n: int) -> int:
     """Number of order-3 elliptic points: 0 when 2 | n or 9 | n, else a
     product of 1 + (-3|p) over primes p | n."""
     _check_level(n)
-    if n % 2 == 0 or n % 9 == 0:
-        return 0
-    result = 1
-    for p in factorize(n).factors:
-        result *= 1 + kronecker(-3, p)
-    return result
+    return group_profile(n).mu3
 
 
 def genus(n: int) -> int:
-    """Genus of the compactified level-n quotient curve.
-
-    1 + index/12 - mu2/4 - mu3/3 - cusps/2; the formula must land on an
-    integer, anything else is an internal error.
-    """
+    """Genus of the compactified level-n quotient curve:
+    1 + index/12 - mu2/4 - mu3/3 - cusps/2."""
     _check_level(n)
-    g = (
-        1
-        + Fraction(index(n), 12)
-        - Fraction(mu2(n), 4)
-        - Fraction(mu3(n), 3)
-        - Fraction(cusp_count(n), 2)
-    )
-    if g.denominator != 1 or g < 0:
-        raise ArithmeticError(f"genus formula gave {g} at level {n}")
-    return int(g)
+    return group_profile(n).genus
 
 
 @dataclass(frozen=True)
 class GroupProfile:
-    """Bundle of the level-n invariants computed by the closed-form route."""
+    """The level-n invariants; ``widths`` holds (width, count) pairs, and
+    the cusp classes themselves are enumerated only when read."""
 
     level: int
     index: int
-    cusps: tuple[CuspClass, ...]
+    cusp_count: int
     mu2: int
     mu3: int
     genus: int
+    widths: tuple[tuple[int, int], ...]
 
     @property
-    def cusp_count(self) -> int:
-        return len(self.cusps)
+    def cusps(self) -> tuple[CuspClass, ...]:
+        return cusps(self.level)
 
 
-@lru_cache(maxsize=4096)
+def _local(p: int, e: int) -> tuple[int, dict[int, int], int, int]:
+    """Index factor, {width: count} and mu2, mu3 factors at p^e: over
+    d = p^k lie phi(p^min(k, e-k)) classes of width p^max(e-2k, 0)."""
+    widths: dict[int, int] = {}
+    for k in range(e + 1):
+        j = min(k, e - k)
+        w = p ** max(e - 2 * k, 0)
+        widths[w] = widths.get(w, 0) + (p**j - p ** (j - 1) if j else 1)
+    m2 = 0 if p == 2 and e > 1 else 1 + kronecker(-4, p)
+    m3 = 0 if p == 3 and e > 1 else 1 + kronecker(-3, p)
+    return p**e + p ** (e - 1), widths, m2, m3
+
+
+@lru_cache(maxsize=4096, typed=True)
 def group_profile(n: int) -> GroupProfile:
-    """Compute all level-n invariants, cross-checking internal consistency."""
-    cl = cusps(n)
-    idx = index(n)
-    assert sum(x.width for x in cl) == idx, f"cusp widths do not sum to the index at {n}"
-    assert len(cl) == cusp_count(n), f"cusp enumeration mismatch at {n}"
-    return GroupProfile(n, idx, cl, mu2(n), mu3(n), genus(n))
+    """All level-n invariants from the local data of its prime powers: by
+    the Chinese remainder theorem factors and widths multiply, and a cusp
+    class is a tuple of local classes.  A genus that is not a nonnegative
+    integer is an internal error."""
+    _check_level(n)
+    idx = m2 = m3 = 1
+    widths = {1: 1}
+    for p, e in factorize(n).factors.items():
+        local_idx, local_widths, local_m2, local_m3 = _local(p, e)
+        idx *= local_idx
+        m2 *= local_m2
+        m3 *= local_m3
+        # Widths of distinct primes multiply to distinct products.
+        widths = {w * v: c * k for w, c in widths.items() for v, k in local_widths.items()}
+    count = sum(widths.values())
+    twelve_g = 12 + idx - 3 * m2 - 4 * m3 - 6 * count
+    if twelve_g % 12 or twelve_g < 0:
+        raise ArithmeticError(f"genus formula gave {Fraction(twelve_g, 12)} at level {n}")
+    return GroupProfile(n, idx, count, m2, m3, twelve_g // 12, tuple(sorted(widths.items())))

@@ -8,11 +8,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .exact import PHASE_ONE, UnitPhase, dedekind_sum
 from .gamma0 import UnimodularMatrix, is_member
-from .qseries import FracQSeries, PrecisionError, evaluate
+from .qseries import PrecisionError, _series_tail_bound, evaluate
 
 __all__ = [
     "AutomorphyContext",
@@ -159,17 +159,6 @@ class TransformCheck(NamedTuple):
     precision: int
 
 
-def _cheap_tail(series_probe: FracQSeries, im_tau: float, precision: int) -> float:
-    """Tail estimate for the same family at a different precision, without
-    building the larger series."""
-    from .qseries import _tail_bound
-
-    a, alpha = series_probe.growth
-    r = math.exp(-2.0 * math.pi * im_tau * float(series_probe.step))
-    scale = math.exp(-2.0 * math.pi * im_tau * float(series_probe.offset))
-    return _tail_bound(a, alpha, r, precision, scale)
-
-
 def verify_transformation(
     series,
     context: AutomorphyContext,
@@ -198,7 +187,7 @@ def verify_transformation(
             raise PrecisionError("series family carries no growth certificate")
         im_min = min(tau.imag, gt.imag)
         precision = 64
-        while _cheap_tail(probe, im_min, precision) > target:
+        while _series_tail_bound(probe, im_min, precision) > target:
             precision *= 2
             if precision > 1 << 26:
                 raise PrecisionError(

@@ -40,7 +40,7 @@ class OrbitCusp:
 
 
 def _check_cutoff(n: int, cutoff: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"level must be a positive integer, got {n!r}")
     if n > cutoff:
         raise ValueError(
@@ -128,7 +128,7 @@ def oracle_cusps(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[OrbitCusp, ...]:
 
     Orbits are the cycles of the right translation action on the coset
     table; the width of each orbit is recomputed independently by the
-    stabilizer search and must match the cycle length.
+    stabilizer search and must match the cycle length (ArithmeticError).
     """
     _check_cutoff(n, cutoff)
     table = _coset_table(n)
@@ -146,11 +146,14 @@ def oracle_cusps(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[OrbitCusp, ...]:
             seen.add(cur)
             cycle += 1
             cur = _coset_key(table[cur] * t, n)
-        assert cur == key, "translation walk left its own orbit"
+        if cur != key:
+            raise ArithmeticError(f"translation walk left its own orbit at {n}")
         sigma = table[key]
         width = _orbit_width(sigma, n)
-        assert width == cycle, f"stabilizer width {width} != orbit length {cycle} at {n}"
+        if width != cycle:
+            raise ArithmeticError(f"stabilizer width {width} != orbit length {cycle} at {n}")
         num, den = _orbit_representative(sigma)
         out.append(OrbitCusp(num, den, width))
-    assert sum(x.width for x in out) == len(table), "orbit widths do not sum to the coset count"
+    if sum(x.width for x in out) != len(table):
+        raise ArithmeticError(f"orbit widths do not sum to the coset count at {n}")
     return tuple(out)

@@ -396,8 +396,10 @@ def eta_quotient_expansion(quotient: EtaQuotient, precision: int) -> FracQSeries
         result = factor if result is None else result * factor
     if result is None:
         return FracQSeries(0, 1, (_ONE,) + (_ZERO,) * (precision - 1), (1.0, 0.0))
-    assert result.offset == quotient.leading_exponent()
-    assert result.precision >= precision, "internal precision bookkeeping fell short"
+    if result.offset != quotient.leading_exponent():
+        raise ArithmeticError(f"expansion offset {result.offset} is not the leading exponent")
+    if result.precision < precision:
+        raise ArithmeticError("internal precision bookkeeping fell short")
     return result.truncate(precision)
 
 
@@ -450,11 +452,12 @@ def _tail_bound(a: float, alpha: float, r: float, start: int, scale: float) -> f
     return a * scale * peak * geo / (1.0 - r**0.9) + 1e-300
 
 
-def _series_tail_bound(series: FracQSeries, im_tau: float) -> float:
+def _series_tail_bound(series: FracQSeries, im_tau: float, start: int) -> float:
+    """Tail bound from term ``start`` on, for this or a longer expansion."""
     a, alpha = series.growth
     r = math.exp(-2.0 * math.pi * im_tau * float(series.step))
     scale = math.exp(-2.0 * math.pi * im_tau * float(series.offset))
-    return _tail_bound(a, alpha, r, series.precision, scale)
+    return _tail_bound(a, alpha, r, start, scale)
 
 
 def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
@@ -490,6 +493,6 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
         phase = float((alpha_ph + k * beta_ph) % 1)
         total += cf * decay * cmath.exp(2j * math.pi * phase)
         absmass += abs(cf) * decay
-    bound = _series_tail_bound(series, v)
+    bound = _series_tail_bound(series, v, series.precision)
     bound += 64.0 * 2.220446049250313e-16 * (absmass + abs(total))
     return EvalResult(total, bound)

@@ -11,9 +11,11 @@ from cuspdim import (
     bound_weak,
     classify,
     classify_range,
+    cusp_count,
     cusps,
     divisors,
     genus,
+    index,
     m23_element_orders,
     m24_prime_divisors,
     pole_divisor,
@@ -102,10 +104,12 @@ def test_classify_verdicts_frozen():
 
 
 def test_classify_validation():
-    with pytest.raises(ValueError):
-        classify(0)
-    with pytest.raises(ValueError):
-        classify(-7)
+    classify(1)
+    for bad in (0, -7, True, False):
+        with pytest.raises(ValueError):
+            classify(bad)
+        with pytest.raises(ValueError):
+            classify_range(bad)
 
 
 def test_witness_contents():
@@ -162,8 +166,59 @@ def test_rules_fired_in_range():
         "single-simple-pole-positive-genus",
         "weight-two-form-excludes-canonical-class",
         "strong-bound-exceeds-one",
-        "inherited-from-divisor-level",
     }
+
+
+def test_cusp_count_closed_form_and_ratio_growth():
+    # The facts the classify module docstring rests on: at p^e the cusp
+    # count is 2 p^f (e = 2f + 1) or p^f + p^(f-1) (e = 2f), so index/cusps
+    # starts at (p+1)/2 and never decreases with e.
+    for p in primes(50):
+        previous = Fraction(p + 1, 2)
+        for e in range(1, 9):
+            f = e // 2
+            expected = 2 * p**f if e % 2 else p**f + p ** (f - 1)
+            assert cusp_count(p**e) == expected
+            ratio = Fraction(index(p**e), cusp_count(p**e))
+            assert ratio >= previous
+            previous = ratio
+
+
+def _levels_with_few_cosets_per_cusp():
+    """Every level with index < 25 * cusps, by depth-first search over prime
+    powers in increasing primes.  A branch stops at the first failing
+    exponent and a prime loop at the first failing prime: the ratio
+    index/cusps is multiplicative and its prime-power factor grows with both
+    p and e."""
+    found = []
+
+    def extend(n, smallest):
+        found.append(n)
+        for p in primes(100):
+            if p < smallest:
+                continue
+            m = n * p
+            if index(m) >= 25 * cusp_count(m):
+                break
+            while index(m) < 25 * cusp_count(m):
+                extend(m, p + 1)
+                m *= p
+
+    extend(1, 2)
+    return sorted(found)
+
+
+def test_strong_bound_leaves_only_m23_orders_open():
+    levels = _levels_with_few_cosets_per_cusp()
+    assert len(levels) == 137
+    assert levels[-1] == 576
+    in_range = [n for n in range(1, 3000) if index(n) < 25 * cusp_count(n)]
+    assert in_range == levels
+    open_levels = {n for n in levels if bound_strong(n) <= 1}
+    assert open_levels == m23_element_orders()
+    # divisor-closed, so no divisor of an open level is decided by the bound
+    for n in open_levels:
+        assert set(divisors(n)) <= open_levels
 
 
 def test_report_tsv_rows():

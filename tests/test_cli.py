@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -212,3 +213,28 @@ def test_output_is_byte_deterministic(capsys):
     a = run(capsys, ["verify", "eta-law", "--seed", "3"])
     b = run(capsys, ["verify", "eta-law", "--seed", "3"])
     assert a == b
+
+
+# SHA-256 of stdout for fixed runs.  The bytes are part of the interface,
+# so a refactor that changes any of them is a regression.
+FROZEN_STDOUT_SHA256 = {
+    ("classify", "1..2000", "--format", "json"):
+        "ad495eac5c7b1e48b1679c27fd672893d59dbe0b702e3b6af06f36396000abfe",
+    ("classify", "1..2000", "--format", "tsv"):
+        "f4712e2687fa54643e356a75467bea8ed2cee0f4d12a589a742b0a4999d36ec7",
+    ("classify", "1..2000"):
+        "72cb63ce6ccd8bf8b6300527d8c030aa0251bd707caeb4dd065d164dbf5ea675",
+    ("cusps", "5040", "--format", "json"):
+        "dcf102f9118cae269788409a7c1d73dcb47a0c9131adcfb7ca0238c5da9b2763",
+    ("cusps", "120", "--oracle"):
+        "769225b59246f30e389dbe734c895a8cec05f7b94df52c72e102e2238ca02e7a",
+}
+
+
+def test_output_bytes_frozen(capsys, monkeypatch):
+    for name in ("FORMAT", "PRECISION", "TOLERANCE", "SEED", "ORACLE_CUTOFF"):
+        monkeypatch.delenv(f"CUSPDIM_{name}", raising=False)
+    for argv, digest in FROZEN_STDOUT_SHA256.items():
+        code, out, _ = run(capsys, list(argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv

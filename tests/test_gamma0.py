@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspdim import gamma0
 from cuspdim import (
     UnimodularMatrix,
     cusp_count,
@@ -210,3 +211,45 @@ def test_group_profile_consistency():
         assert p.genus == genus(n)
         assert p.cusps == cusps(n)
         assert p.cusp_count == cusp_count(n)
+
+
+def test_level_validation():
+    cusps(1)
+    group_profile(1)
+    for bad in (0, -3, 2.5, "7", True, False):
+        for fn in (index, cusp_count, cusps, mu2, mu3, genus, group_profile):
+            with pytest.raises(ValueError):
+                fn(bad)
+        with pytest.raises(ValueError):
+            cusp_width(bad, 1)
+        with pytest.raises(ValueError):
+            is_member(UnimodularMatrix.identity(), bad)
+
+
+def test_group_profile_width_multiset():
+    for n in (1, 16, 28, 144, 5040):
+        p = group_profile(n)
+        enumerated = {}
+        for c in cusps(n):
+            enumerated[c.width] = enumerated.get(c.width, 0) + 1
+        assert p.widths == tuple(sorted(enumerated.items()))
+        assert sum(w * k for w, k in p.widths) == p.index
+        assert sum(k for _, k in p.widths) == p.cusp_count
+
+
+def test_cusp_enumeration_checked_against_profile(monkeypatch):
+    monkeypatch.setattr(gamma0, "cusp_width", lambda n, d: 1)
+    with pytest.raises(ArithmeticError, match="width multiset"):
+        gamma0.cusps.__wrapped__(28)
+
+
+def test_genus_formula_checked(monkeypatch):
+    real = gamma0._local
+
+    def one_more_elliptic_point(p, e):
+        idx, widths, m2, m3 = real(p, e)
+        return idx, widths, m2 + 1, m3
+
+    monkeypatch.setattr(gamma0, "_local", one_more_elliptic_point)
+    with pytest.raises(ArithmeticError, match="genus"):
+        gamma0.group_profile.__wrapped__(13)

@@ -1,5 +1,6 @@
 import pytest
 
+from cuspdim import oracle
 from cuspdim import (
     ORACLE_CUTOFF,
     cusp_count,
@@ -20,6 +21,12 @@ def test_cutoff_refusal():
         enumerate_cosets(500)
     with pytest.raises(ValueError):
         oracle_index(10**6)
+    oracle_cusps(1)
+    for bad in (0, -4, True, False):
+        with pytest.raises(ValueError):
+            oracle_cusps(bad)
+        with pytest.raises(ValueError):
+            enumerate_cosets(bad)
     # an explicit cutoff lifts the default refusal
     assert oracle_index(310, cutoff=310) == index(310)
 
@@ -72,3 +79,30 @@ def test_infinity_orbit_width_one():
         for o in oracle_cusps(n):
             if o.denominator == 0:
                 assert o.width == 1
+
+
+def test_orbit_walk_checked(monkeypatch):
+    # two cosets sharing one representative: translation is no longer a
+    # permutation of the table, so some walk ends in another orbit
+    table = oracle._coset_table(12)
+    first, second = list(table)[:2]
+    table[second] = table[first]
+    monkeypatch.setattr(oracle, "_coset_table", lambda n: table)
+    with pytest.raises(ArithmeticError, match="left its own orbit"):
+        oracle_cusps(12)
+
+
+def test_orbit_width_checked(monkeypatch):
+    real = oracle._orbit_width
+    monkeypatch.setattr(oracle, "_orbit_width", lambda sigma, n: real(sigma, n) + 1)
+    with pytest.raises(ArithmeticError, match="orbit length"):
+        oracle_cusps(12)
+
+
+def test_orbit_width_sum_checked(monkeypatch):
+    real = oracle.OrbitCusp
+    monkeypatch.setattr(
+        oracle, "OrbitCusp", lambda num, den, width: real(num, den, width + 1)
+    )
+    with pytest.raises(ArithmeticError, match="coset count"):
+        oracle_cusps(12)

@@ -19,6 +19,7 @@ from cuspdim import (
     index,
     unary_theta,
 )
+from cuspdim import qseries
 from helpers import convolve, eta_product_coefficients
 
 ETA_AT_I = 0.7682254223260567  # Gamma(1/4) / (2 pi^(3/4))
@@ -311,6 +312,19 @@ def test_eta_quotient_negative_exponent():
     prod = s * eta_expansion(10)
     assert prod.coeffs[0] == 1
     assert all(c == 0 for c in prod.coeffs[1:])
+
+
+def test_eta_quotient_expansion_checks_offset(monkeypatch):
+    monkeypatch.setattr(EtaQuotient, "leading_exponent", lambda self: Fraction(99))
+    with pytest.raises(ArithmeticError, match="offset"):
+        eta_quotient_expansion(EtaQuotient(23, {1: 2, 23: 2}), 10)
+
+
+def test_eta_quotient_expansion_checks_precision(monkeypatch):
+    real = qseries.eta_expansion
+    monkeypatch.setattr(qseries, "eta_expansion", lambda terms: real(2))
+    with pytest.raises(ArithmeticError, match="precision"):
+        eta_quotient_expansion(EtaQuotient(23, {1: 2, 23: 2}), 10)
 
 
 def test_eta_quotient_empty_is_one():
