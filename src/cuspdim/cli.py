@@ -4,7 +4,8 @@ suites.
 
 Exit status contract: 0 all checks pass and all verdicts decided; 1
 mathematical failure (an Undecided verdict, a residual above tolerance, or
-an oracle disagreement); 2 usage error.  Output is deterministic given the
+an oracle disagreement); 2 usage error, including a ``classify`` range of
+more than ``MAX_RANGE_LEVELS`` levels.  Output is deterministic given the
 inputs and the seed.
 """
 
@@ -36,6 +37,9 @@ from .verify import (
 __all__ = ["CliConfig", "main"]
 
 ENV_PREFIX = "CUSPDIM_"
+
+# A million levels take minutes; larger ranges are refused, not left to run for hours.
+MAX_RANGE_LEVELS = 10**6
 
 REPRESENTATIVE_NOTE = (
     "cusp representatives use the least nonnegative numerator coprime to the "
@@ -197,6 +201,8 @@ def _cmd_classify(args, parser) -> int:
     if bounds is None:
         parser.error(f"malformed level range {args.range!r}; expected n or a..b with 1 <= a <= b")
     lo, hi = bounds
+    if hi - lo >= MAX_RANGE_LEVELS:
+        parser.error(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
     config = _config_from_args(args)
     certs = [classify(n) for n in range(lo, hi + 1)]
     dim_one = [c.level for c in certs if c.verdict is Verdict.DIM_ONE]

@@ -98,28 +98,23 @@ def is_member(mat: UnimodularMatrix, n: int) -> bool:
 
 def index(n: int) -> int:
     """Index of the level-n group in SL2(Z): product of p^e + p^(e-1) over p^e || n."""
-    _check_level(n)
     return group_profile(n).index
 
 
 def cusp_width(n: int, d: int) -> int:
     """Width of the cusp class with denominator d (a divisor of n).
 
-    Per prime: p to the exponent nu_p(n) - 2 nu_p(d), clamped at zero.
+    The width is n / gcd(d^2, n); per prime p^e || n this is
+    p^max(e - 2 nu_p(d), 0).
     """
     _check_level(n)
     if d < 1 or n % d != 0:
         raise ValueError(f"{d} is not a positive divisor of {n}")
-    nd = factorize(d)
-    width = 1
-    for p, e in factorize(n).factors.items():
-        width *= p ** max(e - 2 * nd.nu(p), 0)
-    return width
+    return n // math.gcd(d * d, n)
 
 
 def cusp_count(n: int) -> int:
     """Number of cusp classes: sum of phi(gcd(d, n/d)) over divisors d of n."""
-    _check_level(n)
     return group_profile(n).cusp_count
 
 
@@ -146,14 +141,14 @@ def _canonical_a(r: int, g: int, d: int) -> int:
         if math.gcd(a, d) == 1:
             return a
         a += g
-    raise AssertionError(f"no representative coprime to {d} in class {r} mod {g}")
+    raise ArithmeticError(f"no representative coprime to {d} in class {r} mod {g}")
 
 
 # Typed caches: True must reach the level check, not the entry of 1.
 @lru_cache(maxsize=4096, typed=True)
 def cusps(n: int) -> tuple[CuspClass, ...]:
-    """All cusp classes of the level-n group, in deterministic order,
-    checked against the width multiset of ``group_profile``."""
+    """All cusp classes of the level-n group, in deterministic order; their
+    gcd-form widths are checked against the p-adic multiset of ``group_profile``."""
     _check_level(n)
     out = []
     for d in divisors(n):
@@ -171,21 +166,18 @@ def cusps(n: int) -> tuple[CuspClass, ...]:
 def mu2(n: int) -> int:
     """Number of order-2 elliptic points: 0 when 4 | n, else a product of
     1 + (-4|p) over primes p | n."""
-    _check_level(n)
     return group_profile(n).mu2
 
 
 def mu3(n: int) -> int:
     """Number of order-3 elliptic points: 0 when 2 | n or 9 | n, else a
     product of 1 + (-3|p) over primes p | n."""
-    _check_level(n)
     return group_profile(n).mu3
 
 
 def genus(n: int) -> int:
     """Genus of the compactified level-n quotient curve:
     1 + index/12 - mu2/4 - mu3/3 - cusps/2."""
-    _check_level(n)
     return group_profile(n).genus
 
 

@@ -2,9 +2,9 @@
 certified numeric evaluation on the upper half-plane.
 
 A series is stored as (offset, step, coefficients): term k carries the
-exponent offset + k*step.  All coefficients are exact rationals; floats
-appear only inside ``evaluate``, which returns a truncation-error bound
-alongside the value.
+exponent offset + k*step.  Coefficients are exact: ``int`` where integral,
+``Fraction`` otherwise; floats appear only inside ``evaluate``, which returns
+a truncation-error bound alongside the value.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ __all__ = [
     "unary_theta",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-
 # Depth cap for the constructor-time cross-check of the cube identity; see
 # the dual-route note on eta_cubed.
 _CUBE_CHECK_DEPTH = 1024
@@ -55,8 +51,8 @@ def _frac_gcd(x: Fraction, y: Fraction) -> Fraction:
 
 
 class FracQSeries:
-    """Truncated series sum_k coeffs[k] * q^(offset + k*step) with exact
-    rational coefficients.
+    """Truncated series sum_k coeffs[k] * q^(offset + k*step); ``int`` and
+    ``Fraction`` coefficients are kept, others converted exactly by ``Fraction``.
 
     ``growth``, when present, is a pair (A, alpha) certifying that every
     coefficient of the underlying infinite series satisfies
@@ -72,7 +68,7 @@ class FracQSeries:
         self.step = Fraction(step)
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
-        self.coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least one retained term")
         if growth is not None:
@@ -91,7 +87,7 @@ class FracQSeries:
     def exponent(self, k: int) -> Fraction:
         return self.offset + k * self.step
 
-    def support(self) -> tuple[tuple[int, Fraction, float], ...]:
+    def support(self) -> tuple[tuple[int, int | Fraction, float], ...]:
         """Nonzero terms as (index, coefficient, float(coefficient)), cached."""
         if self._support is None:
             self._support = tuple(
@@ -99,12 +95,12 @@ class FracQSeries:
             )
         return self._support
 
-    def leading(self) -> tuple[int, Fraction] | None:
+    def leading(self) -> tuple[int, int | Fraction] | None:
         """Index and value of the first nonzero coefficient, if any."""
         sup = self.support()
         return (sup[0][0], sup[0][1]) if sup else None
 
-    def coefficient(self, exponent) -> Fraction:
+    def coefficient(self, exponent) -> int | Fraction:
         """Exact coefficient of q^exponent.
 
         Exponents below the offset or off the grid are structurally zero;
@@ -113,10 +109,10 @@ class FracQSeries:
         x = Fraction(exponent)
         pos = (x - self.offset) / self.step
         if pos.denominator != 1:
-            return _ZERO
+            return 0
         k = int(pos)
         if k < 0:
-            return _ZERO
+            return 0
         if k >= len(self.coeffs):
             raise PrecisionError(
                 f"coefficient of q^{x} lies beyond the retained precision {self.precision}"
@@ -150,7 +146,7 @@ class FracQSeries:
         if count.denominator != 1 or count <= 0:
             raise GridError("series have no common range of known coefficients")
         count = int(count)
-        coeffs = [_ZERO] * count
+        coeffs = [0] * count
         for series in (self, other):
             start = int((series.offset - offset) / step)
             m = int(series.step / step)
@@ -170,7 +166,7 @@ class FracQSeries:
             return NotImplemented
         return self + (-other)
 
-    def _scaled(self, scalar: Fraction) -> "FracQSeries":
+    def _scaled(self, scalar: int | Fraction) -> "FracQSeries":
         growth = None
         if self.growth is not None:
             growth = (self.growth[0] * abs(float(scalar)), self.growth[1])
@@ -180,14 +176,14 @@ class FracQSeries:
 
     def __mul__(self, other) -> "FracQSeries":
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
+            return self._scaled(other)
         if not isinstance(other, FracQSeries):
             return NotImplemented
         step = _frac_gcd(self.step, other.step)
         m1 = int(self.step / step)
         m2 = int(other.step / step)
         count = int(min(self.precision * self.step, other.precision * other.step) / step)
-        coeffs = [_ZERO] * count
+        coeffs = [0] * count
         other_support = other.support()
         for i, ci, _ in self.support():
             base = i * m1
@@ -216,10 +212,10 @@ class FracQSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ValueError("cannot invert a series whose leading retained term vanishes")
-        inv0 = 1 / c0
-        out = [inv0] + [_ZERO] * (self.precision - 1)
+        inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
+        out = [inv0] + [0] * (self.precision - 1)
         for k in range(1, self.precision):
-            acc = _ZERO
+            acc = 0
             for i in range(1, k + 1):
                 ci = self.coeffs[i]
                 if ci:
@@ -233,7 +229,7 @@ class FracQSeries:
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
-            return FracQSeries(0, self.step, (_ONE,) + (_ZERO,) * (self.precision - 1), (1.0, 0.0))
+            return FracQSeries(0, self.step, (1,) + (0,) * (self.precision - 1), (1.0, 0.0))
         result = self
         for _ in range(k - 1):
             result = result * self
@@ -267,17 +263,17 @@ class FracQSeries:
 # -- constructors ------------------------------------------------------------
 
 
-def _pentagonal_coeffs(precision: int) -> list[Fraction]:
+def _pentagonal_coeffs(precision: int) -> list[int]:
     # Product over n >= 1 of (1 - q^n): coefficient (-1)^j at the generalized
     # pentagonal number j(3j-1)/2, both signs of j.
-    coeffs = [_ZERO] * precision
+    coeffs = [0] * precision
     j = 0
     while True:
         placed = False
         for jj in (j, -j) if j else (0,):
             g = jj * (3 * jj - 1) // 2
             if g < precision:
-                coeffs[g] = _ONE if jj % 2 == 0 else _MINUS_ONE
+                coeffs[g] = 1 if jj % 2 == 0 else -1
                 placed = True
         if not placed:
             break
@@ -311,14 +307,14 @@ def unary_theta(ell: int, r: int, precision: int) -> FracQSeries:
     if not isinstance(r, int) or not 0 < r < ell:
         raise ValueError(f"theta residue must satisfy 0 < r < {ell}, got {r!r}")
     _check_precision(precision)
-    coeffs = [_ZERO] * precision
+    coeffs = [0] * precision
     m = 0
     while True:
         placed = False
         for mm in (m, -m) if m else (0,):
             k = mm * (ell * mm + r)
             if 0 <= k < precision:
-                coeffs[k] = Fraction(2 * ell * mm + r)
+                coeffs[k] = 2 * ell * mm + r
                 placed = True
         if not placed and m > 0:
             break
@@ -381,8 +377,6 @@ def eta_quotient_expansion(quotient: EtaQuotient, precision: int) -> FracQSeries
     """
     _check_precision(precision)
     items = sorted(quotient.exponents.items())
-    if not items:
-        return FracQSeries(0, 1, (_ONE,) + (_ZERO,) * (precision - 1), (1.0, 0.0))
     step_out = math.gcd(*[d for d, _ in items])
     span = precision * step_out
     result = None
@@ -395,7 +389,7 @@ def eta_quotient_expansion(quotient: EtaQuotient, precision: int) -> FracQSeries
         factor = scaled**r
         result = factor if result is None else result * factor
     if result is None:
-        return FracQSeries(0, 1, (_ONE,) + (_ZERO,) * (precision - 1), (1.0, 0.0))
+        return FracQSeries(0, 1, (1,) + (0,) * (precision - 1), (1.0, 0.0))
     if result.offset != quotient.leading_exponent():
         raise ArithmeticError(f"expansion offset {result.offset} is not the leading exponent")
     if result.precision < precision:
@@ -465,9 +459,10 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
     rigorous bound on the truncation error of the underlying infinite series.
 
     Requires a growth certificate on the series.  Term phases are reduced
-    exactly (rational times the exact binary value of Re(tau)) before any
-    float exponential, so rounding noise stays near machine epsilon; a small
-    roundoff allowance is folded into the reported bound.
+    exactly (integer numerators over one denominator, from the exact binary
+    value of Re(tau)) before any float exponential, so rounding noise stays
+    near machine epsilon; a small roundoff allowance is folded into the
+    reported bound.
     """
     tau = complex(tau)
     v = tau.imag
@@ -478,9 +473,10 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
             "series carries no coefficient growth certificate; "
             "a rigorous truncation bound is not available"
         )
-    u = Fraction(tau.real)
-    alpha_ph = (u * series.offset) % 1
-    beta_ph = (u * series.step) % 1
+    u, off, step = Fraction(tau.real), series.offset, series.step
+    den = u.denominator * off.denominator * step.denominator
+    a = u.numerator * off.numerator * step.denominator % den
+    b = u.numerator * step.numerator * off.denominator % den
     off_f = float(series.offset)
     step_f = float(series.step)
     two_pi = 2.0 * math.pi
@@ -490,7 +486,7 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
         decay = math.exp(-two_pi * v * (off_f + k * step_f))
         if decay == 0.0:
             break
-        phase = float((alpha_ph + k * beta_ph) % 1)
+        phase = (a + k * b) % den / den
         total += cf * decay * cmath.exp(2j * math.pi * phase)
         absmass += abs(cf) * decay
     bound = _series_tail_bound(series, v, series.precision)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cuspdim import cli
 from cuspdim.cli import main
 
 
@@ -228,6 +229,16 @@ FROZEN_STDOUT_SHA256 = {
         "dcf102f9118cae269788409a7c1d73dcb47a0c9131adcfb7ca0238c5da9b2763",
     ("cusps", "120", "--oracle"):
         "769225b59246f30e389dbe734c895a8cec05f7b94df52c72e102e2238ca02e7a",
+    ("qexp", "etaq", "4", "1:-8,2:16,4:-8", "120"):
+        "2889cd5a95b5c448f91701f46921dc45daa66d170c68d0b5a8ef6b414b41b340",
+    ("qexp", "etaq", "1", "1:-1", "400", "--format", "json"):
+        "8f3b9ccead8a6bf00b19662f683a7f5e01c5b584cda8c2e30ccec64d48366791",
+    ("qexp", "etaq", "6", "1:5,2:-2,3:-2,6:1", "100", "--format", "tsv"):
+        "d04891fbbf00ef25f472e1046b2b31d55e74bbbe6bac8b6717eb2cbc701f12f8",
+    ("qexp", "theta", "3", "1", "60"):
+        "c6ef95562c2152470a9f0a5a1cca46a865ecc9f47cb48d58e53873c833f49efd",
+    ("verify", "eta-law", "--seed", "3"):
+        "890af94887a67782c7a290fb94c7a02e1430770bddbfbb0e9b7a83fcdee176d4",
 }
 
 
@@ -238,3 +249,16 @@ def test_output_bytes_frozen(capsys, monkeypatch):
         code, out, _ = run(capsys, list(argv))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_classify_refuses_oversized_range(capsys, monkeypatch):
+    def no_level(n):
+        raise AssertionError(f"level {n} computed for a refused range")
+
+    monkeypatch.setattr(cli, "classify", no_level)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "1..1000001"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than 1000000 levels" in captured.err

@@ -17,6 +17,7 @@ from cuspdim import (
     mu2,
     mu3,
 )
+from helpers import primes
 
 
 def test_matrix_determinant_enforced():
@@ -253,3 +254,25 @@ def test_genus_formula_checked(monkeypatch):
     monkeypatch.setattr(gamma0, "_local", one_more_elliptic_point)
     with pytest.raises(ArithmeticError, match="genus"):
         gamma0.group_profile.__wrapped__(13)
+
+
+def test_cusp_width_matches_per_prime_exponents():
+    # p^max(nu_p(n) - 2 nu_p(d), 0), prime by prime, by trial division
+    def nu(p, m):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        return e
+
+    for n in range(1, 400):
+        prime_divisors = [p for p in primes(n) if n % p == 0]
+        for d in (x for x in range(1, n + 1) if n % x == 0):
+            expected = math.prod(p ** max(nu(p, n) - 2 * nu(p, d), 0) for p in prime_divisors)
+            assert cusp_width(n, d) == expected, (n, d)
+
+
+def test_canonical_representative_search_checked():
+    # every member of 2 mod 4 is even, so none is coprime to d = 2
+    with pytest.raises(ArithmeticError, match="no representative"):
+        gamma0._canonical_a(2, 4, 2)

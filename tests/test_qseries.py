@@ -405,3 +405,33 @@ def test_evaluate_rejects_lower_half_plane():
 def test_evaluate_requires_growth_certificate():
     with pytest.raises(PrecisionError):
         evaluate(eta_expansion(16).inverse(), 2j)
+
+
+def test_integral_series_hold_int_coefficients():
+    series = [
+        eta_expansion(50),
+        eta_cubed(50),
+        unary_theta(3, 1, 50),
+        eta_quotient_expansion(EtaQuotient(4, {1: -8, 2: 16, 4: -8}), 50),
+        eta_quotient_expansion(EtaQuotient(6, {1: 5, 2: -2, 3: -2, 6: 1}), 50),
+        eta_quotient_expansion(EtaQuotient(1, {1: -1}), 50),
+        eta_quotient_expansion(EtaQuotient(23, {1: 2, 23: 2}), 50),
+        eta_quotient_expansion(EtaQuotient(5, {}), 10),
+        eta_expansion(8) * 2,
+        2 * eta_expansion(8),
+    ]
+    for s in series:
+        assert all(type(c) is int for c in s.coeffs), s
+    assert type(eta_expansion(8).coefficient(Fraction(1, 3))) is int
+
+
+def test_inverse_of_non_unit_leading_term_is_exact():
+    inv = FracQSeries(0, 1, [2, 1, 0, 0]).inverse()
+    assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16))
+    assert all(type(c) is Fraction for c in inv.coeffs)
+
+
+def test_non_int_input_coefficients_stay_exact():
+    s = FracQSeries(0, 1, ["1/3", 0.5, True, Fraction(2, 3), 4])
+    assert s.coeffs == (Fraction(1, 3), Fraction(1, 2), 1, Fraction(2, 3), 4)
+    assert [type(c) for c in s.coeffs] == [Fraction, Fraction, Fraction, Fraction, int]
