@@ -5,8 +5,14 @@ suites.
 Exit status contract: 0 all checks pass and all verdicts decided; 1
 mathematical failure (an Undecided verdict, a residual above tolerance, or
 an oracle disagreement); 2 usage error, including a ``classify`` range of
-more than ``MAX_RANGE_LEVELS`` levels.  Output is deterministic given the
-inputs and the seed.
+more than ``MAX_RANGE_LEVELS`` levels, an out-of-range option value and a
+bad ``CUSPDIM_*`` variable.  Output is deterministic given the inputs and
+the seed.
+
+Each common option is converted and range-checked once, by its argparse
+``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
+which argparse passes through the same ``type=`` when the flag is absent;
+so a flag beats a bad variable, and either failure is a usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .classify import (
     Verdict,
@@ -34,7 +39,7 @@ from .verify import (
     rr_identity_suite,
 )
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 ENV_PREFIX = "CUSPDIM_"
 
@@ -48,33 +53,21 @@ REPRESENTATIVE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    precision: int = 200
-    tolerance: float = 1e-9
-    oracle_cutoff: int = ORACLE_CUTOFF
-    seed: int = 0
-    output_format: str = "text"
+def _add_common(parser, flag, cast, expected, ok=lambda value: True, fallback=None, **kwargs):
+    """Add ``flag``, defaulting to its ``CUSPDIM_*`` variable; both values
+    go through one ``type=`` that converts with ``cast`` and checks ``ok``."""
+    var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
 
-    def __post_init__(self):
-        if self.precision < 16:
-            raise ValueError(f"precision must be at least 16, got {self.precision}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.oracle_cutoff < 1:
-            raise ValueError(f"oracle cutoff must be positive, got {self.oracle_cutoff}")
-        if self.output_format not in ("json", "tsv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {expected} (flag or {var})")
 
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"invalid {ENV_PREFIX + name}={raw!r}")
+    parser.add_argument(flag, type=parse, default=os.environ.get(var, fallback), **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,34 +80,28 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "tsv", "text"),
-        default=_env("FORMAT", str, "text"),
+    # Not ``choices``: argparse never checks those against a default.
+    formats = ("json", "tsv", "text")
+    _add_common(
+        common, "--format", str, f"one of {', '.join(formats)}", formats.__contains__, "text",
+        metavar="{" + ",".join(formats) + "}",
         help="output format (default: text)",
     )
-    common.add_argument(
-        "--precision",
-        type=int,
-        default=_env("PRECISION", int, 200),
+    _add_common(
+        common, "--precision", int, "an integer >= 16", lambda p: p >= 16, "200",
         help="series precision for numeric work (default: 200, minimum 16)",
     )
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=_env("TOLERANCE", float, None),
+    # No single default: each suite picks its own (see _cmd_verify).
+    _add_common(
+        common, "--tolerance", float, "a number > 0", lambda t: t > 0,
         help="numeric tolerance (default: per-suite, 1e-9 unless noted)",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=_env("SEED", int, 0),
+    _add_common(
+        common, "--seed", int, "an integer", fallback="0",
         help="seed for randomized suites (default: 0)",
     )
-    common.add_argument(
-        "--oracle-cutoff",
-        type=int,
-        default=_env("ORACLE_CUTOFF", int, ORACLE_CUTOFF),
+    _add_common(
+        common, "--oracle-cutoff", int, "an integer >= 1", lambda c: c >= 1, str(ORACLE_CUTOFF),
         help=f"largest level the brute-force oracle accepts (default: {ORACLE_CUTOFF})",
     )
 
@@ -154,20 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
-    tolerance = args.tolerance if args.tolerance is not None else 1e-9
-    try:
-        return CliConfig(
-            precision=args.precision,
-            tolerance=tolerance,
-            oracle_cutoff=args.oracle_cutoff,
-            seed=args.seed,
-            output_format=args.format,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"cuspdim: {exc}")
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -203,7 +176,6 @@ def _cmd_classify(args, parser) -> int:
     lo, hi = bounds
     if hi - lo >= MAX_RANGE_LEVELS:
         parser.error(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
-    config = _config_from_args(args)
     certs = [classify(n) for n in range(lo, hi + 1)]
     dim_one = [c.level for c in certs if c.verdict is Verdict.DIM_ONE]
     undecided = [c.level for c in certs if c.verdict is Verdict.UNDECIDED]
@@ -212,7 +184,7 @@ def _cmd_classify(args, parser) -> int:
         sorted(dim_one) == sorted(m23_element_orders()) if covers_reference else None
     )
 
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "range": [lo, hi],
@@ -222,7 +194,7 @@ def _cmd_classify(args, parser) -> int:
                 "matches_m23_element_orders": matches,
             }
         )
-    elif config.output_format == "tsv":
+    elif args.format == "tsv":
         _emit_tsv(certificate_tsv_rows(certs))
     else:
         header = (
@@ -255,24 +227,23 @@ def _cmd_cusps(args, parser) -> int:
     n = args.level
     if n < 1:
         parser.error(f"level must be positive, got {n}")
-    config = _config_from_args(args)
     profile = group_profile(n)
 
     oracle_verdict = None
     if args.oracle:
-        if n > config.oracle_cutoff:
+        if n > args.oracle_cutoff:
             print(
                 f"cuspdim: oracle refused: level {n} exceeds cutoff "
-                f"{config.oracle_cutoff}",
+                f"{args.oracle_cutoff}",
                 file=sys.stderr,
             )
             return 2
-        orbits = oracle_cusps(n, config.oracle_cutoff)
+        orbits = oracle_cusps(n, args.oracle_cutoff)
         formula_widths = sorted(c.width for c in profile.cusps)
         orbit_widths = sorted(o.width for o in orbits)
         oracle_verdict = "AGREE" if formula_widths == orbit_widths else "DISAGREE"
 
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "level": n,
@@ -290,7 +261,7 @@ def _cmd_cusps(args, parser) -> int:
                 "metadata": {"representative_convention": REPRESENTATIVE_NOTE},
             }
         )
-    elif config.output_format == "tsv":
+    elif args.format == "tsv":
         rows = [("a", "d", "representative", "width")]
         rows += [
             (str(c.a), str(c.d), str(c.representative), str(c.width))
@@ -362,11 +333,10 @@ def _build_series(words: list[str], parser, default_precision: int):
 
 
 def _cmd_qexp(args, parser) -> int:
-    config = _config_from_args(args)
-    series = _build_series(args.series, parser, config.precision)
-    if config.output_format == "json":
+    series = _build_series(args.series, parser, args.precision)
+    if args.format == "json":
         _emit_json(series.to_json_obj())
-    elif config.output_format == "tsv":
+    elif args.format == "tsv":
         rows = [("index", "exponent", "coefficient")]
         rows += [
             (str(k), str(series.exponent(k)), str(c))
@@ -380,22 +350,20 @@ def _cmd_qexp(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    config = _config_from_args(args)
-    explicit_tolerance = args.tolerance is not None
+    tol = args.tolerance
     if args.suite == "eta-law":
-        result = eta_law_suite(tolerance=config.tolerance, seed=config.seed)
+        result = eta_law_suite(tolerance=1e-9 if tol is None else tol, seed=args.seed)
     elif args.suite == "cocycle":
-        tol = config.tolerance if explicit_tolerance else 1e-10
-        result = cocycle_suite(tolerance=tol, seed=config.seed)
+        result = cocycle_suite(tolerance=1e-10 if tol is None else tol, seed=args.seed)
     elif args.suite == "character":
-        result = character_suite(seed=config.seed)
+        result = character_suite(seed=args.seed)
     elif args.suite == "euler-identity":
-        result = euler_identity_suite(depth=config.precision)
+        result = euler_identity_suite(depth=args.precision)
     else:
         result = rr_identity_suite()
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(result.to_json_obj())
-    elif config.output_format == "tsv":
+    elif args.format == "tsv":
         rows = [("check", "status")]
         rows += [(line.rsplit(" ", 1)[0], line.rsplit(" ", 1)[1]) for line in result.lines]
         _emit_tsv(rows)

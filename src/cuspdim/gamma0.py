@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import divisors, factorize, kronecker
+from .exact import divisors, factorize
 
 __all__ = [
     "CuspClass",
@@ -124,15 +124,18 @@ class CuspClass:
 
     d divides n; two boundary points a/d and a'/d are in the same class
     exactly when a = a' modulo gcd(d, n/d).  ``a`` is the least nonnegative
-    representative of its residue class that is coprime to d, and
-    ``representative`` is the boundary point a/d.
+    representative of its residue class that is coprime to d, so the
+    boundary point ``representative`` = a/d is built on read, already reduced.
     """
 
     level: int
     a: int
     d: int
     width: int
-    representative: Fraction
+
+    @property
+    def representative(self) -> Fraction:
+        return Fraction(self.a, self.d)
 
 
 def _canonical_a(r: int, g: int, d: int) -> int:
@@ -157,7 +160,7 @@ def cusps(n: int) -> tuple[CuspClass, ...]:
         residues = [0] if g == 1 else [r for r in range(1, g) if math.gcd(r, g) == 1]
         for r in residues:
             a = _canonical_a(r, g, d)
-            out.append(CuspClass(n, a, d, w, Fraction(a, d)))
+            out.append(CuspClass(n, a, d, w))
     if Counter(c.width for c in out) != Counter(dict(group_profile(n).widths)):
         raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
     return tuple(out)
@@ -201,14 +204,18 @@ class GroupProfile:
 
 def _local(p: int, e: int) -> tuple[int, dict[int, int], int, int]:
     """Index factor, {width: count} and mu2, mu3 factors at p^e: over
-    d = p^k lie phi(p^min(k, e-k)) classes of width p^max(e-2k, 0)."""
+    d = p^k lie phi(p^min(k, e-k)) classes of width p^max(e-2k, 0).
+
+    The elliptic factors 1 + (-4|p) and 1 + (-3|p) are read from p mod 4
+    and p mod 3: -1 is a square modulo an odd prime p exactly when
+    p = 1 (mod 4), and -3 exactly when p = 1 (mod 3)."""
     widths: dict[int, int] = {}
     for k in range(e + 1):
         j = min(k, e - k)
         w = p ** max(e - 2 * k, 0)
         widths[w] = widths.get(w, 0) + (p**j - p ** (j - 1) if j else 1)
-    m2 = 0 if p == 2 and e > 1 else 1 + kronecker(-4, p)
-    m3 = 0 if p == 3 and e > 1 else 1 + kronecker(-3, p)
+    m2 = int(e == 1) if p == 2 else 2 * (p % 4 == 1)
+    m3 = int(e == 1) if p == 3 else 2 * (p % 3 == 1)
     return p**e + p ** (e - 1), widths, m2, m3
 
 

@@ -78,9 +78,9 @@ def gamma0_character(n: int, h: int, gamma: UnimodularMatrix) -> UnitPhase:
     gcd(n, 12).  It is a homomorphism and is trivial on the level-(n*h)
     subgroup.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"level must be a positive integer, got {n!r}")
-    if not isinstance(h, int) or h < 1 or math.gcd(n, 12) % h != 0:
+    if isinstance(h, bool) or not isinstance(h, int) or h < 1 or math.gcd(n, 12) % h != 0:
         raise ValueError(f"scale {h!r} must divide gcd({n}, 12)")
     if not is_member(gamma, n):
         raise ValueError(f"{gamma} is not in the level-{n} group")
@@ -101,11 +101,11 @@ class AutomorphyContext:
 
     def __post_init__(self):
         object.__setattr__(self, "weight", Fraction(self.weight))
-        if not isinstance(self.level, int) or self.level < 1:
+        if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
             raise ValueError(f"level must be a positive integer, got {self.level!r}")
         if self.character_h is not None:
             h = self.character_h
-            if not isinstance(h, int) or h < 1 or math.gcd(self.level, 12) % h != 0:
+            if isinstance(h, bool) or not isinstance(h, int) or h < 1 or math.gcd(self.level, 12) % h:
                 raise ValueError(f"character scale {h!r} must divide gcd({self.level}, 12)")
 
     def psi(self, gamma: UnimodularMatrix) -> UnitPhase:

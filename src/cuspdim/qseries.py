@@ -282,11 +282,12 @@ def _pentagonal_coeffs(precision: int) -> list[int]:
 
 
 def _check_precision(precision: int) -> None:
-    if not isinstance(precision, int) or precision < 1:
+    if isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
         raise ValueError(f"precision must be a positive integer, got {precision!r}")
 
 
-@lru_cache(maxsize=16)
+# Typed caches: True must reach the argument checks, not the entry of 1.
+@lru_cache(maxsize=16, typed=True)
 def eta_expansion(precision: int) -> FracQSeries:
     """q^(1/24) times the product of (1 - q^n): offset 1/24, unit step,
     coefficients the pentagonal-sign sequence (so all in {-1, 0, 1})."""
@@ -294,7 +295,7 @@ def eta_expansion(precision: int) -> FracQSeries:
     return FracQSeries(Fraction(1, 24), 1, _pentagonal_coeffs(precision), (1.0, 0.0))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def unary_theta(ell: int, r: int, precision: int) -> FracQSeries:
     """Weight-3/2 theta series: sum over integers m of
     (2*ell*m + r) q^((2*ell*m + r)^2 / (4*ell)).
@@ -302,9 +303,9 @@ def unary_theta(ell: int, r: int, precision: int) -> FracQSeries:
     On the grid this is offset r^2/(4*ell), unit step, with the coefficient
     2*ell*m + r sitting at index m*(ell*m + r).
     """
-    if not isinstance(ell, int) or ell < 2:
+    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 2:
         raise ValueError(f"theta index must be an integer >= 2, got {ell!r}")
-    if not isinstance(r, int) or not 0 < r < ell:
+    if isinstance(r, bool) or not isinstance(r, int) or not 0 < r < ell:
         raise ValueError(f"theta residue must satisfy 0 < r < {ell}, got {r!r}")
     _check_precision(precision)
     coeffs = [0] * precision
@@ -324,7 +325,7 @@ def unary_theta(ell: int, r: int, precision: int) -> FracQSeries:
     return FracQSeries(Fraction(r * r, 4 * ell), 1, coeffs, growth)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def eta_cubed(precision: int) -> FracQSeries:
     """Cube of the eta series, offset 1/8.
 
@@ -354,12 +355,12 @@ class EtaQuotient:
     exponents: dict[int, int]
 
     def __post_init__(self):
-        if not isinstance(self.level, int) or self.level < 1:
+        if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
             raise ValueError(f"level must be a positive integer, got {self.level!r}")
         for delta, r in self.exponents.items():
-            if not isinstance(delta, int) or delta < 1 or self.level % delta != 0:
+            if isinstance(delta, bool) or not isinstance(delta, int) or delta < 1 or self.level % delta:
                 raise ValueError(f"scale {delta!r} is not a divisor of level {self.level}")
-            if not isinstance(r, int):
+            if isinstance(r, bool) or not isinstance(r, int):
                 raise ValueError(f"exponent for scale {delta} must be an integer, got {r!r}")
 
     def weight(self) -> Fraction:

@@ -1,5 +1,10 @@
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,18 +198,52 @@ def test_env_defaults_and_flag_precedence(capsys, monkeypatch):
 
 def test_env_invalid_value_rejected(capsys, monkeypatch):
     monkeypatch.setenv("CUSPDIM_PRECISION", "abc")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["qexp", "eta"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
 def test_config_validation_rejects_bad_values(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["qexp", "eta", "--precision", "8"])
+    assert exc.value.code == 2
     capsys.readouterr()
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["classify", "5", "--tolerance", "-1"])
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "env, argv, flag",
+    [
+        ({}, ["cusps", "5", "--oracle", "--oracle-cutoff", "0"], "--oracle-cutoff"),
+        ({"CUSPDIM_FORMAT": "xml"}, ["classify", "5"], "--format"),
+        ({"CUSPDIM_TOLERANCE": "-1"}, ["verify", "cocycle"], "--tolerance"),
+        ({"CUSPDIM_SEED": "x"}, ["classify", "5"], "--seed"),
+    ],
+)
+def test_bad_option_or_variable_is_usage_error(capsys, monkeypatch, env, argv, flag):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the message names the flag and its variable
+    assert flag in captured.err
+    assert "CUSPDIM_" + flag[2:].upper().replace("-", "_") in captured.err
+
+
+def test_valid_flag_beats_invalid_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CUSPDIM_PRECISION", "abc")
+    code, out, _ = run(capsys, ["qexp", "eta", "--format", "json", "--precision", "32"])
+    assert code == 0
+    assert len(json.loads(out)["coeffs"]) == 32
+    code, _, _ = run(capsys, ["classify", "5", "--precision", "32"])
+    assert code == 0
 
 
 def test_output_is_byte_deterministic(capsys):
@@ -239,6 +278,18 @@ FROZEN_STDOUT_SHA256 = {
         "c6ef95562c2152470a9f0a5a1cca46a865ecc9f47cb48d58e53873c833f49efd",
     ("verify", "eta-law", "--seed", "3"):
         "890af94887a67782c7a290fb94c7a02e1430770bddbfbb0e9b7a83fcdee176d4",
+    ("cusps", "360", "--format", "tsv"):
+        "c4c1a6a5696d2b9d531727b60ebc78598752a9b5cae36c039c5c715514b4738d",
+    ("cusps", "301", "--oracle", "--oracle-cutoff", "310"):
+        "e7f7dc15c4153f08c23a9845d736e41d2ede7f0cd7f263180c2cb8be7e64818f",
+    ("qexp", "eta", "--precision", "64", "--format", "tsv"):
+        "752171d8e6775cfb0f2e9c050b2c1f3f941ce6bd533c66305f6ceeb43f05713d",
+    ("verify", "cocycle", "--seed", "2", "--tolerance", "1e-11"):
+        "c5ee69c6393683474a0f6860cd36443a8fb1210ab94b30d3a04360e93667b7b4",
+    ("verify", "euler-identity", "--precision", "64", "--format", "json"):
+        "dcd76918e1f9df00c090caeff13ec04585e3a529a264b82c306b0f59ce8f0098",
+    ("classify", "23", "--format", "json"):
+        "11ec203891c0991cd10a7885a3108ee268b01fc393249a3a6a33f5f920b5c639",
 }
 
 
@@ -249,6 +300,23 @@ def test_output_bytes_frozen(capsys, monkeypatch):
         code, out, _ = run(capsys, list(argv))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_checks_survive_python_O():
+    # An assert vanishes under -O, so no module may use one for a check.
+    package = Path(__file__).resolve().parents[1] / "src" / "cuspdim"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name}: assert statements at lines {asserts}"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CUSPDIM_")}
+    env["PYTHONPATH"] = str(package.parent)
+    argv = ("cusps", "120", "--oracle")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cuspdim", *argv], env=env, capture_output=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == FROZEN_STDOUT_SHA256[argv]
 
 
 def test_classify_refuses_oversized_range(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from cuspdim import (
     group_profile,
     index,
     is_member,
+    kronecker,
     mu2,
     mu3,
 )
@@ -177,6 +178,17 @@ def test_mu3_values():
     assert mu3(17) == 0
     assert mu3(19) == 2
     assert mu3(7) == 2
+
+
+def test_elliptic_counts_match_kronecker_route():
+    # Reference route: the Kronecker symbols that the closed-form local
+    # factors read from p mod 4 and p mod 3.
+    small_primes = primes(5000)
+    for n in range(1, 5000):
+        divs = [p for p in small_primes if n % p == 0]
+        expected2 = 0 if n % 4 == 0 else math.prod(1 + kronecker(-4, p) for p in divs)
+        expected3 = 0 if n % 2 == 0 or n % 9 == 0 else math.prod(1 + kronecker(-3, p) for p in divs)
+        assert (mu2(n), mu3(n)) == (expected2, expected3), n
 
 
 def test_genus_values():

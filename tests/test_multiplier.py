@@ -18,6 +18,7 @@ from cuspdim import (
     gamma0_character,
     j_factor,
     random_unimodular,
+    unary_theta,
     verify_cocycle,
     verify_transformation,
 )
@@ -218,3 +219,27 @@ def test_transformation_precision_failure_paths():
         )
     with pytest.raises(ValueError):
         verify_transformation(eta_expansion(64), ctx, M.inversion(), 1 - 1j)
+
+
+def test_bool_is_not_an_integer_argument():
+    # bool subclasses int; True must not pass as 1, nor hit a cached entry of 1.
+    eta_expansion(1)
+    eta_cubed(1)
+    unary_theta(2, 1, 1)
+    g = M(1, 0, 6, 1)
+    for build in (
+        lambda: eta_expansion(True),
+        lambda: eta_cubed(True),
+        lambda: unary_theta(2, True, 5),
+        lambda: unary_theta(True, 1, 5),
+        lambda: unary_theta(2, 1, True),
+        lambda: EtaQuotient(True, {1: 3}),
+        lambda: EtaQuotient(6, {2: True}),
+        lambda: EtaQuotient(6, {True: 3}),
+        lambda: gamma0_character(6, True, g),
+        lambda: gamma0_character(True, 1, g),
+        lambda: AutomorphyContext(Fraction(3, 2), level=True),
+        lambda: AutomorphyContext(Fraction(3, 2), level=6, character_h=True),
+    ):
+        with pytest.raises(ValueError):
+            build()
