@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .gamma0 import CuspClass, GroupProfile, cusps, group_profile
+from .gamma0 import CuspClass, GroupProfile, _representative_text, cusps, group_profile
 from .qseries import EtaQuotient, eta_quotient_cusp_order
 
 __all__ = [
@@ -219,9 +219,9 @@ def _weight_two_exclusion(p: GroupProfile) -> dict | None:
     if at_support != 1:
         return None
     return {
-        "support_cusp": str(support.representative),
+        "support_cusp": _representative_text(support),
         "weight_two_exponents": {"1": 2, str(n): 2},
-        "cusp_orders": {str(c.representative): str(o) for c, o in orders},
+        "cusp_orders": {_representative_text(c): str(o) for c, o in orders},
     }
 
 
@@ -252,7 +252,7 @@ def classify(n: int) -> Certificate:
         return cert(
             Verdict.DIM_ONE,
             RULE_SIMPLE_POLE,
-            {"support_cusp": str(support.representative), "width": support.width},
+            {"support_cusp": _representative_text(support), "width": support.width},
         )
     if n == 23:
         witness = _weight_two_exclusion(p)

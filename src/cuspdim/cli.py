@@ -28,7 +28,7 @@ from .classify import (
     classify,
     m23_element_orders,
 )
-from .gamma0 import group_profile
+from .gamma0 import _representative_text, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
 from .verify import (
@@ -145,6 +145,21 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _emit_cusps_json(cusp_classes, envelope) -> None:
+    """Print ``_emit_json`` of the envelope with a ``cusps`` list added,
+    formatting each row directly: every row field is an int or a
+    digits-and-slash string, so nothing needs escaping, and ``cusps`` is
+    the first key in sorted order."""
+    rows = ",\n".join(
+        f'    {{\n      "a": {c.a},\n      "d": {c.d},\n'
+        f'      "representative": "{_representative_text(c)}",\n'
+        f'      "width": {c.width}\n    }}'
+        for c in cusp_classes
+    )
+    rest = json.dumps(envelope, indent=2, sort_keys=True)
+    print(f'{{\n  "cusps": [\n{rows}\n  ],\n{rest[2:]}')
+
+
 def _emit_tsv(rows) -> None:
     for row in rows:
         print("\t".join(row))
@@ -244,27 +259,19 @@ def _cmd_cusps(args, parser) -> int:
         oracle_verdict = "AGREE" if formula_widths == orbit_widths else "DISAGREE"
 
     if args.format == "json":
-        _emit_json(
+        _emit_cusps_json(
+            profile.cusps,
             {
                 "level": n,
                 "index": profile.index,
-                "cusps": [
-                    {
-                        "a": c.a,
-                        "d": c.d,
-                        "representative": str(c.representative),
-                        "width": c.width,
-                    }
-                    for c in profile.cusps
-                ],
                 "oracle": oracle_verdict,
                 "metadata": {"representative_convention": REPRESENTATIVE_NOTE},
-            }
+            },
         )
     elif args.format == "tsv":
         rows = [("a", "d", "representative", "width")]
         rows += [
-            (str(c.a), str(c.d), str(c.representative), str(c.width))
+            (str(c.a), str(c.d), _representative_text(c), str(c.width))
             for c in profile.cusps
         ]
         if oracle_verdict is not None:
@@ -273,7 +280,7 @@ def _cmd_cusps(args, parser) -> int:
     else:
         print(f"level {n}: index {profile.index}, {profile.cusp_count} cusp classes")
         for c in profile.cusps:
-            print(f"  a={c.a:<4d} d={c.d:<6d} representative={str(c.representative):<10s} width={c.width}")
+            print(f"  a={c.a:<4d} d={c.d:<6d} representative={_representative_text(c):<10s} width={c.width}")
         print(f"note: {REPRESENTATIVE_NOTE}")
         if oracle_verdict is not None:
             print(f"oracle cross-check: {oracle_verdict}")

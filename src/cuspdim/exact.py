@@ -54,9 +54,89 @@ def _trial_divisors():
         k += 6
 
 
+# Trial division stops at this bound when Miller-Rabin can take over.
+_TRIAL_BOUND = 1000
+# Miller-Rabin on the first 13 primes as bases is exact below psi_13
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality proof for n below psi_13."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the composite n, by Brent's cycle-finding rho on
+    x -> x^2 + c for c = 1, 2, ... in turn, one gcd per 128 steps
+    (Brent, BIT 20, 1980)."""
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # The batched product hit zero: replay the last batch one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        c += 1
+
+
+def _prime_parts(m: int) -> list[int]:
+    """The prime factors of m (1 < m < psi_13), with multiplicity, each one
+    proven prime by ``_is_prime``."""
+    if _is_prime(m):
+        return [m]
+    g = _rho(m)
+    return _prime_parts(g) + _prime_parts(m // g)
+
+
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer by deterministic trial division."""
+    """Factor a positive integer; primes come in ascending order.
+
+    Every returned factor is proven prime.  Trial division runs up to
+    _TRIAL_BOUND; a cofactor left after it is prime when it is below the
+    square of the next trial divisor, and otherwise, below psi_13, it is
+    split by Brent's rho with each part proven prime by deterministic
+    Miller-Rabin.  Only from psi_13 on does trial division go further.
+    Levels up to _TRIAL_BOUND^2 never leave trial division.
+    """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
     m = n
@@ -64,6 +144,10 @@ def factorize(n: int) -> Factorization:
     for p in _trial_divisors():
         if p * p > m:
             break
+        if p > _TRIAL_BOUND and m < _MR_LIMIT:
+            for q in _prime_parts(m):
+                factors[q] = factors.get(q, 0) + 1
+            return Factorization(n, dict(sorted(factors.items())))
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
@@ -141,13 +225,22 @@ def dedekind_sum(d: int, c: int) -> Fraction:
     if math.gcd(d, c) != 1:
         raise ValueError(f"arguments must be coprime, got gcd({d}, {c}) != 1")
     d %= c
-    # ((m/c)) = (2m - c)/2c for 0 < m < c, and c never divides m*d here,
-    # so the sum collapses to an integer accumulation over 4c^2.
-    total = 0
-    for m in range(1, c):
-        r = m * d % c
-        total += (2 * m - c) * (2 * r - c)
-    return Fraction(total, 4 * c * c)
+    if c == 1:
+        return Fraction(0)
+    # Reciprocity s(d, c) + s(c, d) = (d/c + c/d + 1/(dc))/12 - 1/4, applied
+    # along Euclid's algorithm on (c, d) with quotients a_1..a_k, telescopes
+    # to 12 s(d, c) = (d + d')/c + a_1 - a_2 + ... +- a_k - (3 if k is odd
+    # else 1), where d d' = 1 (mod c); so only integers are accumulated.
+    alternating = 0
+    sign = 1
+    x, y = c, d
+    while y:
+        quotient, remainder = divmod(x, y)
+        alternating += sign * quotient
+        sign = -sign
+        x, y = y, remainder
+    alternating -= 3 if sign < 0 else 1
+    return Fraction(d + pow(d, -1, c) + c * alternating, 12 * c)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,12 @@ class CuspClass:
         return Fraction(self.a, self.d)
 
 
+def _representative_text(c: CuspClass) -> str:
+    """``str(c.representative)`` without building the Fraction: a is
+    already coprime to d, and a = 0 only when d = 1."""
+    return str(c.a) if c.d == 1 else f"{c.a}/{c.d}"
+
+
 def _canonical_a(r: int, g: int, d: int) -> int:
     a = r
     for _ in range(4 * d + 4):

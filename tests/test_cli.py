@@ -10,6 +10,7 @@ import pytest
 
 from cuspdim import cli
 from cuspdim.cli import main
+from cuspdim.gamma0 import cusps, group_profile
 
 
 def run(capsys, argv):
@@ -290,6 +291,14 @@ FROZEN_STDOUT_SHA256 = {
         "dcd76918e1f9df00c090caeff13ec04585e3a529a264b82c306b0f59ce8f0098",
     ("classify", "23", "--format", "json"):
         "11ec203891c0991cd10a7885a3108ee268b01fc393249a3a6a33f5f920b5c639",
+    ("cusps", "393216", "--format", "json"):
+        "6b2e37fef92bfe0059793cb03c4b06e5eaf74e4be84be9f9c5ef1e4783781232",
+    ("cusps", "6469693230", "--format", "json"):
+        "a6f1f27b86fe82df015a3e8a0a2cd54f2af7d731cea88e3a4ba9d40c707bc6ed",
+    ("cusps", "393216"):
+        "bded1529b58eca6e742cd524eaab4c6ff556db90bae7b8f968472398269d49a6",
+    ("cusps", "6469693230", "--format", "tsv"):
+        "3ab05814d4a13faacfc04616818217569fe7e47ec0d7b76f8134d0bc1fdfee39",
 }
 
 
@@ -330,3 +339,49 @@ def test_classify_refuses_oversized_range(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "more than 1000000 levels" in captured.err
+
+
+def test_cusps_json_rows_match_json_module(capsys):
+    # The row writer against the generic encoder, on every small level and
+    # on levels with more than 4096 cusp classes.
+    big = (304250263527210, 2**10 * 3**4 * 5**2 * 7, 2**12 * 3**4 * 5**2)
+    for n in (*range(1, 3001), *big):
+        profile = group_profile(n)
+        for oracle in (None, "AGREE") if n <= 3000 else (None,):
+            envelope = {
+                "level": n,
+                "index": profile.index,
+                "oracle": oracle,
+                "metadata": {"representative_convention": cli.REPRESENTATIVE_NOTE},
+            }
+            cli._emit_cusps_json(cusps(n), envelope)
+            rows = [
+                {"a": c.a, "d": c.d, "representative": str(c.representative), "width": c.width}
+                for c in cusps(n)
+            ]
+            expected = json.dumps({**envelope, "cusps": rows}, indent=2, sort_keys=True)
+            assert capsys.readouterr().out == expected + "\n", n
+    assert all(group_profile(n).cusp_count > 4096 for n in big)
+
+
+def test_large_semiprime_level_does_not_hang():
+    # Trial division would run to 10^12 here; Brent's rho splits it at once.
+    p, q = 1000000000039, 1000000000061
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CUSPDIM_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run_cli(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspdim", *argv, str(p * q)],
+            env=env, capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    table = run_cli("classify").splitlines()
+    assert table[1].split()[:3] == [str(p * q), str((p + 1) * (q + 1)), "4"]
+    payload = json.loads(run_cli("cusps", "--format", "json"))
+    assert payload["index"] == (p + 1) * (q + 1)
+    assert [(c["d"], c["width"]) for c in payload["cusps"]] == [
+        (1, p * q), (p, q), (q, p), (p * q, 1)
+    ]

@@ -13,6 +13,7 @@ from cuspdim import (
     kronecker,
     sawtooth,
 )
+from cuspdim.exact import _MR_LIMIT, _is_prime
 from helpers import is_nonzero_square_mod, primes
 
 
@@ -34,13 +35,55 @@ def test_factorize_accessors():
 
 def test_factorize_roundtrip_random():
     rng = random.Random(1)
-    for _ in range(200):
-        n = rng.randint(1, 10**7)
-        prod = 1
-        for p, e in factorize(n).factors.items():
-            assert all(p % q for q in range(2, int(p**0.5) + 1))
-            prod *= p**e
-        assert prod == n
+    # Below 10^6 trial division alone decides; above it the cofactor may be split.
+    for bound in (10**6, 10**7):
+        for _ in range(200):
+            n = rng.randint(1, bound)
+            prod = 1
+            for p, e in factorize(n).factors.items():
+                assert all(p % q for q in range(2, int(p**0.5) + 1))
+                prod *= p**e
+            assert prod == n
+
+
+P13, Q13 = 1000000000039, 1000000000061
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        # strong pseudoprimes: to bases 2, 3, 5, 7 and to every prime base up to 23
+        (3215031751, {151: 1, 751: 1, 28351: 1}),
+        (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+        # Carmichael numbers
+        (561, {3: 1, 11: 1, 17: 1}),
+        (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
+        # rho on a prime power
+        (1000003**2, {1000003: 2}),
+        (1000003**3, {1000003: 3}),
+        # two 13-digit primes: out of reach of trial division
+        (P13 * Q13, {P13: 1, Q13: 1}),
+        (2**5 * 1009 * P13 * Q13, {2: 5, 1009: 1, P13: 1, Q13: 1}),
+        # above psi_13 after the trial bound: trial division goes on
+        (7 * 1009**9, {7: 1, 1009: 9}),
+    ],
+)
+def test_factorize_hard_cases(n, expected):
+    f = factorize(n)
+    assert f.factors == expected
+    assert list(f.factors) == sorted(expected)
+
+
+def test_miller_rabin_refuses_psi13_and_above():
+    # The cases above that pass psi_13 reach it only after the trial bound.
+    assert 7 * 1009**9 > 1009 * P13 * Q13 >= _MR_LIMIT > P13 * Q13
+    with pytest.raises(ValueError):
+        _is_prime(_MR_LIMIT)
+
+
+def test_is_prime_matches_sieve():
+    sieve = set(primes(10**5))
+    assert [n for n in range(10**5) if _is_prime(n)] == sorted(sieve)
 
 
 def test_factorize_rejects_nonpositive():
@@ -131,6 +174,16 @@ def test_sawtooth_odd_and_periodic():
         assert sawtooth(x + 1) == sawtooth(x)
 
 
+def _dedekind_sum_direct(d, c):
+    # ((m/c)) = (2m - c)/2c for 0 < m < c, and c never divides m*d here,
+    # so the defining sum collapses to an integer accumulation over 4c^2.
+    total = 0
+    for m in range(1, c):
+        r = m * d % c
+        total += (2 * m - c) * (2 * r - c)
+    return Fraction(total, 4 * c * c)
+
+
 def test_dedekind_sum_values():
     assert dedekind_sum(0, 1) == 0
     assert dedekind_sum(1, 2) == 0
@@ -139,6 +192,19 @@ def test_dedekind_sum_values():
     assert dedekind_sum(3, 5) == 0
     assert dedekind_sum(1, 5) == Fraction(1, 5)
     assert dedekind_sum(1, 6) == Fraction(5, 18)
+
+
+def test_dedekind_sum_matches_direct_sum():
+    for c in range(1, 300):
+        for d in range(c):
+            if math.gcd(d, c) == 1:
+                assert dedekind_sum(d, c) == _dedekind_sum_direct(d, c), (d, c)
+    rng = random.Random(7)
+    for _ in range(20):
+        c = rng.randint(1, 10**5)
+        d = rng.randrange(-c, 2 * c)
+        if math.gcd(d, c) == 1:
+            assert dedekind_sum(d, c) == _dedekind_sum_direct(d % c, c), (d, c)
 
 
 def test_dedekind_sum_validation():
