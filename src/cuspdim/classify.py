@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .gamma0 import CuspClass, GroupProfile, _representative_text, cusps, group_profile
+from .gamma0 import CuspClass, GroupProfile, _representative_text, cusp_rows, cusps, group_profile
 from .qseries import EtaQuotient, eta_quotient_cusp_order
 
 __all__ = [
@@ -106,7 +106,7 @@ def pole_divisor(n: int) -> CuspDivisor:
     """Maximal cusp poles available to the quotient by the cube of eta:
     coefficient ceil(w/8) - 1 at each width-w cusp class."""
     entries = tuple(
-        (c, _ceil_eighth(c.width) - 1) for c in cusps(n) if c.width > 8
+        (CuspClass(n, a, d, w), _ceil_eighth(w) - 1) for a, d, w in cusp_rows(n) if w > 8
     )
     return CuspDivisor(n, entries)
 
@@ -219,9 +219,9 @@ def _weight_two_exclusion(p: GroupProfile) -> dict | None:
     if at_support != 1:
         return None
     return {
-        "support_cusp": _representative_text(support),
+        "support_cusp": _representative_text(support.a, support.d),
         "weight_two_exponents": {"1": 2, str(n): 2},
-        "cusp_orders": {_representative_text(c): str(o) for c, o in orders},
+        "cusp_orders": {_representative_text(c.a, c.d): str(o) for c, o in orders},
     }
 
 
@@ -252,7 +252,7 @@ def classify(n: int) -> Certificate:
         return cert(
             Verdict.DIM_ONE,
             RULE_SIMPLE_POLE,
-            {"support_cusp": _representative_text(support), "width": support.width},
+            {"support_cusp": _representative_text(support.a, support.d), "width": support.width},
         )
     if n == 23:
         witness = _weight_two_exclusion(p)

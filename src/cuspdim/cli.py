@@ -5,9 +5,11 @@ suites.
 Exit status contract: 0 all checks pass and all verdicts decided; 1
 mathematical failure (an Undecided verdict, a residual above tolerance, or
 an oracle disagreement); 2 usage error, including a ``classify`` range of
-more than ``MAX_RANGE_LEVELS`` levels, an out-of-range option value and a
-bad ``CUSPDIM_*`` variable.  Output is deterministic given the inputs and
-the seed.
+more than ``MAX_RANGE_LEVELS`` levels, a cusp table of more than
+``MAX_CUSP_CLASSES`` classes, an out-of-range option value and a bad
+``CUSPDIM_*`` variable, and a level whose factorization exceeds the trial
+budget (``FactorizationBudgetError``).  Output is deterministic given the
+inputs and the seed.
 
 Each common option is converted and range-checked once, by its argparse
 ``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
@@ -28,7 +30,8 @@ from .classify import (
     classify,
     m23_element_orders,
 )
-from .gamma0 import _representative_text, group_profile
+from .exact import FactorizationBudgetError
+from .gamma0 import _representative_text, cusp_rows, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
 from .verify import (
@@ -45,6 +48,8 @@ ENV_PREFIX = "CUSPDIM_"
 
 # A million levels take minutes; larger ranges are refused, not left to run for hours.
 MAX_RANGE_LEVELS = 10**6
+# Likewise a table of more cusp classes than this is refused before it is built.
+MAX_CUSP_CLASSES = 10**6
 
 REPRESENTATIVE_NOTE = (
     "cusp representatives use the least nonnegative numerator coprime to the "
@@ -145,19 +150,19 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _emit_cusps_json(cusp_classes, envelope) -> None:
-    """Print ``_emit_json`` of the envelope with a ``cusps`` list added,
-    formatting each row directly: every row field is an int or a
-    digits-and-slash string, so nothing needs escaping, and ``cusps`` is
-    the first key in sorted order."""
-    rows = ",\n".join(
-        f'    {{\n      "a": {c.a},\n      "d": {c.d},\n'
-        f'      "representative": "{_representative_text(c)}",\n'
-        f'      "width": {c.width}\n    }}'
-        for c in cusp_classes
+def _emit_cusps_json(rows, envelope) -> None:
+    """Print ``_emit_json`` of the envelope with a ``cusps`` list of the
+    (a, d, width) rows added, formatting each row directly: every row field
+    is an int or a digits-and-slash string, so nothing needs escaping, and
+    ``cusps`` is the first key in sorted order."""
+    body = ",\n".join(
+        f'    {{\n      "a": {a},\n      "d": {d},\n'
+        f'      "representative": "{_representative_text(a, d)}",\n'
+        f'      "width": {w}\n    }}'
+        for a, d, w in rows
     )
     rest = json.dumps(envelope, indent=2, sort_keys=True)
-    print(f'{{\n  "cusps": [\n{rows}\n  ],\n{rest[2:]}')
+    print(f'{{\n  "cusps": [\n{body}\n  ],\n{rest[2:]}')
 
 
 def _emit_tsv(rows) -> None:
@@ -243,24 +248,29 @@ def _cmd_cusps(args, parser) -> int:
     if n < 1:
         parser.error(f"level must be positive, got {n}")
     profile = group_profile(n)
+    if profile.cusp_count > MAX_CUSP_CLASSES:
+        parser.error(
+            f"level {n} has {profile.cusp_count} cusp classes, more than {MAX_CUSP_CLASSES}"
+        )
 
+    if args.oracle and n > args.oracle_cutoff:
+        print(
+            f"cuspdim: oracle refused: level {n} exceeds cutoff {args.oracle_cutoff}",
+            file=sys.stderr,
+        )
+        return 2
+
+    rows = cusp_rows(n)
     oracle_verdict = None
     if args.oracle:
-        if n > args.oracle_cutoff:
-            print(
-                f"cuspdim: oracle refused: level {n} exceeds cutoff "
-                f"{args.oracle_cutoff}",
-                file=sys.stderr,
-            )
-            return 2
         orbits = oracle_cusps(n, args.oracle_cutoff)
-        formula_widths = sorted(c.width for c in profile.cusps)
+        formula_widths = sorted(w for _, _, w in rows)
         orbit_widths = sorted(o.width for o in orbits)
         oracle_verdict = "AGREE" if formula_widths == orbit_widths else "DISAGREE"
 
     if args.format == "json":
         _emit_cusps_json(
-            profile.cusps,
+            rows,
             {
                 "level": n,
                 "index": profile.index,
@@ -269,18 +279,15 @@ def _cmd_cusps(args, parser) -> int:
             },
         )
     elif args.format == "tsv":
-        rows = [("a", "d", "representative", "width")]
-        rows += [
-            (str(c.a), str(c.d), _representative_text(c), str(c.width))
-            for c in profile.cusps
-        ]
+        table = [("a", "d", "representative", "width")]
+        table += [(str(a), str(d), _representative_text(a, d), str(w)) for a, d, w in rows]
         if oracle_verdict is not None:
-            rows.append(("oracle", oracle_verdict, "", ""))
-        _emit_tsv(rows)
+            table.append(("oracle", oracle_verdict, "", ""))
+        _emit_tsv(table)
     else:
         print(f"level {n}: index {profile.index}, {profile.cusp_count} cusp classes")
-        for c in profile.cusps:
-            print(f"  a={c.a:<4d} d={c.d:<6d} representative={_representative_text(c):<10s} width={c.width}")
+        for a, d, w in rows:
+            print(f"  a={a:<4d} d={d:<6d} representative={_representative_text(a, d):<10s} width={w}")
         print(f"note: {REPRESENTATIVE_NOTE}")
         if oracle_verdict is not None:
             print(f"oracle cross-check: {oracle_verdict}")
@@ -384,13 +391,17 @@ def _cmd_verify(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "classify":
-        return _cmd_classify(args, parser)
-    if args.command == "cusps":
-        return _cmd_cusps(args, parser)
-    if args.command == "qexp":
-        return _cmd_qexp(args, parser)
-    return _cmd_verify(args, parser)
+    command = {
+        "classify": _cmd_classify,
+        "cusps": _cmd_cusps,
+        "qexp": _cmd_qexp,
+        "verify": _cmd_verify,
+    }[args.command]
+    try:
+        return command(args, parser)
+    except FactorizationBudgetError as exc:
+        print(f"cuspdim: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

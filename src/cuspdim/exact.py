@@ -15,6 +15,7 @@ from functools import lru_cache
 
 __all__ = [
     "Factorization",
+    "FactorizationBudgetError",
     "UnitPhase",
     "PHASE_ONE",
     "dedekind_sum",
@@ -56,10 +57,18 @@ def _trial_divisors():
 
 # Trial division stops at this bound when Miller-Rabin can take over.
 _TRIAL_BOUND = 1000
+# ... and gives up at this one when it cannot.
+_TRIAL_BUDGET = 10**6
 # Miller-Rabin on the first 13 primes as bases is exact below psi_13
 # (Sorenson and Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+
+
+class FactorizationBudgetError(ArithmeticError):
+    """A cofactor at or above psi_13 has no prime factor up to
+    _TRIAL_BUDGET, so it can be neither split by trial division nor proven
+    prime; the number is refused, never factored without proof."""
 
 
 def _is_prime(n: int) -> bool:
@@ -134,7 +143,8 @@ def factorize(n: int) -> Factorization:
     _TRIAL_BOUND; a cofactor left after it is prime when it is below the
     square of the next trial divisor, and otherwise, below psi_13, it is
     split by Brent's rho with each part proven prime by deterministic
-    Miller-Rabin.  Only from psi_13 on does trial division go further.
+    Miller-Rabin.  Only from psi_13 on does trial division go further, to
+    _TRIAL_BUDGET, and past it ``FactorizationBudgetError`` is raised.
     Levels up to _TRIAL_BOUND^2 never leave trial division.
     """
     if n < 1:
@@ -148,6 +158,11 @@ def factorize(n: int) -> Factorization:
             for q in _prime_parts(m):
                 factors[q] = factors.get(q, 0) + 1
             return Factorization(n, dict(sorted(factors.items())))
+        if p > _TRIAL_BUDGET:
+            raise FactorizationBudgetError(
+                f"cannot factor {n}: cofactor {m} has no prime factor up to "
+                f"{_TRIAL_BUDGET} and is too large to prove prime"
+            )
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p

@@ -10,7 +10,6 @@ from local data per prime power.  The brute-force counterparts live in
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +21,7 @@ __all__ = [
     "GroupProfile",
     "UnimodularMatrix",
     "cusp_count",
+    "cusp_rows",
     "cusp_width",
     "cusps",
     "genus",
@@ -138,38 +138,63 @@ class CuspClass:
         return Fraction(self.a, self.d)
 
 
-def _representative_text(c: CuspClass) -> str:
-    """``str(c.representative)`` without building the Fraction: a is
-    already coprime to d, and a = 0 only when d = 1."""
-    return str(c.a) if c.d == 1 else f"{c.a}/{c.d}"
+def _representative_text(a: int, d: int) -> str:
+    """``str(Fraction(a, d))`` without building the Fraction: a is already
+    coprime to d, and a = 0 only when d = 1."""
+    return str(a) if d == 1 else f"{a}/{d}"
 
 
-def _canonical_a(r: int, g: int, d: int) -> int:
+def _canonical_a(r: int, g: int, q: int) -> int:
+    """Least a = r (mod g), a >= r, coprime to q; g and q are coprime, so
+    some a among the first q candidates is."""
     a = r
-    for _ in range(4 * d + 4):
-        if math.gcd(a, d) == 1:
+    for _ in range(4 * q + 4):
+        if math.gcd(a, q) == 1:
             return a
         a += g
-    raise ArithmeticError(f"no representative coprime to {d} in class {r} mod {g}")
+    raise ArithmeticError(f"no representative coprime to {q} in class {r} mod {g}")
+
+
+def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:
+    """All cusp classes of the level-n group as (a, d, width) rows, ordered
+    by d and then by a mod gcd(d, n/d); the widths are checked against the
+    p-adic multiset of ``group_profile`` before the rows are returned.
+
+    Over d lie the classes r mod g = gcd(d, n/d) with r coprime to g, all
+    of width n / (d g).  The least a = r (mod g) coprime to d is r itself
+    unless d has a prime that g lacks; only then is it searched for, coprime
+    to q, the part of d prime to g.  A class with g = 1 is 0/1 at d = 1 and
+    1/d otherwise."""
+    _check_level(n)
+    rows = []
+    counts: dict[int, int] = {}
+    for d in divisors(n):
+        m = n // d
+        g = math.gcd(d, m)
+        w = m // g
+        if g == 1:
+            rows.append((0 if d == 1 else 1, d, w))
+            counts[w] = counts.get(w, 0) + 1
+            continue
+        residues = [r for r in range(1, g) if math.gcd(r, g) == 1]
+        q = d
+        while (h := math.gcd(q, g)) > 1:
+            q //= h
+        if q == 1:
+            rows += [(r, d, w) for r in residues]
+        else:
+            rows += [(_canonical_a(r, g, q), d, w) for r in residues]
+        counts[w] = counts.get(w, 0) + len(residues)
+    if counts != dict(group_profile(n).widths):
+        raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
+    return tuple(rows)
 
 
 # Typed caches: True must reach the level check, not the entry of 1.
 @lru_cache(maxsize=4096, typed=True)
 def cusps(n: int) -> tuple[CuspClass, ...]:
-    """All cusp classes of the level-n group, in deterministic order; their
-    gcd-form widths are checked against the p-adic multiset of ``group_profile``."""
-    _check_level(n)
-    out = []
-    for d in divisors(n):
-        g = math.gcd(d, n // d)
-        w = cusp_width(n, d)
-        residues = [0] if g == 1 else [r for r in range(1, g) if math.gcd(r, g) == 1]
-        for r in residues:
-            a = _canonical_a(r, g, d)
-            out.append(CuspClass(n, a, d, w))
-    if Counter(c.width for c in out) != Counter(dict(group_profile(n).widths)):
-        raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
-    return tuple(out)
+    """All cusp classes of the level-n group, one per row of ``cusp_rows``."""
+    return tuple(CuspClass(n, a, d, w) for a, d, w in cusp_rows(n))
 
 
 def mu2(n: int) -> int:

@@ -21,6 +21,7 @@ from cuspdim import (
     classify,
     classify_range,
     cocycle_suite,
+    cusp_rows,
     cusps,
     divisors,
     eta_cubed,
@@ -69,7 +70,7 @@ def invariant_sweep():
     ordering_bad = []
     for n in range(1, 100_001):
         profile = group_profile(n)
-        if sum(c.width for c in profile.cusps) != profile.index:
+        if sum(w for _, _, w in cusp_rows(n)) != profile.index:
             width_sum_bad.append(n)
         strong = bound_strong(n)
         expected = pole_divisor(n).degree() + 1 - profile.genus

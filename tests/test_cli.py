@@ -10,7 +10,7 @@ import pytest
 
 from cuspdim import cli
 from cuspdim.cli import main
-from cuspdim.gamma0 import cusps, group_profile
+from cuspdim.gamma0 import cusp_rows, cusps, group_profile
 
 
 def run(capsys, argv):
@@ -299,6 +299,12 @@ FROZEN_STDOUT_SHA256 = {
         "bded1529b58eca6e742cd524eaab4c6ff556db90bae7b8f968472398269d49a6",
     ("cusps", "6469693230", "--format", "tsv"):
         "3ab05814d4a13faacfc04616818217569fe7e47ec0d7b76f8134d0bc1fdfee39",
+    ("cusps", "5040"):
+        "5e2c4388cac93c7495ba2805e82f0c65a1badb4b48e332abefc4de37e495ac67",
+    ("cusps", "5040", "--format", "tsv"):
+        "db7444a216744219f9407fc40c3ae191f09fd0a461766f5adcd357753cedff0b",
+    ("cusps", "120", "--oracle", "--format", "json"):
+        "87306f81341c41a275b6dea239a7850a234416d5c5bcdc5aa2375ba624c5924b",
 }
 
 
@@ -341,6 +347,35 @@ def test_classify_refuses_oversized_range(capsys, monkeypatch):
     assert "more than 1000000 levels" in captured.err
 
 
+def test_cusps_refuses_oversized_table(capsys, monkeypatch):
+    def no_rows(n):
+        raise AssertionError(f"cusp classes of level {n} enumerated for a refused table")
+
+    monkeypatch.setattr(cli, "cusp_rows", no_rows)
+    # 2^60 has 3 * 2^29 cusp classes
+    with pytest.raises(SystemExit) as exc:
+        main(["cusps", str(2**60), "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1610612736 cusp classes, more than 1000000" in captured.err
+
+
+def test_factorization_beyond_budget_is_refused():
+    # 6 * psi_13: the cofactor psi_13 = 1287836182261 * 2575672364521 is too
+    # large for Miller-Rabin and has no factor below the trial budget.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CUSPDIM_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in (["classify"], ["cusps", "--format", "json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspdim", *argv, "19902264388079324315771886"],
+            env=env, capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "cannot factor 19902264388079324315771886" in proc.stderr
+
+
 def test_cusps_json_rows_match_json_module(capsys):
     # The row writer against the generic encoder, on every small level and
     # on levels with more than 4096 cusp classes.
@@ -354,7 +389,7 @@ def test_cusps_json_rows_match_json_module(capsys):
                 "oracle": oracle,
                 "metadata": {"representative_convention": cli.REPRESENTATIVE_NOTE},
             }
-            cli._emit_cusps_json(cusps(n), envelope)
+            cli._emit_cusps_json(cusp_rows(n), envelope)
             rows = [
                 {"a": c.a, "d": c.d, "representative": str(c.representative), "width": c.width}
                 for c in cusps(n)

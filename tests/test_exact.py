@@ -13,7 +13,7 @@ from cuspdim import (
     kronecker,
     sawtooth,
 )
-from cuspdim.exact import _MR_LIMIT, _is_prime
+from cuspdim.exact import _MR_LIMIT, _TRIAL_BUDGET, FactorizationBudgetError, _is_prime
 from helpers import is_nonzero_square_mod, primes
 
 
@@ -79,6 +79,16 @@ def test_miller_rabin_refuses_psi13_and_above():
     assert 7 * 1009**9 > 1009 * P13 * Q13 >= _MR_LIMIT > P13 * Q13
     with pytest.raises(ValueError):
         _is_prime(_MR_LIMIT)
+
+
+def test_factorize_refuses_beyond_trial_budget():
+    # At or above psi_13 trial division runs to the budget and no further:
+    # a factor just below it is still found, and then rho takes over.
+    assert 999983 * P13 * Q13 >= _MR_LIMIT and 999983 < _TRIAL_BUDGET < 1000003
+    assert factorize(999983 * P13 * Q13).factors == {999983: 1, P13: 1, Q13: 1}
+    for n in (6 * _MR_LIMIT, 1000003 * _MR_LIMIT):
+        with pytest.raises(FactorizationBudgetError, match=f"cannot factor {n}"):
+            factorize(n)
 
 
 def test_is_prime_matches_sieve():

@@ -8,7 +8,9 @@ from cuspdim import gamma0
 from cuspdim import (
     UnimodularMatrix,
     cusp_count,
+    cusp_rows,
     cusp_width,
+    divisors,
     cusps,
     genus,
     group_profile,
@@ -250,10 +252,40 @@ def test_group_profile_width_multiset():
         assert sum(k for _, k in p.widths) == p.cusp_count
 
 
+def _cusp_rows_direct(n):
+    """The cusp table class by class: for each residue r coprime to
+    g = gcd(d, n/d), the least a = r (mod g) coprime to all of d, with the
+    width from ``cusp_width``."""
+    rows = []
+    for d in divisors(n):
+        g = math.gcd(d, n // d)
+        for r in [0] if g == 1 else [r for r in range(1, g) if math.gcd(r, g) == 1]:
+            a = r
+            while math.gcd(a, d) != 1:
+                a += g
+            rows.append((a, d, cusp_width(n, d)))
+    return tuple(rows)
+
+
+def test_cusp_rows_match_direct_enumeration():
+    # 5040 = 2^4 3^2 5 7: over d = 20 and d = 60, g = 4 and g = 12 lack the
+    # prime 5 of d, so the representative search runs, and at d = 60 it moves
+    # 5 to 17; 304250263527210 has 8192 classes.
+    assert (math.gcd(20, 5040 // 20), math.gcd(60, 5040 // 60)) == (4, 12)
+    assert [a for a, d, _ in cusp_rows(5040) if d == 20] == [1, 3]
+    assert [a for a, d, _ in cusp_rows(5040) if d == 60] == [1, 17, 7, 11]
+    for n in (*range(1, 3001), 5040, 304250263527210):
+        expected = _cusp_rows_direct(n)
+        assert cusp_rows(n) == expected, n
+        assert [(c.a, c.d, c.width) for c in cusps(n)] == list(expected), n
+
+
 def test_cusp_enumeration_checked_against_profile(monkeypatch):
-    monkeypatch.setattr(gamma0, "cusp_width", lambda n, d: 1)
-    with pytest.raises(ArithmeticError, match="width multiset"):
-        gamma0.cusps.__wrapped__(28)
+    # drop the cusp at infinity (d = n, width 1) from the enumeration
+    monkeypatch.setattr(gamma0, "divisors", lambda n: divisors(n)[:-1])
+    for enumerate_classes in (gamma0.cusp_rows, gamma0.cusps.__wrapped__):
+        with pytest.raises(ArithmeticError, match="width multiset"):
+            enumerate_classes(28)
 
 
 def test_genus_formula_checked(monkeypatch):
