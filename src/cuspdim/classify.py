@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from .exact import _check_int
 from .gamma0 import CuspClass, GroupProfile, _representative_text, cusp_rows, cusps, group_profile
 from .qseries import EtaQuotient, eta_quotient_cusp_order
 
@@ -328,8 +329,7 @@ def certificate_tsv_rows(certs) -> list[tuple[str, ...]]:
 
 
 def classify_range(n_max: int) -> ClassificationReport:
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    _check_int(n_max, "n_max")
     return ClassificationReport(
         n_max, tuple(classify(n) for n in range(1, n_max + 1))
     )

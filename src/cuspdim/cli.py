@@ -4,12 +4,13 @@ suites.
 
 Exit status contract: 0 all checks pass and all verdicts decided; 1
 mathematical failure (an Undecided verdict, a residual above tolerance, or
-an oracle disagreement); 2 usage error, including a ``classify`` range of
-more than ``MAX_RANGE_LEVELS`` levels, a cusp table of more than
-``MAX_CUSP_CLASSES`` classes, an out-of-range option value and a bad
-``CUSPDIM_*`` variable, and a level whose factorization exceeds the trial
-budget (``FactorizationBudgetError``).  Output is deterministic given the
-inputs and the seed.
+an oracle disagreement); 2 usage error: what argparse refuses, and any
+``ValueError`` a command raises, its own or the library's, which ``main``
+turns into ``parser.error``; commands check before they print, so stdout
+stays empty.  An ``ArithmeticError`` is an internal fault and is not
+caught, except ``FactorizationBudgetError`` (a level past the factoring
+budget), which also exits 2.  Output is deterministic given the inputs
+and the seed.
 
 Each common option is converted and range-checked once, by its argparse
 ``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
@@ -170,32 +171,22 @@ def _emit_tsv(rows) -> None:
         print("\t".join(row))
 
 
-def _parse_range(text: str):
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            return None
-        if lo < 1 or hi < lo:
-            return None
-        return lo, hi
+def _parse_range(text: str) -> tuple[int, int]:
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        n = int(text)
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+        if 1 <= lo <= hi:
+            return lo, hi
     except ValueError:
-        return None
-    if n < 1:
-        return None
-    return n, n
+        pass
+    raise ValueError(f"malformed level range {text!r}; expected n or a..b with 1 <= a <= b")
 
 
-def _cmd_classify(args, parser) -> int:
-    bounds = _parse_range(args.range)
-    if bounds is None:
-        parser.error(f"malformed level range {args.range!r}; expected n or a..b with 1 <= a <= b")
-    lo, hi = bounds
+def _cmd_classify(args) -> int:
+    lo, hi = _parse_range(args.range)
     if hi - lo >= MAX_RANGE_LEVELS:
-        parser.error(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
+        raise ValueError(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
     certs = [classify(n) for n in range(lo, hi + 1)]
     dim_one = [c.level for c in certs if c.verdict is Verdict.DIM_ONE]
     undecided = [c.level for c in certs if c.verdict is Verdict.UNDECIDED]
@@ -243,13 +234,11 @@ def _cmd_classify(args, parser) -> int:
     return 1 if undecided else 0
 
 
-def _cmd_cusps(args, parser) -> int:
+def _cmd_cusps(args) -> int:
     n = args.level
-    if n < 1:
-        parser.error(f"level must be positive, got {n}")
     profile = group_profile(n)
     if profile.cusp_count > MAX_CUSP_CLASSES:
-        parser.error(
+        raise ValueError(
             f"level {n} has {profile.cusp_count} cusp classes, more than {MAX_CUSP_CLASSES}"
         )
 
@@ -294,60 +283,45 @@ def _cmd_cusps(args, parser) -> int:
     return 0 if oracle_verdict in (None, "AGREE") else 1
 
 
-def _build_series(words: list[str], parser, default_precision: int):
-    def precision_of(token: str) -> int:
-        try:
-            p = int(token)
-        except ValueError:
-            parser.error(f"malformed precision {token!r}")
-        if p < 1:
-            parser.error(f"precision must be positive, got {p}")
-        return p
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"malformed {what} {text!r}") from None
 
-    kind = words[0]
+
+def _build_series(words: list[str], default_precision: int):
+    kind, params = words[0], words[1:]
+    required = {"eta": 0, "eta3": 0, "theta": 2, "etaq": 2}.get(kind)
+    if required is None:
+        raise ValueError(f"unknown series kind {kind!r}; expected eta, eta3, theta, or etaq")
+    if len(params) not in (required, required + 1):
+        raise ValueError(
+            f"qexp {kind} takes {required} parameters and an optional precision, "
+            f"got {' '.join(words)!r}"
+        )
+    prec = _integer(params[required], "precision") if len(params) > required else default_precision
     if kind == "eta":
-        if len(words) > 2:
-            parser.error("usage: qexp eta [PRECISION]")
-        prec = precision_of(words[1]) if len(words) == 2 else default_precision
         return eta_expansion(prec)
     if kind == "eta3":
-        if len(words) > 2:
-            parser.error("usage: qexp eta3 [PRECISION]")
-        prec = precision_of(words[1]) if len(words) == 2 else default_precision
         return eta_cubed(prec)
     if kind == "theta":
-        if len(words) not in (3, 4):
-            parser.error("usage: qexp theta L R [PRECISION]")
-        try:
-            ell, r = int(words[1]), int(words[2])
-        except ValueError:
-            parser.error(f"malformed theta parameters {words[1:3]!r}")
-        prec = precision_of(words[3]) if len(words) == 4 else default_precision
-        try:
-            return unary_theta(ell, r, prec)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if kind == "etaq":
-        if len(words) not in (3, 4):
-            parser.error("usage: qexp etaq N d:r[,d:r...] [PRECISION]")
-        try:
-            level = int(words[1])
-            exponents = {}
-            for item in words[2].split(","):
-                d_text, _, r_text = item.partition(":")
-                exponents[int(d_text)] = int(r_text)
-        except ValueError:
-            parser.error(f"malformed eta quotient {words[1:3]!r}")
-        prec = precision_of(words[3]) if len(words) == 4 else default_precision
-        try:
-            return eta_quotient_expansion(EtaQuotient(level, exponents), prec)
-        except ValueError as exc:
-            parser.error(str(exc))
-    parser.error(f"unknown series kind {kind!r}; expected eta, eta3, theta, or etaq")
+        ell, r = _integer(params[0], "theta index"), _integer(params[1], "theta residue")
+        return unary_theta(ell, r, prec)
+    level = _integer(params[0], "level")
+    # An item without exactly one colon fails to unpack, also with ValueError.
+    try:
+        pairs = [(int(d), int(r)) for d, r in (item.split(":") for item in params[1].split(","))]
+    except ValueError:
+        raise ValueError(f"malformed eta quotient {params[1]!r}") from None
+    exponents = dict(pairs)
+    if len(exponents) < len(pairs):
+        raise ValueError(f"a scale repeats in eta quotient {params[1]!r}")
+    return eta_quotient_expansion(EtaQuotient(level, exponents), prec)
 
 
-def _cmd_qexp(args, parser) -> int:
-    series = _build_series(args.series, parser, args.precision)
+def _cmd_qexp(args) -> int:
+    series = _build_series(args.series, args.precision)
     if args.format == "json":
         _emit_json(series.to_json_obj())
     elif args.format == "tsv":
@@ -363,7 +337,7 @@ def _cmd_qexp(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     tol = args.tolerance
     if args.suite == "eta-law":
         result = eta_law_suite(tolerance=1e-9 if tol is None else tol, seed=args.seed)
@@ -398,10 +372,12 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     try:
-        return command(args, parser)
+        return command(args)
     except FactorizationBudgetError as exc:
         print(f"cuspdim: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -65,6 +65,18 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
+def _check_int(value, what: str, minimum: int | None = 1, *, divides: int | None = None) -> None:
+    """The one input check of the library: raise ValueError unless value is
+    an int, and not a bool, that is at least ``minimum`` (``None``: any int)
+    and, when ``divides`` is given, a divisor of it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value!r}")
+    if divides is not None and divides % value:
+        raise ValueError(f"{what} must divide {divides}, got {value!r}")
+
+
 class FactorizationBudgetError(ArithmeticError):
     """A cofactor at or above psi_13 has no prime factor up to
     _TRIAL_BUDGET, so it can be neither split by trial division nor proven
@@ -135,7 +147,8 @@ def _prime_parts(m: int) -> list[int]:
     return _prime_parts(g) + _prime_parts(m // g)
 
 
-@lru_cache(maxsize=65536)
+# Typed caches: True and 12.0 must reach the argument check, not the entries of 1 and 12.
+@lru_cache(maxsize=65536, typed=True)
 def factorize(n: int) -> Factorization:
     """Factor a positive integer; primes come in ascending order.
 
@@ -147,8 +160,7 @@ def factorize(n: int) -> Factorization:
     _TRIAL_BUDGET, and past it ``FactorizationBudgetError`` is raised.
     Levels up to _TRIAL_BOUND^2 never leave trial division.
     """
-    if n < 1:
-        raise ValueError(f"can only factor positive integers, got {n}")
+    _check_int(n, "number to factor")
     m = n
     factors: dict[int, int] = {}
     for p in _trial_divisors():
@@ -171,9 +183,9 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, factors)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536, typed=True)
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, sorted ascending."""
+    """All positive divisors of n, sorted ascending; n is checked by ``factorize``."""
     divs = [1]
     for p, e in factorize(n).factors.items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
@@ -181,7 +193,7 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def euler_phi(n: int) -> int:
-    """Count of 1 <= k <= n coprime to n."""
+    """Count of 1 <= k <= n coprime to n; n is checked by ``factorize``."""
     phi = 1
     for p, e in factorize(n).factors.items():
         phi *= p ** (e - 1) * (p - 1)
@@ -235,8 +247,7 @@ def dedekind_sum(d: int, c: int) -> Fraction:
 
     Requires c >= 1 and gcd(d, c) = 1.  Depends on d only modulo c.
     """
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got c={c}")
+    _check_int(c, "modulus")
     if math.gcd(d, c) != 1:
         raise ValueError(f"arguments must be coprime, got gcd({d}, {c}) != 1")
     d %= c

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import divisors, factorize
+from .exact import _check_int, divisors, factorize
 
 __all__ = [
     "CuspClass",
@@ -85,14 +85,9 @@ class UnimodularMatrix:
         return f"[{self.a} {self.b}; {self.c} {self.d}]"
 
 
-def _check_level(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"level must be a positive integer, got {n!r}")
-
-
 def is_member(mat: UnimodularMatrix, n: int) -> bool:
     """Whether mat lies in the level-n group (lower-left entry divisible by n)."""
-    _check_level(n)
+    _check_int(n, "level")
     return mat.c % n == 0
 
 
@@ -107,9 +102,8 @@ def cusp_width(n: int, d: int) -> int:
     The width is n / gcd(d^2, n); per prime p^e || n this is
     p^max(e - 2 nu_p(d), 0).
     """
-    _check_level(n)
-    if d < 1 or n % d != 0:
-        raise ValueError(f"{d} is not a positive divisor of {n}")
+    _check_int(n, "level")
+    _check_int(d, "cusp denominator", divides=n)
     return n // math.gcd(d * d, n)
 
 
@@ -165,7 +159,7 @@ def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:
     unless d has a prime that g lacks; only then is it searched for, coprime
     to q, the part of d prime to g.  A class with g = 1 is 0/1 at d = 1 and
     1/d otherwise."""
-    _check_level(n)
+    _check_int(n, "level")
     rows = []
     counts: dict[int, int] = {}
     for d in divisors(n):
@@ -256,7 +250,7 @@ def group_profile(n: int) -> GroupProfile:
     the Chinese remainder theorem factors and widths multiply, and a cusp
     class is a tuple of local classes.  A genus that is not a nonnegative
     integer is an internal error."""
-    _check_level(n)
+    _check_int(n, "level")
     idx = m2 = m3 = 1
     widths = {1: 1}
     for p, e in factorize(n).factors.items():

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import PHASE_ONE, UnitPhase, dedekind_sum
+from .exact import PHASE_ONE, UnitPhase, _check_int, dedekind_sum
 from .gamma0 import UnimodularMatrix, is_member
 from .qseries import PrecisionError, _series_tail_bound, evaluate
 
@@ -73,15 +73,18 @@ def eta_multiplier(gamma: UnimodularMatrix) -> UnitPhase:
     return UnitPhase(turns)
 
 
+def _check_character(n: int, h: int) -> None:
+    """The level-n character with scale h exists when h divides gcd(n, 12)."""
+    _check_int(n, "level")
+    _check_int(h, "character scale", divides=math.gcd(n, 12))
+
+
 def gamma0_character(n: int, h: int, gamma: UnimodularMatrix) -> UnitPhase:
     """Character e(-c*d / (n*h)) on the level-n group, defined for h dividing
     gcd(n, 12).  It is a homomorphism and is trivial on the level-(n*h)
     subgroup.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"level must be a positive integer, got {n!r}")
-    if isinstance(h, bool) or not isinstance(h, int) or h < 1 or math.gcd(n, 12) % h != 0:
-        raise ValueError(f"scale {h!r} must divide gcd({n}, 12)")
+    _check_character(n, h)
     if not is_member(gamma, n):
         raise ValueError(f"{gamma} is not in the level-{n} group")
     return UnitPhase(Fraction(-gamma.c * gamma.d, n * h))
@@ -101,12 +104,10 @@ class AutomorphyContext:
 
     def __post_init__(self):
         object.__setattr__(self, "weight", Fraction(self.weight))
-        if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
-            raise ValueError(f"level must be a positive integer, got {self.level!r}")
-        if self.character_h is not None:
-            h = self.character_h
-            if isinstance(h, bool) or not isinstance(h, int) or h < 1 or math.gcd(self.level, 12) % h:
-                raise ValueError(f"character scale {h!r} must divide gcd({self.level}, 12)")
+        if self.character_h is None:
+            _check_int(self.level, "level")
+        else:
+            _check_character(self.level, self.character_h)
 
     def psi(self, gamma: UnimodularMatrix) -> UnitPhase:
         phase = PHASE_ONE

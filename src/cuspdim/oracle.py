@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from .exact import _check_int
 from .gamma0 import UnimodularMatrix, is_member
 
 __all__ = ["ORACLE_CUTOFF", "OrbitCusp", "enumerate_cosets", "oracle_cusps", "oracle_index"]
@@ -40,8 +41,7 @@ class OrbitCusp:
 
 
 def _check_cutoff(n: int, cutoff: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"level must be a positive integer, got {n!r}")
+    _check_int(n, "level")
     if n > cutoff:
         raise ValueError(
             f"oracle requested at level {n}, above the cost cutoff {cutoff}; "

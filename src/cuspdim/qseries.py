@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from .exact import _check_int
+
 __all__ = [
     "EtaQuotient",
     "EvalResult",
@@ -281,17 +283,12 @@ def _pentagonal_coeffs(precision: int) -> list[int]:
     return coeffs
 
 
-def _check_precision(precision: int) -> None:
-    if isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
-        raise ValueError(f"precision must be a positive integer, got {precision!r}")
-
-
 # Typed caches: True must reach the argument checks, not the entry of 1.
 @lru_cache(maxsize=16, typed=True)
 def eta_expansion(precision: int) -> FracQSeries:
     """q^(1/24) times the product of (1 - q^n): offset 1/24, unit step,
     coefficients the pentagonal-sign sequence (so all in {-1, 0, 1})."""
-    _check_precision(precision)
+    _check_int(precision, "precision")
     return FracQSeries(Fraction(1, 24), 1, _pentagonal_coeffs(precision), (1.0, 0.0))
 
 
@@ -303,11 +300,11 @@ def unary_theta(ell: int, r: int, precision: int) -> FracQSeries:
     On the grid this is offset r^2/(4*ell), unit step, with the coefficient
     2*ell*m + r sitting at index m*(ell*m + r).
     """
-    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 2:
-        raise ValueError(f"theta index must be an integer >= 2, got {ell!r}")
-    if isinstance(r, bool) or not isinstance(r, int) or not 0 < r < ell:
-        raise ValueError(f"theta residue must satisfy 0 < r < {ell}, got {r!r}")
-    _check_precision(precision)
+    _check_int(ell, "theta index", minimum=2)
+    _check_int(r, "theta residue")
+    if r >= ell:
+        raise ValueError(f"theta residue must be below the index {ell}, got {r!r}")
+    _check_int(precision, "precision")
     coeffs = [0] * precision
     m = 0
     while True:
@@ -333,7 +330,6 @@ def eta_cubed(precision: int) -> FracQSeries:
     exponent (4m+1)^2/8, and by literally cubing ``eta_expansion``.  The two
     must agree on the checked range; disagreement is a hard failure.
     """
-    _check_precision(precision)
     series = unary_theta(2, 1, precision)
     depth = min(precision, _CUBE_CHECK_DEPTH)
     cube = eta_expansion(depth) ** 3
@@ -355,13 +351,10 @@ class EtaQuotient:
     exponents: dict[int, int]
 
     def __post_init__(self):
-        if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
-            raise ValueError(f"level must be a positive integer, got {self.level!r}")
+        _check_int(self.level, "level")
         for delta, r in self.exponents.items():
-            if isinstance(delta, bool) or not isinstance(delta, int) or delta < 1 or self.level % delta:
-                raise ValueError(f"scale {delta!r} is not a divisor of level {self.level}")
-            if isinstance(r, bool) or not isinstance(r, int):
-                raise ValueError(f"exponent for scale {delta} must be an integer, got {r!r}")
+            _check_int(delta, "eta quotient scale", divides=self.level)
+            _check_int(r, f"exponent of scale {delta}", minimum=None)
 
     def weight(self) -> Fraction:
         return Fraction(sum(self.exponents.values()), 2)
@@ -376,7 +369,7 @@ def eta_quotient_expansion(quotient: EtaQuotient, precision: int) -> FracQSeries
     The grid step is the gcd of the scales; the offset is the sum of
     delta*r/24.  Negative exponents go through series inversion.
     """
-    _check_precision(precision)
+    _check_int(precision, "precision")
     items = sorted(quotient.exponents.items())
     step_out = math.gcd(*[d for d, _ in items])
     span = precision * step_out

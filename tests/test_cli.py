@@ -19,6 +19,18 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(capsys, argv, quoted):
+    """argv exits 2 with nothing on stdout and a message that quotes the
+    offending argument."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2, argv
+    assert captured.out == "", argv
+    assert quoted in captured.err, (argv, captured.err)
+    assert "invalid literal" not in captured.err, (argv, captured.err)
+
+
 def test_classify_single_level(capsys):
     code, out, _ = run(capsys, ["classify", "9"])
     assert code == 0
@@ -63,11 +75,9 @@ def test_classify_tsv(capsys):
 
 
 def test_classify_malformed_range(capsys):
-    for bad in ("0..5", "5..2", "x", "3..y", "-1"):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", bad])
-        assert exc.value.code == 2
-        capsys.readouterr()
+    # "1.." must not be read as level 1, nor "..5" as level 5.
+    for bad in ("0..5", "5..2", "x", "3..y", "-1", "1..", "..5", "1..2..3"):
+        assert_usage_error(capsys, ["classify", bad], repr(bad))
 
 
 def test_cusps_text_with_oracle(capsys):
@@ -86,6 +96,11 @@ def test_cusps_oracle_refuses_above_cutoff(capsys):
     code, out, err = run(capsys, ["cusps", "301", "--oracle", "--oracle-cutoff", "310"])
     assert code == 0
     assert "AGREE" in out
+
+
+def test_cusps_nonpositive_level_is_usage_error(capsys):
+    for level in ("0", "-4"):
+        assert_usage_error(capsys, ["cusps", level], f"got {level}")
 
 
 def test_cusps_json_metadata(capsys):
@@ -141,17 +156,19 @@ def test_qexp_default_precision_from_config(capsys):
 
 
 def test_qexp_usage_errors(capsys):
-    for bad in (
-        ["qexp", "theta", "1", "1", "10"],
-        ["qexp", "theta", "2"],
-        ["qexp", "nosuch", "10"],
-        ["qexp", "etaq", "10", "3:1", "5"],
-        ["qexp", "eta", "0"],
+    for bad, quoted in (
+        (["theta", "1", "1", "10"], "got 1"),
+        (["theta", "2"], "'theta 2'"),
+        (["theta", "2", "1", "0"], "got 0"),
+        (["nosuch", "10"], "'nosuch'"),
+        (["etaq", "10", "3:1", "5"], "got 3"),
+        (["etaq", "10", "3"], "'3'"),
+        # a repeated scale is refused, not overwritten by its last exponent
+        (["etaq", "4", "1:-8,1:3", "6"], "'1:-8,1:3'"),
+        (["eta", "0"], "got 0"),
+        (["eta", "10", "20"], "'eta 10 20'"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert_usage_error(capsys, ["qexp", *bad], quoted)
 
 
 def test_verify_euler_identity(capsys):
@@ -199,21 +216,12 @@ def test_env_defaults_and_flag_precedence(capsys, monkeypatch):
 
 def test_env_invalid_value_rejected(capsys, monkeypatch):
     monkeypatch.setenv("CUSPDIM_PRECISION", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["qexp", "eta"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert_usage_error(capsys, ["qexp", "eta"], "'abc'")
 
 
 def test_config_validation_rejects_bad_values(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["qexp", "eta", "--precision", "8"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "5", "--tolerance", "-1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert_usage_error(capsys, ["qexp", "eta", "--precision", "8"], "'8'")
+    assert_usage_error(capsys, ["classify", "5", "--tolerance", "-1"], "'-1'")
 
 
 @pytest.mark.parametrize(
@@ -334,17 +342,44 @@ def test_checks_survive_python_O():
     assert hashlib.sha256(proc.stdout).hexdigest() == FROZEN_STDOUT_SHA256[argv]
 
 
+def test_one_input_gate():
+    # Bad input is refused in one place per layer: only cli.main calls
+    # parser.error, and only exact._check_int tests for bool.
+    package = Path(__file__).resolve().parents[1] / "src" / "cuspdim"
+
+    def sites(path, match):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return [
+            (path.name, getattr(top, "name", "<module>"))
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and match(node)
+        ]
+
+    def is_error_call(node):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "error"
+
+    def is_bool_check(node):
+        return (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        )
+
+    assert sites(package / "cli.py", is_error_call) == [("cli.py", "main")]
+    bool_checks = [
+        site for path in sorted(package.glob("*.py")) for site in sites(path, is_bool_check)
+    ]
+    assert bool_checks == [("exact.py", "_check_int")]
+
+
 def test_classify_refuses_oversized_range(capsys, monkeypatch):
     def no_level(n):
         raise AssertionError(f"level {n} computed for a refused range")
 
     monkeypatch.setattr(cli, "classify", no_level)
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "1..1000001"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "more than 1000000 levels" in captured.err
+    argv = ["classify", "1..1000001"]
+    assert_usage_error(capsys, argv, "'1..1000001' spans more than 1000000 levels")
 
 
 def test_cusps_refuses_oversized_table(capsys, monkeypatch):
@@ -353,12 +388,8 @@ def test_cusps_refuses_oversized_table(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cusp_rows", no_rows)
     # 2^60 has 3 * 2^29 cusp classes
-    with pytest.raises(SystemExit) as exc:
-        main(["cusps", str(2**60), "--format", "json"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "1610612736 cusp classes, more than 1000000" in captured.err
+    argv = ["cusps", str(2**60), "--format", "json"]
+    assert_usage_error(capsys, argv, "has 1610612736 cusp classes, more than 1000000")
 
 
 def test_factorization_beyond_budget_is_refused():

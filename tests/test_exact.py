@@ -97,10 +97,14 @@ def test_is_prime_matches_sieve():
 
 
 def test_factorize_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        factorize(0)
-    with pytest.raises(ValueError):
-        factorize(-12)
+    # bool, float and str are refused too, also after the int entry is cached.
+    factorize(1)
+    factorize(12)
+    for bad in (0, -12, True, 12.0, 12.5, "12"):
+        with pytest.raises(ValueError):
+            factorize(bad)
+        with pytest.raises(ValueError):
+            euler_phi(bad)
 
 
 def test_divisors():
@@ -108,8 +112,9 @@ def test_divisors():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert divisors(23) == (1, 23)
     assert divisors(36) == (1, 2, 3, 4, 6, 9, 12, 18, 36)
-    with pytest.raises(ValueError):
-        divisors(0)
+    for bad in (0, True, 12.0, 12.5, "12"):
+        with pytest.raises(ValueError):
+            divisors(bad)
 
 
 def test_divisor_count_matches_factorization():
