@@ -33,14 +33,17 @@ decided by the bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import _check_int
-from .gamma0 import CuspClass, GroupProfile, _representative_text, cusp_rows, cusps, group_profile
+from .exact import _check_int, _factor_window
+from .gamma0 import (
+    CuspClass, GroupProfile, _profile, _representative_text, cusp_rows, cusps, group_profile
+)
 from .qseries import EtaQuotient, eta_quotient_cusp_order
 
 __all__ = [
@@ -99,15 +102,11 @@ class CuspDivisor:
         return 0
 
 
-def _ceil_eighth(w: int) -> int:
-    return -(-w // 8)
-
-
 def pole_divisor(n: int) -> CuspDivisor:
     """Maximal cusp poles available to the quotient by the cube of eta:
     coefficient ceil(w/8) - 1 at each width-w cusp class."""
     entries = tuple(
-        (CuspClass(n, a, d, w), _ceil_eighth(w) - 1) for a, d, w in cusp_rows(n) if w > 8
+        (CuspClass(n, a, d, w), -(-w // 8) - 1) for a, d, w in cusp_rows(n) if w > 8
     )
     return CuspDivisor(n, entries)
 
@@ -124,12 +123,17 @@ class LevelInvariants(NamedTuple):
 
 @lru_cache(maxsize=4096, typed=True)
 def _level_invariants(n: int) -> LevelInvariants:
-    p = group_profile(n)
-    degree = sum((_ceil_eighth(w) - 1) * count for w, count in p.widths)
-    # ceil(w/8) - 1 vanishes for w <= 8, so sum ceil(w/8) = degree + cusps.
-    weak = 12 * (degree + p.cusp_count) - p.index - 6 * p.cusp_count
+    return _invariants(group_profile(n))
+
+
+def _invariants(p: GroupProfile) -> LevelInvariants:
+    # The pole divisor takes ceil(w/8) - 1 at each cusp, so its degree is
+    # sum ceil(w/8) less the cusp count.
+    ceil_sum = sum(-(-w // 8) * count for w, count in p.widths)
+    weak = 12 * ceil_sum - p.index - 6 * p.cusp_count
     return LevelInvariants(
-        p, weak + 3 * p.mu2 + 4 * p.mu3, weak, p.index - 12 * p.cusp_count, degree
+        p, weak + 3 * p.mu2 + 4 * p.mu3, weak, p.index - 12 * p.cusp_count,
+        ceil_sum - p.cusp_count,
     )
 
 
@@ -152,7 +156,7 @@ def bound_crude(n: int) -> Fraction:
     return Fraction(_level_invariants(n).crude_24ths, 24)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """One level's verdict with the exact data that justifies it.
 
@@ -236,8 +240,12 @@ def classify(n: int) -> Certificate:
     and the genus-two exclusion settles level 23.  Anything else is
     Undecided.  Only the last two rules look at individual cusp classes.
     """
-    inv = _level_invariants(n)
+    return _decide(_level_invariants(n))
+
+
+def _decide(inv: LevelInvariants) -> Certificate:
     p = inv.profile
+    n = p.level
     deg = inv.divisor_degree
     strong = Fraction(inv.strong_twelfths, 12)
 
@@ -328,8 +336,19 @@ def certificate_tsv_rows(certs) -> list[tuple[str, ...]]:
     return rows
 
 
+def _classify_window(lo: int, hi: int):
+    """Yield (certificate, profile) for the levels lo..hi in turn.  A window
+    of at least isqrt(hi) levels is factored by one sieve and goes through
+    the uncached kernels; a narrower one is a run of cached point queries."""
+    if math.isqrt(hi) > hi - lo + 1:
+        for n in range(lo, hi + 1):
+            yield classify(n), group_profile(n)
+        return
+    for f in _factor_window(lo, hi):
+        profile = _profile(f.value, f.factors)
+        yield _decide(_invariants(profile)), profile
+
+
 def classify_range(n_max: int) -> ClassificationReport:
     _check_int(n_max, "n_max")
-    return ClassificationReport(
-        n_max, tuple(classify(n) for n in range(1, n_max + 1))
-    )
+    return ClassificationReport(n_max, tuple(c for c, _ in _classify_window(1, n_max)))

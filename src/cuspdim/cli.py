@@ -15,7 +15,9 @@ and the seed.
 Each common option is converted and range-checked once, by its argparse
 ``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
 which argparse passes through the same ``type=`` when the flag is absent;
-so a flag beats a bad variable, and either failure is a usage error.
+so a flag beats a bad variable, and either failure is a usage error.  The
+parser is built once per process, by the first ``main`` call, and every
+call reads the variables afresh into those defaults.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ import json
 import os
 import sys
 
-from .classify import (
-    Verdict,
-    certificate_tsv_rows,
-    classify,
-    m23_element_orders,
-)
+from .classify import Verdict, _classify_window, certificate_tsv_rows, m23_element_orders
 from .exact import FactorizationBudgetError
 from .gamma0 import _representative_text, cusp_rows, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
@@ -47,7 +44,7 @@ __all__ = ["main"]
 
 ENV_PREFIX = "CUSPDIM_"
 
-# A million levels take minutes; larger ranges are refused, not left to run for hours.
+# A million levels take tens of seconds; larger ranges are refused, not left to run for hours.
 MAX_RANGE_LEVELS = 10**6
 # Likewise a table of more cusp classes than this is refused before it is built.
 MAX_CUSP_CLASSES = 10**6
@@ -60,8 +57,10 @@ REPRESENTATIVE_NOTE = (
 
 
 def _add_common(parser, flag, cast, expected, ok=lambda value: True, fallback=None, **kwargs):
-    """Add ``flag``, defaulting to its ``CUSPDIM_*`` variable; both values
-    go through one ``type=`` that converts with ``cast`` and checks ``ok``."""
+    """Add ``flag``; return (action, variable, fallback) for ``main``, which
+    sets the default to the ``CUSPDIM_*`` variable, else ``fallback``, on
+    every call.  Both go through one ``type=`` that converts with ``cast``
+    and checks ``ok``."""
     var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
 
     def parse(text: str):
@@ -73,10 +72,11 @@ def _add_common(parser, flag, cast, expected, ok=lambda value: True, fallback=No
             pass
         raise argparse.ArgumentTypeError(f"{text!r} is not {expected} (flag or {var})")
 
-    parser.add_argument(flag, type=parse, default=os.environ.get(var, fallback), **kwargs)
+    return parser.add_argument(flag, type=parse, **kwargs), var, fallback
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, list]:
+    """The parser, and what ``_add_common`` returned for each common option."""
     parser = argparse.ArgumentParser(
         prog="cuspdim",
         description=(
@@ -88,28 +88,31 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # Not ``choices``: argparse never checks those against a default.
     formats = ("json", "tsv", "text")
-    _add_common(
-        common, "--format", str, f"one of {', '.join(formats)}", formats.__contains__, "text",
-        metavar="{" + ",".join(formats) + "}",
-        help="output format (default: text)",
-    )
-    _add_common(
-        common, "--precision", int, "an integer >= 16", lambda p: p >= 16, "200",
-        help="series precision for numeric work (default: 200, minimum 16)",
-    )
-    # No single default: each suite picks its own (see _cmd_verify).
-    _add_common(
-        common, "--tolerance", float, "a number > 0", lambda t: t > 0,
-        help="numeric tolerance (default: per-suite, 1e-9 unless noted)",
-    )
-    _add_common(
-        common, "--seed", int, "an integer", fallback="0",
-        help="seed for randomized suites (default: 0)",
-    )
-    _add_common(
-        common, "--oracle-cutoff", int, "an integer >= 1", lambda c: c >= 1, str(ORACLE_CUTOFF),
-        help=f"largest level the brute-force oracle accepts (default: {ORACLE_CUTOFF})",
-    )
+    env_defaults = [
+        _add_common(
+            common, "--format", str, f"one of {', '.join(formats)}", formats.__contains__, "text",
+            metavar="{" + ",".join(formats) + "}",
+            help="output format (default: text)",
+        ),
+        _add_common(
+            common, "--precision", int, "an integer >= 16", lambda p: p >= 16, "200",
+            help="series precision for numeric work (default: 200, minimum 16)",
+        ),
+        # No single default: each suite picks its own (see _cmd_verify).
+        _add_common(
+            common, "--tolerance", float, "a number > 0", lambda t: t > 0,
+            help="numeric tolerance (default: per-suite, 1e-9 unless noted)",
+        ),
+        _add_common(
+            common, "--seed", int, "an integer", fallback="0",
+            help="seed for randomized suites (default: 0)",
+        ),
+        _add_common(
+            common, "--oracle-cutoff", int, "an integer >= 1", lambda c: c >= 1,
+            str(ORACLE_CUTOFF),
+            help=f"largest level the brute-force oracle accepts (default: {ORACLE_CUTOFF})",
+        ),
+    ]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -144,26 +147,45 @@ def _build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=("eta-law", "cocycle", "character", "euler-identity", "rr-identity"),
     )
-    return parser
+    return parser, env_defaults
 
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _emit_rows_json(key, row_texts, envelope) -> None:
+    """Print ``_emit_json`` of the envelope with a nonempty list under
+    ``key`` added, given each list item as its own indented JSON text;
+    ``key`` must sort before every key of the envelope."""
+    body = ",\n".join(row_texts)
+    rest = json.dumps(envelope, indent=2, sort_keys=True)
+    print(f'{{\n  "{key}": [\n{body}\n  ],\n{rest[2:]}')
+
+
 def _emit_cusps_json(rows, envelope) -> None:
-    """Print ``_emit_json`` of the envelope with a ``cusps`` list of the
-    (a, d, width) rows added, formatting each row directly: every row field
-    is an int or a digits-and-slash string, so nothing needs escaping, and
-    ``cusps`` is the first key in sorted order."""
-    body = ",\n".join(
+    """The cusp table as JSON, one f-string per (a, d, width) row: every row
+    field is an int or a digits-and-slash string, so nothing needs escaping."""
+    _emit_rows_json("cusps", (
         f'    {{\n      "a": {a},\n      "d": {d},\n'
         f'      "representative": "{_representative_text(a, d)}",\n'
         f'      "width": {w}\n    }}'
         for a, d, w in rows
+    ), envelope)
+
+
+def _certificate_json(c) -> str:
+    """One certificate as an item of ``_emit_rows_json``; only the witness
+    may need escaping, and JSON text holds no raw newline to indent wrongly."""
+    witness = "null" if c.witness is None else json.dumps(
+        c.witness, indent=2, sort_keys=True
+    ).replace("\n", "\n      ")
+    return (
+        f'    {{\n      "divisor_degree": {c.divisor_degree},\n      "genus": {c.genus},\n'
+        f'      "level": {c.level},\n      "rule": "{c.rule}",\n'
+        f'      "strong_bound": "{c.bound}",\n      "verdict": "{c.verdict.value}",\n'
+        f'      "witness": {witness}\n    }}'
     )
-    rest = json.dumps(envelope, indent=2, sort_keys=True)
-    print(f'{{\n  "cusps": [\n{body}\n  ],\n{rest[2:]}')
 
 
 def _emit_tsv(rows) -> None:
@@ -187,7 +209,14 @@ def _cmd_classify(args) -> int:
     lo, hi = _parse_range(args.range)
     if hi - lo >= MAX_RANGE_LEVELS:
         raise ValueError(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
-    certs = [classify(n) for n in range(lo, hi + 1)]
+    certs, table = [], []  # only the text table reads the profiles
+    for c, p in _classify_window(lo, hi):
+        certs.append(c)
+        if args.format == "text":
+            table.append((
+                str(c.level), str(p.index), str(p.cusp_count), str(p.mu2), str(p.mu3),
+                str(p.genus), str(c.divisor_degree), str(c.bound), c.verdict.value, c.rule,
+            ))
     dim_one = [c.level for c in certs if c.verdict is Verdict.DIM_ONE]
     undecided = [c.level for c in certs if c.verdict is Verdict.UNDECIDED]
     covers_reference = lo == 1 and hi >= 23
@@ -196,14 +225,15 @@ def _cmd_classify(args) -> int:
     )
 
     if args.format == "json":
-        _emit_json(
+        _emit_rows_json(
+            "certificates",
+            map(_certificate_json, certs),
             {
                 "range": [lo, hi],
-                "certificates": [c.to_json_obj() for c in certs],
                 "dim_one_levels": dim_one,
                 "undecided_levels": undecided,
                 "matches_m23_element_orders": matches,
-            }
+            },
         )
     elif args.format == "tsv":
         _emit_tsv(certificate_tsv_rows(certs))
@@ -212,16 +242,7 @@ def _cmd_classify(args) -> int:
             "level", "index", "cusps", "mu2", "mu3", "genus",
             "divdeg", "bound", "verdict", "rule",
         )
-        rows = [header]
-        for c in certs:
-            p = group_profile(c.level)
-            rows.append(
-                (
-                    str(c.level), str(p.index), str(p.cusp_count), str(p.mu2),
-                    str(p.mu3), str(p.genus), str(c.divisor_degree), str(c.bound),
-                    c.verdict.value, c.rule,
-                )
-            )
+        rows = [header, *table]
         widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
         for row in rows:
             print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
@@ -362,8 +383,14 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 1
 
 
+_parser = None  # what _build_parser returns, once per process
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    parser, env_defaults = _parser = _parser or _build_parser()
+    for action, var, fallback in env_defaults:
+        action.default = os.environ.get(var, fallback)
     args = parser.parse_args(argv)
     command = {
         "classify": _cmd_classify,

@@ -8,6 +8,7 @@ pure and exact; floating point never enters.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +87,7 @@ class FactorizationBudgetError(ArithmeticError):
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality proof for n below psi_13."""
     if n >= _MR_LIMIT:
-        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+        raise ArithmeticError(f"{n} is beyond the deterministic Miller-Rabin range")
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -181,6 +182,38 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         factors[m] = factors.get(m, 0) + 1
     return Factorization(n, factors)
+
+
+# Levels per block of the windowed sieve, so that its memory does not grow with the window.
+_SIEVE_BLOCK = 1 << 14
+
+
+def _factor_window(lo: int, hi: int):
+    """Yield ``factorize(n)`` for lo <= n <= hi in turn, uncached: block by
+    block over the window, the primes up to isqrt(hi) are divided out, and
+    what is left of a level above 1 is one prime larger than all of them."""
+    root = math.isqrt(hi)
+    marks = bytearray([1]) * (root + 1)
+    marks[:2] = b"\0\0"
+    for p in range(2, math.isqrt(root) + 1):
+        if marks[p]:
+            marks[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    primes = list(itertools.compress(range(root + 1), marks))
+    for start in range(lo, hi + 1, _SIEVE_BLOCK):
+        rest = list(range(start, min(start + _SIEVE_BLOCK, hi + 1)))
+        factors: list[dict[int, int]] = [{} for _ in rest]
+        for p in primes:
+            for i in range(-start % p, len(rest), p):
+                m, e = rest[i] // p, 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                rest[i] = m
+                factors[i][p] = e
+        for n, m, f in zip(itertools.count(start), rest, factors):
+            if m > 1:
+                f[m] = 1
+            yield Factorization(n, f)
 
 
 @lru_cache(maxsize=65536, typed=True)

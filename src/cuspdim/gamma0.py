@@ -227,9 +227,12 @@ class GroupProfile:
         return cusps(self.level)
 
 
-def _local(p: int, e: int) -> tuple[int, dict[int, int], int, int]:
-    """Index factor, {width: count} and mu2, mu3 factors at p^e: over
-    d = p^k lie phi(p^min(k, e-k)) classes of width p^max(e-2k, 0).
+# Bounded: the small prime powers, which most levels share, stay cached.
+@lru_cache(maxsize=4096)
+def _local(p: int, e: int) -> tuple[int, int, tuple[tuple[int, int], ...], int, int]:
+    """Index and cusp count factors, (width, count) pairs and mu2, mu3
+    factors at p^e: over d = p^k lie phi(p^min(k, e-k)) classes of width
+    p^max(e-2k, 0).
 
     The elliptic factors 1 + (-4|p) and 1 + (-3|p) are read from p mod 4
     and p mod 3: -1 is a square modulo an odd prime p exactly when
@@ -241,27 +244,33 @@ def _local(p: int, e: int) -> tuple[int, dict[int, int], int, int]:
         widths[w] = widths.get(w, 0) + (p**j - p ** (j - 1) if j else 1)
     m2 = int(e == 1) if p == 2 else 2 * (p % 4 == 1)
     m3 = int(e == 1) if p == 3 else 2 * (p % 3 == 1)
-    return p**e + p ** (e - 1), widths, m2, m3
+    return p**e + p ** (e - 1), sum(widths.values()), tuple(widths.items()), m2, m3
 
 
-@lru_cache(maxsize=4096, typed=True)
-def group_profile(n: int) -> GroupProfile:
+def _profile(n: int, factors: dict[int, int]) -> GroupProfile:
     """All level-n invariants from the local data of its prime powers: by
     the Chinese remainder theorem factors and widths multiply, and a cusp
     class is a tuple of local classes.  A genus that is not a nonnegative
     integer is an internal error."""
-    _check_int(n, "level")
-    idx = m2 = m3 = 1
-    widths = {1: 1}
-    for p, e in factorize(n).factors.items():
-        local_idx, local_widths, local_m2, local_m3 = _local(p, e)
+    idx = count = m2 = m3 = 1
+    widths = [(1, 1)]
+    for p, e in factors.items():
+        local_idx, local_count, local_widths, local_m2, local_m3 = _local(p, e)
         idx *= local_idx
+        count *= local_count
         m2 *= local_m2
         m3 *= local_m3
         # Widths of distinct primes multiply to distinct products.
-        widths = {w * v: c * k for w, c in widths.items() for v, k in local_widths.items()}
-    count = sum(widths.values())
+        widths = [(w * v, c * k) for w, c in widths for v, k in local_widths]
     twelve_g = 12 + idx - 3 * m2 - 4 * m3 - 6 * count
     if twelve_g % 12 or twelve_g < 0:
         raise ArithmeticError(f"genus formula gave {Fraction(twelve_g, 12)} at level {n}")
-    return GroupProfile(n, idx, count, m2, m3, twelve_g // 12, tuple(sorted(widths.items())))
+    return GroupProfile(n, idx, count, m2, m3, twelve_g // 12, tuple(sorted(widths)))
+
+
+@lru_cache(maxsize=4096, typed=True)
+def group_profile(n: int) -> GroupProfile:
+    """All level-n invariants, from ``factorize`` and the one kernel that
+    range scans feed from their sieve."""
+    _check_int(n, "level")
+    return _profile(n, factorize(n).factors)

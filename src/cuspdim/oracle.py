@@ -120,7 +120,7 @@ def _orbit_width(sigma: UnimodularMatrix, n: int) -> int:
         if is_member(power, n):
             return h
         power = power * step
-    raise RuntimeError(f"stabilizer search exceeded the cap h <= {n} at level {n}")
+    raise ArithmeticError(f"stabilizer search exceeded the cap h <= {n} at level {n}")
 
 
 def oracle_cusps(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[OrbitCusp, ...]:

@@ -37,7 +37,7 @@ __all__ = [
 _CUBE_CHECK_DEPTH = 1024
 
 
-class GridError(ValueError):
+class GridError(ArithmeticError):
     """Two series live on incompatible exponent grids."""
 
 

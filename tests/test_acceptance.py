@@ -37,6 +37,7 @@ from cuspdim import (
     unary_theta,
 )
 from cuspdim.classify import _level_invariants
+from cuspdim.gamma0 import _local
 
 from helpers import convolve, eta_product_coefficients, primes
 
@@ -52,6 +53,7 @@ def full_scan():
         _level_invariants,
         group_profile,
         cusps,
+        _local,
         factorize,
         divisors,
     ):

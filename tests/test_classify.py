@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -20,7 +21,12 @@ from cuspdim import (
     m24_prime_divisors,
     pole_divisor,
 )
+from cuspdim.classify import _classify_window
+from cuspdim.gamma0 import group_profile
 from helpers import primes
+
+# The package's ``classify`` attribute is the function, not the module.
+classify_module = importlib.import_module("cuspdim.classify")
 
 DIM_ONE_LEVELS = (1, 2, 3, 4, 5, 6, 7, 8, 11, 14, 15, 23)
 
@@ -142,6 +148,35 @@ def test_classify_range_small():
 def test_matches_reference_needs_coverage():
     assert classify_range(20).matches_m23() is None
     assert classify_range(23).matches_m23() is True
+
+
+def test_window_matches_point_queries(monkeypatch):
+    # A window of at least isqrt(hi) levels goes through the sieve, a
+    # narrower one through the cached point queries; both must give what
+    # classify(n) and group_profile(n) give.
+    sieved = []
+    real = classify_module._factor_window
+
+    def spy(lo, hi):
+        sieved.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(classify_module, "_factor_window", spy)
+    windows = {
+        (1, 3000): True,
+        (10**7, 10**7 + 3200): True,
+        (10**9, 10**9 + 500): False,
+        (10**6 + 3, 10**6 + 3): False,
+        (10**18, 10**18 + 2): False,
+    }
+    for (lo, hi), uses_sieve in windows.items():
+        window = list(_classify_window(lo, hi))
+        levels = range(lo, hi + 1)
+        assert [c for c, _ in window] == [classify(n) for n in levels], (lo, hi)
+        assert [p for _, p in window] == [group_profile(n) for n in levels], (lo, hi)
+        assert ((lo, hi) in sieved) is uses_sieve
+    report = classify_range(3000)
+    assert report.certificates == tuple(classify(n) for n in range(1, 3001))
 
 
 def test_divisor_monotonicity():

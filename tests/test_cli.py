@@ -10,6 +10,7 @@ import pytest
 
 from cuspdim import cli
 from cuspdim.cli import main
+from cuspdim.classify import Verdict, classify, m23_element_orders
 from cuspdim.gamma0 import cusp_rows, cusps, group_profile
 
 
@@ -374,10 +375,10 @@ def test_one_input_gate():
 
 
 def test_classify_refuses_oversized_range(capsys, monkeypatch):
-    def no_level(n):
-        raise AssertionError(f"level {n} computed for a refused range")
+    def no_levels(lo, hi):
+        raise AssertionError(f"levels {lo}..{hi} computed for a refused range")
 
-    monkeypatch.setattr(cli, "classify", no_level)
+    monkeypatch.setattr(cli, "_classify_window", no_levels)
     argv = ["classify", "1..1000001"]
     assert_usage_error(capsys, argv, "'1..1000001' spans more than 1000000 levels")
 
@@ -428,6 +429,58 @@ def test_cusps_json_rows_match_json_module(capsys):
             expected = json.dumps({**envelope, "cusps": rows}, indent=2, sort_keys=True)
             assert capsys.readouterr().out == expected + "\n", n
     assert all(group_profile(n).cusp_count > 4096 for n in big)
+
+
+def test_certificate_json_rows_match_json_module(capsys):
+    # The row writer against the generic encoder: matches_m23_element_orders
+    # true (1..60) and null (23..23, 9..9, 24..40), the weight-two witness
+    # (23) and the simple-pole witnesses (11, 14, 15).
+    m23 = sorted(m23_element_orders())
+    for lo, hi in ((1, 60), (23, 23), (9, 9), (24, 40), (11, 15)):
+        certs = [classify(n) for n in range(lo, hi + 1)]
+        dim_one = [c.level for c in certs if c.verdict is Verdict.DIM_ONE]
+        envelope = {
+            "range": [lo, hi],
+            "dim_one_levels": dim_one,
+            "undecided_levels": [c.level for c in certs if c.verdict is Verdict.UNDECIDED],
+            "matches_m23_element_orders": dim_one == m23 if lo == 1 and hi >= 23 else None,
+        }
+        obj = {**envelope, "certificates": [c.to_json_obj() for c in certs]}
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        cli._emit_rows_json("certificates", map(cli._certificate_json, certs), envelope)
+        assert capsys.readouterr().out == expected, (lo, hi)
+        code, out, _ = run(capsys, ["classify", f"{lo}..{hi}", "--format", "json"])
+        assert code == 0 and out == expected, (lo, hi)
+    assert [c.witness["width"] for c in map(classify, (11, 14, 15))] == [11, 14, 15]
+    assert classify(23).witness is not None
+
+
+def test_parser_built_once_and_variables_read_per_call(capsys, monkeypatch):
+    built = []
+    real = cli._build_parser
+
+    def spy():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setenv("CUSPDIM_FORMAT", "json")
+    monkeypatch.setenv("CUSPDIM_PRECISION", "20")
+    code, out, _ = run(capsys, ["qexp", "eta"])
+    assert code == 0 and len(json.loads(out)["coeffs"]) == 20
+    monkeypatch.setenv("CUSPDIM_FORMAT", "tsv")
+    monkeypatch.setenv("CUSPDIM_PRECISION", "30")
+    code, out, _ = run(capsys, ["qexp", "eta"])
+    assert code == 0
+    assert out.splitlines()[0] == "index\texponent\tcoefficient" and len(out.splitlines()) == 31
+    monkeypatch.delenv("CUSPDIM_FORMAT")
+    monkeypatch.delenv("CUSPDIM_PRECISION")
+    code, out, _ = run(capsys, ["qexp", "eta"])
+    assert code == 0 and out.startswith("offset 1/24, step 1, 200 terms\n")
+    monkeypatch.setenv("CUSPDIM_PRECISION", "abc")
+    assert_usage_error(capsys, ["qexp", "eta"], "'abc'")
+    assert built == [1]
 
 
 def test_large_semiprime_level_does_not_hang():

@@ -13,7 +13,10 @@ from cuspdim import (
     kronecker,
     sawtooth,
 )
-from cuspdim.exact import _MR_LIMIT, _TRIAL_BUDGET, FactorizationBudgetError, _is_prime
+from cuspdim import exact
+from cuspdim.exact import (
+    _MR_LIMIT, _TRIAL_BUDGET, FactorizationBudgetError, _factor_window, _is_prime
+)
 from helpers import is_nonzero_square_mod, primes
 
 
@@ -77,7 +80,7 @@ def test_factorize_hard_cases(n, expected):
 def test_miller_rabin_refuses_psi13_and_above():
     # The cases above that pass psi_13 reach it only after the trial bound.
     assert 7 * 1009**9 > 1009 * P13 * Q13 >= _MR_LIMIT > P13 * Q13
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         _is_prime(_MR_LIMIT)
 
 
@@ -89,6 +92,21 @@ def test_factorize_refuses_beyond_trial_budget():
     for n in (6 * _MR_LIMIT, 1000003 * _MR_LIMIT):
         with pytest.raises(FactorizationBudgetError, match=f"cannot factor {n}"):
             factorize(n)
+
+
+@pytest.mark.parametrize("block", [exact._SIEVE_BLOCK, 97])
+def test_factor_window_matches_factorize(monkeypatch, block):
+    # The windowed sieve against the point route: from 1, around 10^6, and
+    # at 10^12, where the primes up to 10^6 serve 301 levels; with a small
+    # block, windows also cross block edges.
+    monkeypatch.setattr(exact, "_SIEVE_BLOCK", block)
+    for lo, hi in ((1, 5000), (999_000, 1_001_000), (10**12, 10**12 + 300)):
+        window = list(_factor_window(lo, hi))
+        assert [f.value for f in window] == list(range(lo, hi + 1))
+        for f in window:
+            expected = factorize(f.value)
+            assert f == expected
+            assert list(f.factors) == list(expected.factors), f.value
 
 
 def test_is_prime_matches_sieve():

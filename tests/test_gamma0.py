@@ -292,8 +292,8 @@ def test_genus_formula_checked(monkeypatch):
     real = gamma0._local
 
     def one_more_elliptic_point(p, e):
-        idx, widths, m2, m3 = real(p, e)
-        return idx, widths, m2 + 1, m3
+        idx, count, widths, m2, m3 = real(p, e)
+        return idx, count, widths, m2 + 1, m3
 
     monkeypatch.setattr(gamma0, "_local", one_more_elliptic_point)
     with pytest.raises(ArithmeticError, match="genus"):

@@ -106,3 +106,12 @@ def test_orbit_width_sum_checked(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="coset count"):
         oracle_cusps(12)
+
+
+def test_orbit_width_cap_is_internal_fault(monkeypatch):
+    # An internal fault is an ArithmeticError, never the ValueError the CLI
+    # reports as a usage error.
+    monkeypatch.setattr(oracle, "is_member", lambda mat, n: False)
+    with pytest.raises(ArithmeticError, match="exceeded the cap") as exc:
+        oracle_cusps(12)
+    assert not isinstance(exc.value, ValueError)

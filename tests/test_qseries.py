@@ -163,6 +163,8 @@ def test_addition_aligns_grids():
 
 
 def test_addition_incompatible_offsets():
+    # An internal fault, not a usage error (the CLI turns ValueError into exit 2).
+    assert issubclass(GridError, ArithmeticError) and not issubclass(GridError, ValueError)
     with pytest.raises(GridError):
         eta_expansion(24) + eta_cubed(24)  # offsets 1/24 and 1/8 on unit steps
 
