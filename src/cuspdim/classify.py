@@ -37,8 +37,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple
 
 from .exact import _check_int, _factor_window
 from .gamma0 import (
@@ -59,7 +59,6 @@ __all__ = [
     "bound_crude",
     "bound_strong",
     "bound_weak",
-    "certificate_tsv_rows",
     "classify",
     "classify_range",
     "m23_element_orders",
@@ -283,19 +282,20 @@ def m24_prime_divisors() -> frozenset[int]:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Certificates for every level from 1 to n_max, with the headline
-    comparisons precomputed."""
+    """Certificates for every level from lo to n_max, with the headline
+    comparisons precomputed; ``classify_range`` starts at 1."""
 
     n_max: int
     certificates: tuple[Certificate, ...]
+    lo: int = 1
 
-    @property
+    @cached_property
     def dim_one_levels(self) -> tuple[int, ...]:
         return tuple(
             c.level for c in self.certificates if c.verdict is Verdict.DIM_ONE
         )
 
-    @property
+    @cached_property
     def undecided_levels(self) -> tuple[int, ...]:
         return tuple(
             c.level for c in self.certificates if c.verdict is Verdict.UNDECIDED
@@ -303,37 +303,34 @@ class ClassificationReport:
 
     def matches_m23(self) -> bool | None:
         """Whether the one-dimensional levels are exactly the element orders
-        of M23; None when the range stops short of 23."""
-        if self.n_max < 23:
+        of M23; None unless the range starts at 1 and reaches 23."""
+        if self.lo != 1 or self.n_max < 23:
             return None
         return frozenset(self.dim_one_levels) == m23_element_orders()
 
-    def to_json_obj(self) -> dict:
+    def summary(self) -> dict:
+        """``to_json_obj`` without the certificates."""
         return {
-            "n_max": self.n_max,
+            "range": [self.lo, self.n_max],
             "dim_one_levels": list(self.dim_one_levels),
             "undecided_levels": list(self.undecided_levels),
             "matches_m23_element_orders": self.matches_m23(),
-            "certificates": [c.to_json_obj() for c in self.certificates],
         }
 
-    def to_tsv_rows(self) -> list[tuple[str, ...]]:
-        return certificate_tsv_rows(self.certificates)
+    def to_json_obj(self) -> dict:
+        return {**self.summary(), "certificates": [c.to_json_obj() for c in self.certificates]}
 
-
-def certificate_tsv_rows(certs) -> list[tuple[str, ...]]:
-    """Tab-separated serialization rows, header first.  The witness_level
-    column is always empty: no rule names a divisor level, and the column
-    stays so that the rows keep their shape."""
-    rows = [
-        ("level", "verdict", "rule", "strong_bound", "genus", "divisor_degree", "witness_level")
-    ]
-    rows += [
-        (str(c.level), c.verdict.value, c.rule, str(c.bound), str(c.genus),
-         str(c.divisor_degree), "")
-        for c in certs
-    ]
-    return rows
+    def to_tsv_rows(self) -> Iterator[tuple[str, ...]]:
+        """Tab-separated serialization rows, header first, made one at a
+        time.  The witness_level column is always empty: no rule names a
+        divisor level, and the column stays so that the rows keep their
+        shape."""
+        yield (
+            "level", "verdict", "rule", "strong_bound", "genus", "divisor_degree", "witness_level"
+        )
+        for c in self.certificates:
+            yield (str(c.level), c.verdict.value, c.rule, str(c.bound), str(c.genus),
+                   str(c.divisor_degree), "")
 
 
 def _classify_window(lo: int, hi: int):

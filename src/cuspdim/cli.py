@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .classify import Verdict, _classify_window, certificate_tsv_rows, m23_element_orders
+from .classify import ClassificationReport, _classify_window
 from .exact import FactorizationBudgetError
 from .gamma0 import _representative_text, cusp_rows, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
@@ -100,7 +101,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list]:
         ),
         # No single default: each suite picks its own (see _cmd_verify).
         _add_common(
-            common, "--tolerance", float, "a number > 0", lambda t: t > 0,
+            common, "--tolerance", float, "a finite number > 0",
+            lambda t: math.isfinite(t) and t > 0,
             help="numeric tolerance (default: per-suite, 1e-9 unless noted)",
         ),
         _add_common(
@@ -217,26 +219,14 @@ def _cmd_classify(args) -> int:
                 str(c.level), str(p.index), str(p.cusp_count), str(p.mu2), str(p.mu3),
                 str(p.genus), str(c.divisor_degree), str(c.bound), c.verdict.value, c.rule,
             ))
-    dim_one = [c.level for c in certs if c.verdict is Verdict.DIM_ONE]
-    undecided = [c.level for c in certs if c.verdict is Verdict.UNDECIDED]
-    covers_reference = lo == 1 and hi >= 23
-    matches = (
-        sorted(dim_one) == sorted(m23_element_orders()) if covers_reference else None
-    )
+    report = ClassificationReport(hi, tuple(certs), lo)
 
     if args.format == "json":
         _emit_rows_json(
-            "certificates",
-            map(_certificate_json, certs),
-            {
-                "range": [lo, hi],
-                "dim_one_levels": dim_one,
-                "undecided_levels": undecided,
-                "matches_m23_element_orders": matches,
-            },
+            "certificates", map(_certificate_json, report.certificates), report.summary()
         )
     elif args.format == "tsv":
-        _emit_tsv(certificate_tsv_rows(certs))
+        _emit_tsv(report.to_tsv_rows())
     else:
         header = (
             "level", "index", "cusps", "mu2", "mu3", "genus",
@@ -247,12 +237,13 @@ def _cmd_classify(args) -> int:
         for row in rows:
             print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
         print()
-        print(f"dim-one levels: {dim_one}")
-        if undecided:
-            print(f"UNDECIDED levels (rule coverage gap!): {undecided}")
+        print(f"dim-one levels: {list(report.dim_one_levels)}")
+        if report.undecided_levels:
+            print(f"UNDECIDED levels (rule coverage gap!): {list(report.undecided_levels)}")
+        matches = report.matches_m23()
         if matches is not None:
             print(f"matches M23 element orders: {matches}")
-    return 1 if undecided else 0
+    return 1 if report.undecided_levels else 0
 
 
 def _cmd_cusps(args) -> int:

@@ -258,7 +258,7 @@ def test_strong_bound_leaves_only_m23_orders_open():
 
 def test_report_tsv_rows():
     report = classify_range(23)
-    rows = report.to_tsv_rows()
+    rows = list(report.to_tsv_rows())
     assert rows[0] == (
         "level",
         "verdict",
@@ -276,7 +276,8 @@ def test_report_tsv_rows():
 def test_report_json():
     report = classify_range(25)
     obj = report.to_json_obj()
-    assert obj["n_max"] == 25
+    assert obj["range"] == [1, 25]
+    assert obj["matches_m23_element_orders"] is True
     assert obj["dim_one_levels"] == list(DIM_ONE_LEVELS)
     assert obj["undecided_levels"] == []
     assert len(obj["certificates"]) == 25

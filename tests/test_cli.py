@@ -10,7 +10,7 @@ import pytest
 
 from cuspdim import cli
 from cuspdim.cli import main
-from cuspdim.classify import Verdict, classify, m23_element_orders
+from cuspdim.classify import ClassificationReport, classify, classify_range
 from cuspdim.gamma0 import cusp_rows, cusps, group_profile
 
 
@@ -62,6 +62,11 @@ def test_classify_partial_range_has_no_reference_comparison(capsys):
     code, out, _ = run(capsys, ["classify", "2..10", "--format", "json"])
     assert code == 0
     assert json.loads(out)["matches_m23_element_orders"] is None
+    # 11..30 reaches 23 but does not start at 1
+    code, out, _ = run(capsys, ["classify", "11..30"])
+    assert code == 0
+    assert "dim-one levels: [11, 14, 15, 23]" in out
+    assert "matches M23" not in out
 
 
 def test_classify_tsv(capsys):
@@ -220,9 +225,13 @@ def test_env_invalid_value_rejected(capsys, monkeypatch):
     assert_usage_error(capsys, ["qexp", "eta"], "'abc'")
 
 
-def test_config_validation_rejects_bad_values(capsys):
+def test_config_validation_rejects_bad_values(capsys, monkeypatch):
     assert_usage_error(capsys, ["qexp", "eta", "--precision", "8"], "'8'")
     assert_usage_error(capsys, ["classify", "5", "--tolerance", "-1"], "'-1'")
+    # An infinite tolerance would pass every residual check.
+    assert_usage_error(capsys, ["verify", "cocycle", "--tolerance", "inf"], "'inf'")
+    monkeypatch.setenv("CUSPDIM_TOLERANCE", "1e999")
+    assert_usage_error(capsys, ["verify", "cocycle"], "'1e999'")
 
 
 @pytest.mark.parametrize(
@@ -431,28 +440,38 @@ def test_cusps_json_rows_match_json_module(capsys):
     assert all(group_profile(n).cusp_count > 4096 for n in big)
 
 
+def window_report(lo, hi):
+    return ClassificationReport(hi, tuple(classify(n) for n in range(lo, hi + 1)), lo)
+
+
 def test_certificate_json_rows_match_json_module(capsys):
     # The row writer against the generic encoder: matches_m23_element_orders
     # true (1..60) and null (23..23, 9..9, 24..40), the weight-two witness
     # (23) and the simple-pole witnesses (11, 14, 15).
-    m23 = sorted(m23_element_orders())
     for lo, hi in ((1, 60), (23, 23), (9, 9), (24, 40), (11, 15)):
-        certs = [classify(n) for n in range(lo, hi + 1)]
-        dim_one = [c.level for c in certs if c.verdict is Verdict.DIM_ONE]
-        envelope = {
-            "range": [lo, hi],
-            "dim_one_levels": dim_one,
-            "undecided_levels": [c.level for c in certs if c.verdict is Verdict.UNDECIDED],
-            "matches_m23_element_orders": dim_one == m23 if lo == 1 and hi >= 23 else None,
-        }
-        obj = {**envelope, "certificates": [c.to_json_obj() for c in certs]}
-        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-        cli._emit_rows_json("certificates", map(cli._certificate_json, certs), envelope)
+        report = window_report(lo, hi)
+        expected = json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        cli._emit_rows_json(
+            "certificates", map(cli._certificate_json, report.certificates), report.summary()
+        )
         assert capsys.readouterr().out == expected, (lo, hi)
         code, out, _ = run(capsys, ["classify", f"{lo}..{hi}", "--format", "json"])
         assert code == 0 and out == expected, (lo, hi)
     assert [c.witness["width"] for c in map(classify, (11, 14, 15))] == [11, 14, 15]
     assert classify(23).witness is not None
+
+
+def test_classify_prints_the_library_report(capsys):
+    # One schema: the CLI prints the report's JSON object and TSV rows, and
+    # classify_range is the report of the range that starts at 1.
+    for lo, hi in ((1, 60), (23, 23), (24, 40), (11, 15)):
+        code, out, _ = run(capsys, ["classify", f"{lo}..{hi}", "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == window_report(lo, hi).to_json_obj(), (lo, hi)
+    assert classify_range(25).to_json_obj()["range"] == [1, 25]
+    code, out, _ = run(capsys, ["classify", "20..30", "--format", "tsv"])
+    assert code == 0
+    assert out == "".join("\t".join(row) + "\n" for row in window_report(20, 30).to_tsv_rows())
 
 
 def test_parser_built_once_and_variables_read_per_call(capsys, monkeypatch):
