@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -76,6 +77,12 @@ def _check_int(value, what: str, minimum: int | None = 1, *, divides: int | None
         raise ValueError(f"{what} must be at least {minimum}, got {value!r}")
     if divides is not None and divides % value:
         raise ValueError(f"{what} must divide {divides}, got {value!r}")
+
+
+def _check_tolerance(tolerance) -> None:
+    """Raise ValueError unless tolerance is a real number, finite and above 0."""
+    if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
 
 
 class FactorizationBudgetError(ArithmeticError):
@@ -275,17 +282,11 @@ def sawtooth(x: Fraction | int) -> Fraction:
     return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
-def dedekind_sum(d: int, c: int) -> Fraction:
-    """Classical Dedekind sum s(d, c) = sum_{m=1}^{c-1} ((m/c)) ((m d / c)).
-
-    Requires c >= 1 and gcd(d, c) = 1.  Depends on d only modulo c.
-    """
-    _check_int(c, "modulus")
-    if math.gcd(d, c) != 1:
-        raise ValueError(f"arguments must be coprime, got gcd({d}, {c}) != 1")
+def _dedekind_12c(d: int, c: int) -> int:
+    """The integer 12 c s(d, c), for c >= 1 coprime to d (unchecked)."""
     d %= c
     if c == 1:
-        return Fraction(0)
+        return 0
     # Reciprocity s(d, c) + s(c, d) = (d/c + c/d + 1/(dc))/12 - 1/4, applied
     # along Euclid's algorithm on (c, d) with quotients a_1..a_k, telescopes
     # to 12 s(d, c) = (d + d')/c + a_1 - a_2 + ... +- a_k - (3 if k is odd
@@ -299,7 +300,18 @@ def dedekind_sum(d: int, c: int) -> Fraction:
         sign = -sign
         x, y = y, remainder
     alternating -= 3 if sign < 0 else 1
-    return Fraction(d + pow(d, -1, c) + c * alternating, 12 * c)
+    return d + pow(d, -1, c) + c * alternating
+
+
+def dedekind_sum(d: int, c: int) -> Fraction:
+    """Classical Dedekind sum s(d, c) = sum_{m=1}^{c-1} ((m/c)) ((m d / c)).
+
+    Requires c >= 1 and gcd(d, c) = 1.  Depends on d only modulo c.
+    """
+    _check_int(c, "modulus")
+    if math.gcd(d, c) != 1:
+        raise ValueError(f"arguments must be coprime, got gcd({d}, {c}) != 1")
+    return Fraction(_dedekind_12c(d, c), 12 * c)
 
 
 @dataclass(frozen=True)
@@ -313,7 +325,13 @@ class UnitPhase:
     turns: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "turns", Fraction(self.turns) % 1)
+        turns = self.turns
+        if type(turns) is not Fraction:
+            turns = Fraction(turns)
+        num, den = turns.numerator, turns.denominator
+        if not 0 <= num < den:
+            turns = Fraction(num % den, den)
+        object.__setattr__(self, "turns", turns)
 
     @property
     def order(self) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import PHASE_ONE, UnitPhase, _check_int, dedekind_sum
+from .exact import PHASE_ONE, UnitPhase, _check_int, _check_tolerance, _dedekind_12c
 from .gamma0 import UnimodularMatrix, is_member
 from .qseries import PrecisionError, _series_tail_bound, evaluate
 
@@ -49,7 +49,8 @@ def eta_multiplier(gamma: UnimodularMatrix) -> UnitPhase:
     with the principal square root for c > 0.
 
     Upper-triangular with d = 1: e(-b/24).  For c > 0:
-    e(-(a + d)/(24 c) + s(d, c)/2 + 1/8) with s the Dedekind sum.  The
+    e(-(a + d)/(24 c) + s(d, c)/2 + 1/8) with s the Dedekind sum, taken in
+    turns over 24 c: 3 c - (a + d) + 12 c s(d, c) is an integer.  The
     remaining matrices reduce through negation.  The quarter-turn picked up
     depends on where the principal Log places the denominator: for c < 0 it
     sits in the lower half-plane and eps(gamma) = eps(-gamma) * e(-1/4); for
@@ -57,20 +58,17 @@ def eta_multiplier(gamma: UnimodularMatrix) -> UnitPhase:
     eps(gamma) = eps(-gamma) * e(+1/4).  The latter makes eps(-Id) = e(1/4),
     matching e^(pi i w) at w = 1/2 as the cocycle consistency requires.
     """
-    if gamma.c < 0:
-        return eta_multiplier(-gamma) * UnitPhase(Fraction(-1, 4))
-    if gamma.c == 0 and gamma.d < 0:
-        return eta_multiplier(-gamma) * UnitPhase(Fraction(1, 4))
-    if gamma.c == 0:
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    # The quarter turn of the negation, in 24ths.
+    quarter = 0
+    if c < 0 or (c == 0 and d < 0):
+        quarter = -6 if c < 0 else 6
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
         # a = d = 1 here since det = 1 and d > 0.
-        return UnitPhase(Fraction(-gamma.b, 24))
-    c, d = gamma.c, gamma.d
-    turns = (
-        Fraction(-(gamma.a + d), 24 * c)
-        + dedekind_sum(d % c, c) / 2
-        + Fraction(1, 8)
-    )
-    return UnitPhase(turns)
+        return UnitPhase(Fraction(quarter - b, 24))
+    m = 24 * c
+    return UnitPhase(Fraction(((quarter + 3) * c - (a + d) + _dedekind_12c(d, c)) % m, m))
 
 
 def _check_character(n: int, h: int) -> None:
@@ -87,7 +85,8 @@ def gamma0_character(n: int, h: int, gamma: UnimodularMatrix) -> UnitPhase:
     _check_character(n, h)
     if not is_member(gamma, n):
         raise ValueError(f"{gamma} is not in the level-{n} group")
-    return UnitPhase(Fraction(-gamma.c * gamma.d, n * h))
+    m = n * h
+    return UnitPhase(Fraction(-gamma.c * gamma.d % m, m))
 
 
 @dataclass(frozen=True)
@@ -176,6 +175,7 @@ def verify_transformation(
     a tenth of the tolerance; a fixed series that cannot reach that raises
     PrecisionError rather than returning an uncertified comparison.
     """
+    _check_tolerance(tolerance)
     tau = complex(tau)
     if tau.imag <= 0.0:
         raise ValueError(f"base point must lie in the upper half-plane, got {tau}")

@@ -49,7 +49,7 @@ def _check_cutoff(n: int, cutoff: int) -> None:
         )
 
 
-def _coset_key(mat: UnimodularMatrix, n: int) -> tuple[int, int]:
+def _coset_key(c: int, d: int, n: int) -> tuple[int, int]:
     # Bottom rows (c, d) and (c', d') label the same coset exactly when one
     # is a unit multiple of the other mod n.  Two facts make the pair below
     # a complete canonical label.  First, g = gcd(c, n) is invariant under
@@ -59,8 +59,7 @@ def _coset_key(mat: UnimodularMatrix, n: int) -> tuple[int, int]:
     # both coordinates are unit-proportional (check one prime power at a
     # time: whichever of c, d is invertible there carries one row to the
     # other, and coprimality of each row rules out both degenerating).
-    c = mat.c % n
-    d = mat.d % n
+    c %= n
     g = math.gcd(c, n)
     n1 = n // g
     if n1 == 1:
@@ -70,23 +69,20 @@ def _coset_key(mat: UnimodularMatrix, n: int) -> tuple[int, int]:
 
 
 def _coset_table(n: int) -> dict[tuple[int, int], UnimodularMatrix]:
-    gens = (
-        UnimodularMatrix.inversion(),
-        UnimodularMatrix.translation(1),
-        UnimodularMatrix.translation(-1),
-    )
-    start = UnimodularMatrix.identity()
-    table: dict[tuple[int, int], UnimodularMatrix] = {_coset_key(start, n): start}
+    # The closure runs on (a, b, c, d) rows under right multiplication by
+    # S = [0 -1; 1 0], T and T^-1; only the stored representatives become
+    # matrices, so each of them is still checked for determinant one.
+    start = (1, 0, 0, 1)
+    rows = {_coset_key(0, 1, n): start}
     queue = deque([start])
     while queue:
-        mat = queue.popleft()
-        for g in gens:
-            nxt = mat * g
-            key = _coset_key(nxt, n)
-            if key not in table:
-                table[key] = nxt
+        a, b, c, d = queue.popleft()
+        for nxt in ((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c)):
+            key = _coset_key(nxt[2], nxt[3], n)
+            if key not in rows:
+                rows[key] = nxt
                 queue.append(nxt)
-    return table
+    return {key: UnimodularMatrix(*row) for key, row in rows.items()}
 
 
 def enumerate_cosets(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[UnimodularMatrix, ...]:
@@ -113,13 +109,16 @@ def _orbit_representative(sigma: UnimodularMatrix) -> tuple[int, int]:
 
 def _orbit_width(sigma: UnimodularMatrix, n: int) -> int:
     # Least h >= 1 with sigma T^h sigma^{-1} in the group; the conjugates are
-    # powers of a fixed matrix, searched directly with a hard cap at n.
-    step = sigma * UnimodularMatrix.translation(1) * sigma.inverse()
-    power = step
+    # powers of a fixed matrix, searched directly with a hard cap at n.  Each
+    # power whose lower-left entry n divides is confirmed as a group member.
+    a, c = sigma.a, sigma.c
+    # sigma T sigma^{-1} = [1 - ac, a^2; -c^2, 1 + ac], as det(sigma) = 1.
+    p1, q1, r1, s1 = 1 - a * c, a * a, -c * c, 1 + a * c
+    p, q, r, s = p1, q1, r1, s1
     for h in range(1, n + 1):
-        if is_member(power, n):
+        if r % n == 0 and is_member(UnimodularMatrix(p, q, r, s), n):
             return h
-        power = power * step
+        p, q, r, s = p * p1 + q * r1, p * q1 + q * s1, r * p1 + s * r1, r * q1 + s * s1
     raise ArithmeticError(f"stabilizer search exceeded the cap h <= {n} at level {n}")
 
 
@@ -133,7 +132,6 @@ def oracle_cusps(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[OrbitCusp, ...]:
     _check_cutoff(n, cutoff)
     table = _coset_table(n)
     order = list(table)
-    t = UnimodularMatrix.translation(1)
 
     seen: set[tuple[int, int]] = set()
     out = []
@@ -145,7 +143,8 @@ def oracle_cusps(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[OrbitCusp, ...]:
         while cur not in seen:
             seen.add(cur)
             cycle += 1
-            cur = _coset_key(table[cur] * t, n)
+            rep = table[cur]
+            cur = _coset_key(rep.c, rep.c + rep.d, n)
         if cur != key:
             raise ArithmeticError(f"translation walk left its own orbit at {n}")
         sigma = table[key]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import bound_crude, bound_strong, bound_weak, pole_divisor
-from .exact import divisors
+from .exact import _check_int, _check_tolerance, divisors
 from .gamma0 import UnimodularMatrix, group_profile
 from .multiplier import (
     AutomorphyContext,
@@ -111,6 +111,9 @@ def eta_law_suite(
 ) -> SuiteResult:
     """Numeric check of eta(gamma tau) * eps(gamma) * j(gamma, tau)^(1/2)
     = eta(tau) over random matrices and base points."""
+    _check_int(samples, "samples")
+    _check_int(entry_bound, "entry bound")
+    _check_tolerance(tolerance)
     rng = random.Random(seed)
     ctx = AutomorphyContext(weight=Fraction(1, 2), eta_power=1)
     lines = []
@@ -138,6 +141,9 @@ def cocycle_suite(
 ) -> SuiteResult:
     """Cocycle and minus-identity consistency of the weight-1/2 eta system
     at random matrix pairs."""
+    _check_int(samples, "samples")
+    _check_int(entry_bound, "entry bound")
+    _check_tolerance(tolerance)
     rng = random.Random(seed)
     ctx = AutomorphyContext(weight=Fraction(1, 2), eta_power=1)
     lines = []
@@ -168,18 +174,24 @@ def character_suite(
     """Exact homomorphism and kernel checks for the level characters
     e(-c*d/(n*h)), over every (n, h) with n <= n_max and h | gcd(n, 12).
 
-    The bulk loop uses the integer reduction of the phase identity: the
+    The bulk check uses the integer reduction of the phase identity: the
     character multiplies by adding exponent numerators, so the homomorphism
     statement for a pair is exactly c1*d1 + c2*d2 = c3*d3 mod n*h, where
-    (c3, d3) is the product's bottom row.  The first few pairs per (n, h)
-    additionally run through the public phase API and must agree with the
-    reduction.
+    (c3, d3) is the product's bottom row.  It is evaluated once for each
+    ordered pair of the level's pool, and a failing pair counts once for each
+    time it is drawn.  The first few pairs per (n, h) additionally run
+    through the public phase API and must agree with the reduction.
     """
+    _check_int(n_max, "largest level")
+    _check_int(pairs_per_level, "pairs per level")
+    _check_int(kernel_samples, "kernel samples")
+    _check_int(pool_size, "pool size")
     rng = random.Random(seed)
     lines = []
     failures = 0
     checks = 0
     api_pairs = 50
+    slots = range(pool_size)
     for n in range(1, n_max + 1):
         for h in divisors(math.gcd(n, 12)):
             m = n * h
@@ -194,11 +206,14 @@ def character_suite(
                 int_ok = (g1.c * g1.d + g2.c * g2.d - prod.c * prod.d) % m == 0
                 if not api_ok or api_ok != int_ok:
                     bad += 1
-            for (a1, b1, c1, d1), (a2, b2, c2, d2) in zip(
-                rng.choices(rows, k=pairs_per_level), rng.choices(rows, k=pairs_per_level)
-            ):
-                if (c1 * d1 + c2 * d2 - (c1 * a2 + d1 * c2) * (c1 * b2 + d1 * d2)) % m:
-                    bad += 1
+            pair_bad = [
+                (c1 * d1 + c2 * d2 - (c1 * a2 + d1 * c2) * (c1 * b2 + d1 * d2)) % m != 0
+                for _, _, c1, d1 in rows
+                for a2, b2, c2, d2 in rows
+            ]
+            drawn = zip(rng.choices(slots, k=pairs_per_level), rng.choices(slots, k=pairs_per_level))
+            if any(pair_bad):
+                bad += sum(pair_bad[i * pool_size + j] for i, j in drawn)
             kernel_bad = 0
             for _ in range(kernel_samples):
                 g = random_level_element(rng, m)
@@ -219,6 +234,7 @@ def euler_identity_suite(depth: int = 200) -> SuiteResult:
     route: the cube of eta matches the signed-odd-square theta sum, the
     (2,1) theta series is that same object, and the one-factor eta quotient
     of exponent 3 expands to it as well."""
+    _check_int(depth, "depth")
     lines = []
     failures = 0
     cube = eta_expansion(depth) ** 3
@@ -242,7 +258,18 @@ def euler_identity_suite(depth: int = 200) -> SuiteResult:
 def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:
     """Exact bookkeeping identities of the classifier bounds for every level
     up to n_max: the strong bound equals divisor degree + 1 - genus, and the
-    three bounds are correctly ordered."""
+    three bounds are correctly ordered.
+
+    This is a consistency check of the code, not an independent route.  The
+    bounds and the genus come from the same ``group_profile``, whose genus
+    formula is checked there, and the divisor degree from ``cusp_rows``,
+    whose widths are checked against that profile's width multiset.  So
+    whenever ``cusp_rows`` returns, the identity holds by algebra and the
+    ordering holds because ceil(w/8) >= w/8 and the elliptic counts are
+    nonnegative; what can actually fail is the width-multiset check, and it
+    raises ArithmeticError rather than counting a failure.
+    """
+    _check_int(n_max, "largest level")
     identity_bad = 0
     order_bad = 0
     for n in range(1, n_max + 1):

@@ -323,6 +323,16 @@ FROZEN_STDOUT_SHA256 = {
         "db7444a216744219f9407fc40c3ae191f09fd0a461766f5adcd357753cedff0b",
     ("cusps", "120", "--oracle", "--format", "json"):
         "87306f81341c41a275b6dea239a7850a234416d5c5bcdc5aa2375ba624c5924b",
+    ("verify", "character", "--seed", "1"):
+        "2bfd54391b97db71effbfe9ffb79066b5aabb8b0173b7dbb36c26f89f60684c6",
+    ("verify", "character", "--format", "json"):
+        "d07fcc2de7f7fb7b6447ad6ce7c8d0b7ee9579e147bf8f7f97bc1ee8d23964db",
+    ("verify", "cocycle", "--seed", "4", "--format", "tsv"):
+        "f305e2e240e3585ca7b3e0c9ef3c9b3d8bb2136733095c71394c38c5f7774322",
+    ("verify", "rr-identity"):
+        "230798e620150e6a284bab2eb31003111d7ea030b2ed583bf55678f2e788413e",
+    ("cusps", "288", "--oracle", "--format", "tsv"):
+        "2dab6d0eb311e1c2c91e65d11b2635f17dfd69c71553e80bad8d8ce0c13515e6",
 }
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -268,6 +269,9 @@ def test_unit_phase_arithmetic():
     assert (third * half).turns == Fraction(5, 6)
     assert UnitPhase(Fraction(7, 6)).turns == Fraction(1, 6)
     assert UnitPhase(Fraction(-1, 24)).turns == Fraction(23, 24)
+    assert UnitPhase(Fraction(48, 24)).turns == 0
+    for whole in (2, -1, 0):
+        assert type(UnitPhase(whole).turns) is Fraction and UnitPhase(whole).is_one
     assert (third**3).is_one
     assert third.inverse() == third.conjugate()
     assert (third * third.inverse()).is_one
@@ -294,3 +298,4 @@ def test_unit_phase_to_complex():
         p = UnitPhase(Fraction(rng.randint(-20, 20), rng.randint(1, 48)))
         z = p.to_complex()
         assert abs(abs(z) - 1.0) < 1e-15
+        assert z == cmath.exp(2j * math.pi * float(p.turns))

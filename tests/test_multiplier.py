@@ -11,17 +11,21 @@ from cuspdim import (
     PrecisionError,
     UnimodularMatrix,
     UnitPhase,
+    dedekind_sum,
+    divisors,
     eta_cubed,
     eta_expansion,
     eta_multiplier,
     eta_quotient_expansion,
     gamma0_character,
     j_factor,
+    random_level_element,
     random_unimodular,
     unary_theta,
     verify_cocycle,
     verify_transformation,
 )
+from cuspdim.verify import _build_row
 
 M = UnimodularMatrix
 HALF = Fraction(1, 2)
@@ -59,6 +63,40 @@ def test_eta_multiplier_values():
     assert eta_multiplier(M(1, 0, 1, 1)) == UnitPhase(Fraction(1, 24))
     assert eta_multiplier(M(1, 0, 3, 1)) == UnitPhase(Fraction(1, 8))
     assert eta_multiplier(M(2, 1, 5, 3)) == UnitPhase(Fraction(1, 12))
+
+
+def _reference_eta_turns(g):
+    # The Fraction formula the integer kernel replaced, unreduced mod 1.
+    if g.c < 0:
+        return _reference_eta_turns(-g) - Fraction(1, 4)
+    if g.c == 0 and g.d < 0:
+        return _reference_eta_turns(-g) + Fraction(1, 4)
+    if g.c == 0:
+        return Fraction(-g.b, 24)
+    c, d = g.c, g.d
+    return Fraction(-(g.a + d), 24 * c) + dedekind_sum(d % c, c) / 2 + Fraction(1, 8)
+
+
+def test_eta_multiplier_matches_fraction_formula():
+    checked = 0
+    for c in range(-40, 41):
+        for d in range(-40, 41):
+            if math.gcd(c, d) != 1:
+                continue
+            for b in (-7, 0, 5) if c == 0 else (0,):
+                g = _build_row(c, d, b)
+                assert eta_multiplier(g).turns == _reference_eta_turns(g) % 1, g
+                checked += 1
+    assert checked == 3924
+
+
+def test_character_matches_fraction_formula():
+    rng = random.Random(27)
+    for n in range(1, 61):
+        for h in divisors(math.gcd(n, 12)):
+            for _ in range(20):
+                g = random_level_element(rng, n)
+                assert gamma0_character(n, h, g) == UnitPhase(Fraction(-g.c * g.d, n * h))
 
 
 def test_eta_multiplier_is_24th_root():

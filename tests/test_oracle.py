@@ -1,8 +1,11 @@
+from collections import deque
+
 import pytest
 
 from cuspdim import oracle
 from cuspdim import (
     ORACLE_CUTOFF,
+    UnimodularMatrix,
     cusp_count,
     cusps,
     enumerate_cosets,
@@ -34,6 +37,33 @@ def test_cutoff_refusal():
 def test_oracle_index_matches_formula():
     for n in list(range(1, 40)) + [60, 97, 120, 128, 180, 210, 243, 300]:
         assert oracle_index(n) == index(n)
+
+
+def _matrix_coset_table(n):
+    # The closure by matrix products, as a reference for the integer rows.
+    gens = (
+        UnimodularMatrix.inversion(),
+        UnimodularMatrix.translation(1),
+        UnimodularMatrix.translation(-1),
+    )
+    start = UnimodularMatrix.identity()
+    table = {oracle._coset_key(start.c, start.d, n): start}
+    queue = deque([start])
+    while queue:
+        mat = queue.popleft()
+        for g in gens:
+            nxt = mat * g
+            key = oracle._coset_key(nxt.c, nxt.d, n)
+            if key not in table:
+                table[key] = nxt
+                queue.append(nxt)
+    return table
+
+
+def test_integer_closure_matches_matrix_products():
+    # same keys, in the same discovery order, with the same representatives
+    for n in range(1, ORACLE_CUTOFF + 1):
+        assert list(oracle._coset_table(n).items()) == list(_matrix_coset_table(n).items()), n
 
 
 def test_cosets_pairwise_inequivalent():

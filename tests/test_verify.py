@@ -1,15 +1,26 @@
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
+import pytest
+
+from cuspdim import verify
 from cuspdim import (
+    AutomorphyContext,
     SuiteResult,
+    UnimodularMatrix,
     character_suite,
     cocycle_suite,
+    divisors,
+    eta_expansion,
     eta_law_suite,
     euler_identity_suite,
     is_member,
     random_level_element,
     random_unimodular,
     rr_identity_suite,
+    verify_transformation,
 )
 
 
@@ -74,3 +85,76 @@ def test_rr_suite_counts():
     assert r.checks == 400
     assert r.failures == 0
     assert len(r.lines) == 2
+
+
+def test_suites_refuse_vacuous_input():
+    # Each of these used to pass without checking anything, or crash.
+    for bad in (
+        lambda: eta_law_suite(samples=2, tolerance=float("inf")),
+        lambda: eta_law_suite(samples=0),
+        lambda: eta_law_suite(samples=True),
+        lambda: eta_law_suite(samples=2, tolerance=float("nan")),
+        lambda: eta_law_suite(samples=2, entry_bound=0),
+        lambda: cocycle_suite(samples=0),
+        lambda: cocycle_suite(samples=2, tolerance=0.0),
+        lambda: cocycle_suite(samples=2, tolerance=-1e-9),
+        lambda: cocycle_suite(samples=2, tolerance="1e-9"),
+        lambda: character_suite(n_max=0),
+        lambda: character_suite(n_max=2, pool_size=0),
+        lambda: character_suite(n_max=2, pairs_per_level=0),
+        lambda: character_suite(n_max=2, kernel_samples=False),
+        lambda: euler_identity_suite(depth=0),
+        lambda: rr_identity_suite(n_max=0),
+        lambda: rr_identity_suite(n_max=2.0),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    ctx = AutomorphyContext(weight=Fraction(1, 2), eta_power=1)
+    for tolerance in (float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            verify_transformation(eta_expansion(64), ctx, UnimodularMatrix.inversion(), 1j, tolerance)
+
+
+def _per_draw_character_failures(n_max, pairs_per_level, kernel_samples, seed):
+    # The bulk homomorphism check one draw at a time, consuming the generator
+    # as character_suite does; returns the failure count and the failing draws.
+    rng = random.Random(seed)
+    failing = Counter()
+    for n in range(1, n_max + 1):
+        for h in divisors(math.gcd(n, 12)):
+            m = n * h
+            pool = [verify.random_level_element(rng, n) for _ in range(64)]
+            rng.choices(pool, k=50)
+            rng.choices(pool, k=50)
+            left = rng.choices(range(64), k=pairs_per_level)
+            right = rng.choices(range(64), k=pairs_per_level)
+            for i, j in zip(left, right):
+                prod = pool[i] * pool[j]
+                if (pool[i].c * pool[i].d + pool[j].c * pool[j].d - prod.c * prod.d) % m:
+                    failing[(n, h, i, j)] += 1
+            for _ in range(kernel_samples):
+                verify.random_level_element(rng, m)
+    return sum(failing.values()), failing
+
+
+def test_character_suite_counts_repeated_draws(monkeypatch):
+    # Swap the second pool element of level 5 for a matrix outside the
+    # level-5 group.  At seed 0 the API pairs never draw it, so only the
+    # bulk check sees it, and several of its failing pairs are drawn twice.
+    real = verify.random_level_element
+    level_five_calls = []
+
+    def corrupt(rng, n, *args):
+        g = real(rng, n, *args)
+        if n == 5:
+            level_five_calls.append(g)
+            if len(level_five_calls) == 2:
+                return g * UnimodularMatrix(1, 0, 1, 1)
+        return g
+
+    monkeypatch.setattr(verify, "random_level_element", corrupt)
+    result = character_suite(n_max=5, kernel_samples=5, seed=0)
+    level_five_calls.clear()
+    expected, failing = _per_draw_character_failures(5, 10_000, 5, seed=0)
+    assert result.failures == expected > len(failing) > 0
+    assert [line.endswith("FAIL") for line in result.lines].count(True) == 1
