@@ -83,13 +83,21 @@ RULE_UNDECIDED = "undecided"
 @dataclass(frozen=True)
 class CuspDivisor:
     """Effective divisor supported on cusp classes; only nonzero entries are
-    stored, in the deterministic cusp order of the level."""
+    stored, in the deterministic cusp order of the level.
+
+    Each entry is stored as an integer row (a, d, width, multiplicity);
+    ``entries``, ``support()`` and ``coefficient()`` build the CuspClass
+    objects when they are read, and ``degree()`` sums the integers."""
 
     level: int
-    entries: tuple[tuple[CuspClass, int], ...]
+    rows: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def entries(self) -> tuple[tuple[CuspClass, int], ...]:
+        return tuple((CuspClass(self.level, a, d, w), m) for a, d, w, m in self.rows)
 
     def degree(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum(m for _, _, _, m in self.rows)
 
     def support(self) -> tuple[CuspClass, ...]:
         return tuple(c for c, _ in self.entries)
@@ -104,10 +112,7 @@ class CuspDivisor:
 def pole_divisor(n: int) -> CuspDivisor:
     """Maximal cusp poles available to the quotient by the cube of eta:
     coefficient ceil(w/8) - 1 at each width-w cusp class."""
-    entries = tuple(
-        (CuspClass(n, a, d, w), -(-w // 8) - 1) for a, d, w in cusp_rows(n) if w > 8
-    )
-    return CuspDivisor(n, entries)
+    return CuspDivisor(n, tuple((a, d, w, -(-w // 8) - 1) for a, d, w in cusp_rows(n) if w > 8))
 
 
 class LevelInvariants(NamedTuple):
@@ -199,7 +204,7 @@ def _weight_two_exclusion(p: GroupProfile) -> dict | None:
     if p.genus != 2 or p.mu2 != 0 or p.mu3 != 0:
         return None
     divisor = pole_divisor(n)
-    if len(divisor.entries) != 1:
+    if len(divisor.rows) != 1:
         return None
     support, mult = divisor.entries[0]
     if mult != 2:
@@ -256,11 +261,11 @@ def _decide(inv: LevelInvariants) -> Certificate:
     if deg == 0:
         return cert(Verdict.DIM_ONE, RULE_EMPTY_DIVISOR)
     if deg == 1 and p.genus >= 1:
-        support, _ = pole_divisor(n).entries[0]
+        a, d, width, _ = pole_divisor(n).rows[0]
         return cert(
             Verdict.DIM_ONE,
             RULE_SIMPLE_POLE,
-            {"support_cusp": _representative_text(support.a, support.d), "width": support.width},
+            {"support_cusp": _representative_text(a, d), "width": width},
         )
     if n == 23:
         witness = _weight_two_exclusion(p)

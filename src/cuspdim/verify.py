@@ -164,6 +164,14 @@ def cocycle_suite(
     return SuiteResult("cocycle", samples, failures, worst, tuple(lines))
 
 
+def _skip_pair_draws(rng: random.Random, k: int) -> None:
+    """Advance rng exactly as two ``rng.choices(range(pool), k=k)`` calls
+    would.  An unweighted draw calls ``random()`` once, which reads two
+    32-bit Mersenne Twister words, and ``getrandbits(32 * j)`` reads j
+    words, so 2k draws are 128k bits."""
+    rng.getrandbits(128 * k)
+
+
 def character_suite(
     n_max: int = 60,
     pairs_per_level: int = 10_000,
@@ -179,8 +187,14 @@ def character_suite(
     statement for a pair is exactly c1*d1 + c2*d2 = c3*d3 mod n*h, where
     (c3, d3) is the product's bottom row.  It is evaluated once for each
     ordered pair of the level's pool, and a failing pair counts once for each
-    time it is drawn.  The first few pairs per (n, h) additionally run
-    through the public phase API and must agree with the reduction.
+    time it is drawn.  The pairs_per_level draws are read only when some
+    pair fails; otherwise they would add nothing, and the generator is
+    advanced past them in one step (``_skip_pair_draws``), so every later
+    (n, h) sees the same pool and samples either way.  The first few pairs
+    per (n, h) additionally run through the public phase API and must agree
+    with the reduction.  An API pair with an element outside the level-n
+    group, or a kernel sample outside the level-(n*h) group, counts as a
+    failure; it never reaches the phase API, which would raise.
     """
     _check_int(n_max, "largest level")
     _check_int(pairs_per_level, "pairs per level")
@@ -200,6 +214,9 @@ def character_suite(
             bad = 0
             firsts = list(zip(rng.choices(pool, k=api_pairs), rng.choices(pool, k=api_pairs)))
             for g1, g2 in firsts:
+                if g1.c % n or g2.c % n:
+                    bad += 1
+                    continue
                 prod = g1 * g2
                 phase_law = gamma0_character(n, h, g1) * gamma0_character(n, h, g2)
                 api_ok = phase_law == gamma0_character(n, h, prod)
@@ -211,13 +228,16 @@ def character_suite(
                 for _, _, c1, d1 in rows
                 for a2, b2, c2, d2 in rows
             ]
-            drawn = zip(rng.choices(slots, k=pairs_per_level), rng.choices(slots, k=pairs_per_level))
             if any(pair_bad):
+                drawn = zip(rng.choices(slots, k=pairs_per_level),
+                            rng.choices(slots, k=pairs_per_level))
                 bad += sum(pair_bad[i * pool_size + j] for i, j in drawn)
+            else:
+                _skip_pair_draws(rng, pairs_per_level)
             kernel_bad = 0
             for _ in range(kernel_samples):
                 g = random_level_element(rng, m)
-                if not gamma0_character(n, h, g).is_one:
+                if g.c % m or not gamma0_character(n, h, g).is_one:
                     kernel_bad += 1
             checks += api_pairs + pairs_per_level + kernel_samples
             failures += bad + kernel_bad

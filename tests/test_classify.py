@@ -54,6 +54,20 @@ def test_pole_divisor_frozen():
     assert d23.coefficient(cusps(23)[0]) == 2
 
 
+def test_pole_divisor_api_from_integer_rows():
+    # The divisor stores integer rows; what it hands out must be the classes
+    # and coefficients ceil(w/8) - 1 that the cusp enumeration gives.
+    for n in range(1, 601):
+        divisor = pole_divisor(n)
+        level_cusps = cusps(n)
+        expected = tuple((c, -(-c.width // 8) - 1) for c in level_cusps if c.width > 8)
+        assert divisor.entries == expected, n
+        assert divisor.support() == tuple(c for c, _ in expected), n
+        coefficients = dict(expected)
+        assert all(divisor.coefficient(c) == coefficients.get(c, 0) for c in level_cusps), n
+        assert divisor.degree() == classify_module._level_invariants(n).divisor_degree, n
+
+
 def test_pole_divisor_degree_zero_exactly_through_eight():
     for n in range(1, 200):
         assert (pole_divisor(n).degree() == 0) == (n <= 8)

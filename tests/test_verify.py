@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cuspdim import verify
+from cuspdim.cli import main
 from cuspdim import (
     AutomorphyContext,
     SuiteResult,
@@ -158,3 +159,80 @@ def test_character_suite_counts_repeated_draws(monkeypatch):
     expected, failing = _per_draw_character_failures(5, 10_000, 5, seed=0)
     assert result.failures == expected > len(failing) > 0
     assert [line.endswith("FAIL") for line in result.lines].count(True) == 1
+
+
+def _corrupt_nth_call(monkeypatch, level, nth):
+    """Make the nth level-``level`` call of random_level_element return a
+    matrix outside that group; returns the list of its level calls, which
+    the caller clears to replay the corruption."""
+    real = verify.random_level_element
+    calls = []
+
+    def corrupt(rng, n, *args):
+        g = real(rng, n, *args)
+        if n == level:
+            calls.append(g)
+            if len(calls) == nth:
+                return g * UnimodularMatrix(1, 0, 1, 1)
+        return g
+
+    monkeypatch.setattr(verify, "random_level_element", corrupt)
+    return calls
+
+
+def test_pair_draw_skip_matches_two_choices():
+    # The suite skips its unread draws with one getrandbits call; it must
+    # leave the generator where two unweighted choices calls of k would.
+    for seed in (0, 1, 2):
+        for k in (1, 50, 10_000):
+            skipped, drawn = random.Random(seed), random.Random(seed)
+            verify._skip_pair_draws(skipped, k)
+            drawn.choices(range(64), k=k)
+            drawn.choices(range(64), k=k)
+            assert skipped.getstate() == drawn.getstate(), (seed, k)
+
+
+@pytest.mark.parametrize("level, count", [(5, 191), (7, 240)])
+def test_character_suite_draws_stay_aligned_past_clean_levels(monkeypatch, level, count):
+    # Clean levels skip their draws and the failing one reads them; both the
+    # failing level and the clean levels after it must see the generator as
+    # the per-draw reference does.
+    calls = _corrupt_nth_call(monkeypatch, level, 2)
+    result = character_suite(n_max=10, kernel_samples=5, seed=0)
+    calls.clear()
+    expected, failing = _per_draw_character_failures(10, 10_000, 5, seed=0)
+    assert result.failures == expected == count
+    assert {n for n, *_ in failing} == {level}
+    assert [line for line in result.lines if line.endswith("FAIL")] == [
+        line for line in result.lines if line.startswith(f"n={level} h=1 ")
+    ]
+
+
+def test_character_suite_counts_nonmember_api_pair(monkeypatch):
+    # The second level-3 pool element is drawn into the API pairs at seed 0;
+    # the phase API would raise on it, so it must be counted instead.
+    _corrupt_nth_call(monkeypatch, 3, 2)
+    result = character_suite(n_max=10, kernel_samples=5, seed=0)
+    assert result.failures > 0 and not result.ok
+    assert [line for line in result.lines if line.endswith("FAIL")] == [
+        "n=3 h=1 pairs=10050 kernel_samples=5 FAIL"
+    ]
+
+
+def test_character_suite_counts_nonmember_kernel_sample(monkeypatch):
+    # The first level-9 calls are the kernel samples of (n, h) = (3, 3).
+    _corrupt_nth_call(monkeypatch, 9, 2)
+    result = character_suite(n_max=10, kernel_samples=5, seed=0)
+    assert result.failures == 1
+    assert [line for line in result.lines if line.endswith("FAIL")] == [
+        "n=3 h=3 pairs=10050 kernel_samples=5 FAIL"
+    ]
+
+
+def test_cli_character_failure_exits_one(monkeypatch, capsys):
+    # A failing check is exit 1, never the usage-error exit 2.
+    _corrupt_nth_call(monkeypatch, 3, 2)
+    assert main(["verify", "character"]) == 1
+    out = capsys.readouterr().out
+    assert "n=3 h=1 pairs=10050 kernel_samples=200 FAIL" in out
+    assert out.rstrip().endswith("FAIL")
