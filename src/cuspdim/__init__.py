@@ -1,144 +1,24 @@
 """Exact invariants of Hecke congruence groups and machine-checkable
 certificates for one-dimensional spaces of weight-3/2 cusp forms carrying
 the cube of the eta multiplier.
+
+The public names are those of the modules' own ``__all__`` lists; each is
+importable from here.  ``cuspdim.classify`` is the function, not the module.
 """
 
-from .classify import (
-    Certificate,
-    ClassificationReport,
-    CuspDivisor,
-    Verdict,
-    bound_crude,
-    bound_strong,
-    bound_weak,
-    classify,
-    classify_range,
-    m23_element_orders,
-    m24_prime_divisors,
-    pole_divisor,
-)
-from .exact import (
-    Factorization,
-    FactorizationBudgetError,
-    UnitPhase,
-    dedekind_sum,
-    divisors,
-    euler_phi,
-    factorize,
-    kronecker,
-    sawtooth,
-)
-from .gamma0 import (
-    CuspClass,
-    GroupProfile,
-    UnimodularMatrix,
-    cusp_count,
-    cusp_rows,
-    cusp_width,
-    cusps,
-    genus,
-    group_profile,
-    index,
-    is_member,
-    mu2,
-    mu3,
-)
-from .multiplier import (
-    AutomorphyContext,
-    eta_multiplier,
-    gamma0_character,
-    j_factor,
-    verify_cocycle,
-    verify_transformation,
-)
-from .oracle import ORACLE_CUTOFF, OrbitCusp, enumerate_cosets, oracle_cusps, oracle_index
-from .qseries import (
-    EtaQuotient,
-    FracQSeries,
-    GridError,
-    PrecisionError,
-    eta_cubed,
-    eta_expansion,
-    eta_quotient_cusp_order,
-    eta_quotient_expansion,
-    evaluate,
-    unary_theta,
-)
-from .verify import (
-    SuiteResult,
-    character_suite,
-    cocycle_suite,
-    eta_law_suite,
-    euler_identity_suite,
-    random_level_element,
-    random_unimodular,
-    rr_identity_suite,
-)
+from . import classify as _classify, exact, gamma0, multiplier, oracle, qseries, verify
+from .classify import *  # noqa: F403
+from .exact import *  # noqa: F403
+from .gamma0 import *  # noqa: F403
+from .multiplier import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .qseries import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AutomorphyContext",
-    "Certificate",
-    "ClassificationReport",
-    "CuspClass",
-    "CuspDivisor",
-    "EtaQuotient",
-    "Factorization",
-    "FactorizationBudgetError",
-    "FracQSeries",
-    "GridError",
-    "GroupProfile",
-    "ORACLE_CUTOFF",
-    "OrbitCusp",
-    "PrecisionError",
-    "SuiteResult",
-    "UnimodularMatrix",
-    "UnitPhase",
-    "Verdict",
-    "bound_crude",
-    "bound_strong",
-    "bound_weak",
-    "character_suite",
-    "classify",
-    "classify_range",
-    "cocycle_suite",
-    "cusp_count",
-    "cusp_rows",
-    "cusp_width",
-    "cusps",
-    "dedekind_sum",
-    "divisors",
-    "enumerate_cosets",
-    "eta_cubed",
-    "eta_expansion",
-    "eta_law_suite",
-    "eta_multiplier",
-    "eta_quotient_cusp_order",
-    "eta_quotient_expansion",
-    "euler_identity_suite",
-    "euler_phi",
-    "evaluate",
-    "factorize",
-    "gamma0_character",
-    "genus",
-    "group_profile",
-    "index",
-    "is_member",
-    "j_factor",
-    "kronecker",
-    "m23_element_orders",
-    "m24_prime_divisors",
-    "mu2",
-    "mu3",
-    "oracle_cusps",
-    "oracle_index",
-    "pole_divisor",
-    "random_level_element",
-    "random_unimodular",
-    "rr_identity_suite",
-    "sawtooth",
-    "unary_theta",
-    "verify_cocycle",
-    "verify_transformation",
-]
+__all__ = sorted(
+    name
+    for module in (_classify, exact, gamma0, multiplier, oracle, qseries, verify)
+    for name in module.__all__
+)

@@ -115,7 +115,7 @@ def pole_divisor(n: int) -> CuspDivisor:
     return CuspDivisor(n, tuple((a, d, w, -(-w // 8) - 1) for a, d, w in cusp_rows(n) if w > 8))
 
 
-class LevelInvariants(NamedTuple):
+class _LevelInvariants(NamedTuple):
     """Bounds in integer twelfths (crude in 24ths), pole-divisor degree."""
 
     profile: GroupProfile
@@ -126,16 +126,16 @@ class LevelInvariants(NamedTuple):
 
 
 @lru_cache(maxsize=4096, typed=True)
-def _level_invariants(n: int) -> LevelInvariants:
+def _level_invariants(n: int) -> _LevelInvariants:
     return _invariants(group_profile(n))
 
 
-def _invariants(p: GroupProfile) -> LevelInvariants:
+def _invariants(p: GroupProfile) -> _LevelInvariants:
     # The pole divisor takes ceil(w/8) - 1 at each cusp, so its degree is
     # sum ceil(w/8) less the cusp count.
     ceil_sum = sum(-(-w // 8) * count for w, count in p.widths)
     weak = 12 * ceil_sum - p.index - 6 * p.cusp_count
-    return LevelInvariants(
+    return _LevelInvariants(
         p, weak + 3 * p.mu2 + 4 * p.mu3, weak, p.index - 12 * p.cusp_count,
         ceil_sum - p.cusp_count,
     )
@@ -247,7 +247,7 @@ def classify(n: int) -> Certificate:
     return _decide(_level_invariants(n))
 
 
-def _decide(inv: LevelInvariants) -> Certificate:
+def _decide(inv: _LevelInvariants) -> Certificate:
     p = inv.profile
     n = p.level
     deg = inv.divisor_degree

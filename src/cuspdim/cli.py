@@ -350,11 +350,12 @@ def _cmd_qexp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = args.tolerance
+    # Each numeric suite owns its default tolerance.
+    tol = {} if args.tolerance is None else {"tolerance": args.tolerance}
     if args.suite == "eta-law":
-        result = eta_law_suite(tolerance=1e-9 if tol is None else tol, seed=args.seed)
+        result = eta_law_suite(seed=args.seed, **tol)
     elif args.suite == "cocycle":
-        result = cocycle_suite(tolerance=1e-10 if tol is None else tol, seed=args.seed)
+        result = cocycle_suite(seed=args.seed, **tol)
     elif args.suite == "character":
         result = character_suite(seed=args.seed)
     elif args.suite == "euler-identity":

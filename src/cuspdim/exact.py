@@ -85,6 +85,15 @@ def _check_tolerance(tolerance) -> None:
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
 
 
+def _check_tau(tau) -> complex:
+    """tau as a complex number; raise ValueError unless both parts are finite
+    and the imaginary part is above 0 (the upper half-plane)."""
+    tau = complex(tau)
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise ValueError(f"tau must be a finite point of the upper half-plane, got {tau!r}")
+    return tau
+
+
 class FactorizationBudgetError(ArithmeticError):
     """A cofactor at or above psi_13 has no prime factor up to
     _TRIAL_BUDGET, so it can be neither split by trial division nor proven

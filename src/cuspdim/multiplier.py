@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import PHASE_ONE, UnitPhase, _check_int, _check_tolerance, _dedekind_12c
+from .exact import PHASE_ONE, UnitPhase, _check_int, _check_tau, _check_tolerance, _dedekind_12c
 from .gamma0 import UnimodularMatrix, is_member
 from .qseries import PrecisionError, _series_tail_bound, evaluate
 
@@ -35,9 +35,7 @@ def j_factor(gamma: UnimodularMatrix, tau: complex, weight) -> complex:
     exponent flips it.  Half-integral weights therefore pick the branch that
     is consistent with the eta multiplier's behavior under negation.
     """
-    tau = complex(tau)
-    if tau.imag <= 0.0:
-        raise ValueError(f"automorphy factor needs Im(tau) > 0, got {tau}")
+    tau = _check_tau(tau)
     w = float(weight)
     denom = gamma.c * tau + gamma.d
     return cmath.exp(-w * cmath.log(denom))
@@ -176,9 +174,7 @@ def verify_transformation(
     PrecisionError rather than returning an uncertified comparison.
     """
     _check_tolerance(tolerance)
-    tau = complex(tau)
-    if tau.imag <= 0.0:
-        raise ValueError(f"base point must lie in the upper half-plane, got {tau}")
+    tau = _check_tau(tau)
     gt = gamma.act(tau)
     target = tolerance / 10.0
 

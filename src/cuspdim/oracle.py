@@ -42,6 +42,7 @@ class OrbitCusp:
 
 def _check_cutoff(n: int, cutoff: int) -> None:
     _check_int(n, "level")
+    _check_int(cutoff, "oracle cutoff")
     if n > cutoff:
         raise ValueError(
             f"oracle requested at level {n}, above the cost cutoff {cutoff}; "

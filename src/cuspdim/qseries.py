@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import _check_int
+from .exact import _check_int, _check_tau
 
 __all__ = [
     "EtaQuotient",
@@ -56,10 +57,10 @@ class FracQSeries:
     """Truncated series sum_k coeffs[k] * q^(offset + k*step); ``int`` and
     ``Fraction`` coefficients are kept, others converted exactly by ``Fraction``.
 
-    ``growth``, when present, is a pair (A, alpha) certifying that every
-    coefficient of the underlying infinite series satisfies
-    |c_k| <= A * (1+k)^alpha; it is what makes ``evaluate`` able to report
-    a rigorous truncation bound.  Arithmetic propagates the certificate;
+    ``growth``, when present, is a pair (A, alpha) of finite numbers >= 0
+    certifying that every coefficient of the underlying infinite series
+    satisfies |c_k| <= A * (1+k)^alpha; it is what makes ``evaluate`` able to
+    report a rigorous truncation bound.  Arithmetic propagates the certificate;
     inversion drops it.
     """
 
@@ -75,8 +76,8 @@ class FracQSeries:
             raise ValueError("a series needs at least one retained term")
         if growth is not None:
             a, alpha = growth
-            if a < 0 or alpha < 0:
-                raise ValueError(f"malformed growth certificate {growth}")
+            if not all(isinstance(x, numbers.Real) and 0 <= x < math.inf for x in (a, alpha)):
+                raise ValueError(f"growth must be two finite numbers >= 0, got {growth!r}")
             growth = (float(a), float(alpha))
         self.growth = growth
         self._support = None
@@ -458,10 +459,8 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
     near machine epsilon; a small roundoff allowance is folded into the
     reported bound.
     """
-    tau = complex(tau)
+    tau = _check_tau(tau)
     v = tau.imag
-    if v <= 0.0:
-        raise ValueError(f"evaluation point must lie in the upper half-plane, got {tau}")
     if series.growth is None:
         raise PrecisionError(
             "series carries no coefficient growth certificate; "

@@ -253,7 +253,15 @@ def euler_identity_suite(depth: int = 200) -> SuiteResult:
     """Exact coefficient identities tying the theta route to the product
     route: the cube of eta matches the signed-odd-square theta sum, the
     (2,1) theta series is that same object, and the one-factor eta quotient
-    of exponent 3 expands to it as well."""
+    of exponent 3 expands to it as well.
+
+    Not every line is a separate check.  ``cube-vs-theta`` repeats the check
+    ``eta_cubed`` makes when it is built, which covers depths up to 1024.
+    ``eta_cubed-vs-theta`` compares ``unary_theta(2, 1, depth)`` with itself,
+    because ``eta_cubed`` returns that cached series; it can fail only by
+    raising, through ``eta_cubed``'s own check.  ``eta-quotient-1:3-vs-eta_cubed``
+    is the one line that reaches other code: the grid and precision
+    bookkeeping of ``eta_quotient_expansion``."""
     _check_int(depth, "depth")
     lines = []
     failures = 0

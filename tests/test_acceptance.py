@@ -72,10 +72,12 @@ def invariant_sweep():
     ordering_bad = []
     for n in range(1, 100_001):
         profile = group_profile(n)
-        if sum(w for _, _, w in cusp_rows(n)) != profile.index:
+        rows = cusp_rows(n)
+        if sum(w for _, _, w in rows) != profile.index:
             width_sum_bad.append(n)
         strong = bound_strong(n)
-        expected = pole_divisor(n).degree() + 1 - profile.genus
+        # The pole divisor's degree, sum of ceil(w/8) - 1, from the same rows.
+        expected = sum(-(-w // 8) - 1 for _, _, w in rows) + 1 - profile.genus
         if strong.denominator != 1 or strong != expected:
             identity_bad.append(n)
         if not bound_crude(n) <= bound_weak(n) <= strong:

@@ -197,6 +197,21 @@ def test_verify_unreachable_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("suite, name", [("eta-law", "eta_law_suite"), ("cocycle", "cocycle_suite")])
+def test_verify_tolerance_default_is_the_suites(monkeypatch, suite, name):
+    # The command passes a tolerance only when one is set, so the suite's
+    # own default is the one default.
+    seen = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda **kw: seen.append(kw) or real(samples=1, **kw))
+    monkeypatch.delenv("CUSPDIM_TOLERANCE", raising=False)
+    main(["verify", suite])
+    main(["verify", suite, "--tolerance", "1e-11"])
+    monkeypatch.setenv("CUSPDIM_TOLERANCE", "1e-12")
+    main(["verify", suite])
+    assert [kw.get("tolerance") for kw in seen] == [None, 1e-11, 1e-12]
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, ["verify", "euler-identity", "--format", "json"])
     assert code == 0

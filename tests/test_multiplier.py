@@ -255,8 +255,12 @@ def test_transformation_precision_failure_paths():
         verify_transformation(
             lambda p: eta_expansion(p).inverse(), ctx, M.inversion(), 1j
         )
-    with pytest.raises(ValueError):
-        verify_transformation(eta_expansion(64), ctx, M.inversion(), 1 - 1j)
+    for tau in (1 - 1j, complex(math.nan, 1.0), complex(0.0, math.nan), complex(math.inf, 1.0),
+                complex(0.0, math.inf)):
+        with pytest.raises(ValueError):
+            verify_transformation(eta_expansion(64), ctx, M.inversion(), tau)
+        with pytest.raises(ValueError):
+            j_factor(M.inversion(), tau, HALF)
 
 
 def test_bool_is_not_an_integer_argument():

@@ -30,6 +30,9 @@ def test_cutoff_refusal():
             oracle_cusps(bad)
         with pytest.raises(ValueError):
             enumerate_cosets(bad)
+    for bad in (float("nan"), None, True, 0):
+        with pytest.raises(ValueError):
+            oracle_cusps(5, bad)
     # an explicit cutoff lifts the default refusal
     assert oracle_index(310, cutoff=310) == index(310)
 

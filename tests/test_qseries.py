@@ -32,8 +32,10 @@ def test_construction_validation():
         FracQSeries(0, -1, [1])
     with pytest.raises(ValueError):
         FracQSeries(0, 1, [])
-    with pytest.raises(ValueError):
-        FracQSeries(0, 1, [1], growth=(-1.0, 0.0))
+    for growth in ((-1.0, 0.0), (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
+                   (1.0, math.inf), (1.0,), (1.0, 0.0, 0.0), ("1", 0.0)):
+        with pytest.raises(ValueError):
+            FracQSeries(0, 1, [1], growth=growth)
 
 
 def test_eta_expansion_frozen():
@@ -402,6 +404,11 @@ def test_evaluate_rejects_lower_half_plane():
         evaluate(eta_expansion(16), 1 - 1j)
     with pytest.raises(ValueError):
         evaluate(eta_expansion(16), 0.5)
+    # NaN and infinite points would give a NaN value and bound.
+    for tau in (complex(math.nan, 1.0), complex(0.0, math.nan), complex(math.inf, 1.0),
+                complex(0.0, math.inf), math.nan):
+        with pytest.raises(ValueError):
+            evaluate(eta_expansion(16), tau)
 
 
 def test_evaluate_requires_growth_certificate():
