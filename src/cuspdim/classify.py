@@ -267,10 +267,9 @@ def _decide(inv: _LevelInvariants) -> Certificate:
             RULE_SIMPLE_POLE,
             {"support_cusp": _representative_text(a, d), "width": width},
         )
-    if n == 23:
-        witness = _weight_two_exclusion(p)
-        if witness is not None:
-            return cert(Verdict.DIM_ONE, RULE_CANONICAL_EXCLUSION, witness)
+    witness = _weight_two_exclusion(p)
+    if witness is not None:
+        return cert(Verdict.DIM_ONE, RULE_CANONICAL_EXCLUSION, witness)
     return cert(Verdict.UNDECIDED, RULE_UNDECIDED)
 
 

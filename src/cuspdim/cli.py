@@ -2,15 +2,15 @@
 optional brute-force cross-check, exact q-expansions, and the verification
 suites.
 
-Exit status contract: 0 all checks pass and all verdicts decided; 1
-mathematical failure (an Undecided verdict, a residual above tolerance, or
-an oracle disagreement); 2 usage error: what argparse refuses, and any
-``ValueError`` a command raises, its own or the library's, which ``main``
-turns into ``parser.error``; commands check before they print, so stdout
-stays empty.  An ``ArithmeticError`` is an internal fault and is not
-caught, except ``FactorizationBudgetError`` (a level past the factoring
-budget), which also exits 2.  Output is deterministic given the inputs
-and the seed.
+Exit status contract, decided in ``main`` alone: a command returns 0
+when all checks pass and all verdicts are decided, and 1 for a counted
+mathematical failure (an Undecided verdict, a residual above tolerance or
+uncertifiable, or an oracle disagreement).  Any ``ValueError`` a command
+raises, its own or the library's, is a refused input: ``main`` turns it
+into ``parser.error``, which exits 2 with the message on stderr, as
+argparse does for what it refuses; commands check before they print, so
+stdout stays empty.  An ``ArithmeticError`` is an internal fault and is
+not caught.  Output is deterministic given the inputs and the seed.
 
 Each common option is converted and range-checked once, by its argparse
 ``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
@@ -29,7 +29,6 @@ import os
 import sys
 
 from .classify import ClassificationReport, _classify_window
-from .exact import FactorizationBudgetError
 from .gamma0 import _representative_text, cusp_rows, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
@@ -103,7 +102,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list]:
         _add_common(
             common, "--tolerance", float, "a finite number > 0",
             lambda t: math.isfinite(t) and t > 0,
-            help="numeric tolerance (default: per-suite, 1e-9 unless noted)",
+            help="numeric tolerance (default: each suite's own)",
         ),
         _add_common(
             common, "--seed", int, "an integer", fallback="0",
@@ -254,17 +253,11 @@ def _cmd_cusps(args) -> int:
             f"level {n} has {profile.cusp_count} cusp classes, more than {MAX_CUSP_CLASSES}"
         )
 
-    if args.oracle and n > args.oracle_cutoff:
-        print(
-            f"cuspdim: oracle refused: level {n} exceeds cutoff {args.oracle_cutoff}",
-            file=sys.stderr,
-        )
-        return 2
-
+    # The oracle refuses a level above its cutoff before the table is built.
+    orbits = oracle_cusps(n, args.oracle_cutoff) if args.oracle else None
     rows = cusp_rows(n)
     oracle_verdict = None
     if args.oracle:
-        orbits = oracle_cusps(n, args.oracle_cutoff)
         formula_widths = sorted(w for _, _, w in rows)
         orbit_widths = sorted(o.width for o in orbits)
         oracle_verdict = "AGREE" if formula_widths == orbit_widths else "DISAGREE"
@@ -392,9 +385,6 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except FactorizationBudgetError as exc:
-        print(f"cuspdim: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -94,10 +94,10 @@ def _check_tau(tau) -> complex:
     return tau
 
 
-class FactorizationBudgetError(ArithmeticError):
+class FactorizationBudgetError(ValueError):
     """A cofactor at or above psi_13 has no prime factor up to
     _TRIAL_BUDGET, so it can be neither split by trial division nor proven
-    prime; the number is refused, never factored without proof."""
+    prime; the number is refused as bad input, never factored unproven."""
 
 
 def _is_prime(n: int) -> bool:

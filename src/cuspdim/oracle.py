@@ -44,10 +44,7 @@ def _check_cutoff(n: int, cutoff: int) -> None:
     _check_int(n, "level")
     _check_int(cutoff, "oracle cutoff")
     if n > cutoff:
-        raise ValueError(
-            f"oracle requested at level {n}, above the cost cutoff {cutoff}; "
-            "the brute-force backend is only meant for small levels"
-        )
+        raise ValueError(f"level {n} exceeds cutoff {cutoff}")
 
 
 def _coset_key(c: int, d: int, n: int) -> tuple[int, int]:

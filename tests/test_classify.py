@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 from fractions import Fraction
@@ -216,6 +217,18 @@ def test_rules_fired_in_range():
         "weight-two-form-excludes-canonical-class",
         "strong-bound-exceeds-one",
     }
+
+
+def test_weight_two_exclusion_is_gated_by_its_preconditions(monkeypatch):
+    # The rule fires wherever its witness exists, not at one named level:
+    # level 23's invariants, relabelled as level 47, reach it unchanged.
+    inv = classify_module._level_invariants(23)
+    relabelled = inv._replace(profile=dataclasses.replace(inv.profile, level=47))
+    witness = {"support_cusp": "0"}
+    monkeypatch.setattr(classify_module, "_weight_two_exclusion", lambda p: witness)
+    cert = classify_module._decide(relabelled)
+    assert (cert.level, cert.verdict, cert.witness) == (47, Verdict.DIM_ONE, witness)
+    assert cert.rule == "weight-two-form-excludes-canonical-class"
 
 
 def test_cusp_count_closed_form_and_ratio_growth():

@@ -95,9 +95,7 @@ def test_cusps_text_with_oracle(capsys):
 
 
 def test_cusps_oracle_refuses_above_cutoff(capsys):
-    code, out, err = run(capsys, ["cusps", "301", "--oracle"])
-    assert code == 2
-    assert "exceeds cutoff" in err
+    assert_usage_error(capsys, ["cusps", "301", "--oracle"], "exceeds cutoff")
     # raising the cutoff makes the same request valid
     code, out, err = run(capsys, ["cusps", "301", "--oracle", "--oracle-cutoff", "310"])
     assert code == 0
@@ -402,6 +400,22 @@ def test_one_input_gate():
         )
 
     assert sites(package / "cli.py", is_error_call) == [("cli.py", "main")]
+    # ... and only main maps an exception to an exit status: no command
+    # returns 2 itself, and main has one except clause.
+    cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    tops = {top.name: top for top in cli_tree.body if isinstance(top, ast.FunctionDef)}
+    returns_two = [
+        name
+        for name, top in tops.items()
+        if name.startswith("_cmd_")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Return)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == 2
+    ]
+    assert returns_two == []
+    handlers = [node for node in ast.walk(tops["main"]) if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 1
     bool_checks = [
         site for path in sorted(package.glob("*.py")) for site in sites(path, is_bool_check)
     ]
@@ -440,6 +454,32 @@ def test_factorization_beyond_budget_is_refused():
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "cannot factor 19902264388079324315771886" in proc.stderr
+
+
+def test_exit_paths_end_without_traceback():
+    # A refused input exits 2 with nothing on stdout; an uncertifiable check
+    # is a counted failure, exit 1.  Neither reaches the interpreter's
+    # traceback.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CUSPDIM_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    unfactorable = "19902264388079324315771886"  # 6 * psi_13
+    for argv, code, message in (
+        (["cusps", "301", "--oracle"], 2, "level 301 exceeds cutoff 300"),
+        (["classify", unfactorable], 2, f"cannot factor {unfactorable}"),
+        (["verify", "eta-law", "--tolerance", "1e-300"], 1, ""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspdim", *argv],
+            env=env, capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert message in proc.stderr and "Traceback" not in proc.stderr, argv
+        if code == 2:
+            assert proc.stdout == "", argv
+        else:
+            lines = proc.stdout.splitlines()
+            assert len(lines) == 1001 and all(line.endswith(" FAIL") for line in lines)
+            assert "worst=" not in lines[-1]
 
 
 def test_cusps_json_rows_match_json_module(capsys):

@@ -90,6 +90,9 @@ def test_factorize_refuses_beyond_trial_budget():
     # a factor just below it is still found, and then rho takes over.
     assert 999983 * P13 * Q13 >= _MR_LIMIT and 999983 < _TRIAL_BUDGET < 1000003
     assert factorize(999983 * P13 * Q13).factors == {999983: 1, P13: 1, Q13: 1}
+    # A refused number is bad input, not an internal fault.
+    assert issubclass(FactorizationBudgetError, ValueError)
+    assert not issubclass(FactorizationBudgetError, ArithmeticError)
     for n in (6 * _MR_LIMIT, 1000003 * _MR_LIMIT):
         with pytest.raises(FactorizationBudgetError, match=f"cannot factor {n}"):
             factorize(n)

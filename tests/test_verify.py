@@ -107,6 +107,11 @@ def test_suites_refuse_vacuous_input():
         lambda: euler_identity_suite(depth=0),
         lambda: rr_identity_suite(n_max=0),
         lambda: rr_identity_suite(n_max=2.0),
+        # No coprime pair exists in these boxes: the draw loops used to spin.
+        lambda: random_unimodular(random.Random(0), 0),
+        lambda: random_level_element(random.Random(0), 5, entry_bound=0),
+        lambda: random_level_element(random.Random(0), 5, multiple_bound=-1),
+        lambda: random_level_element(random.Random(0), 0),
     ):
         with pytest.raises(ValueError):
             bad()
