@@ -346,6 +346,11 @@ FROZEN_STDOUT_SHA256 = {
         "230798e620150e6a284bab2eb31003111d7ea030b2ed583bf55678f2e788413e",
     ("cusps", "288", "--oracle", "--format", "tsv"):
         "2dab6d0eb311e1c2c91e65d11b2635f17dfd69c71553e80bad8d8ce0c13515e6",
+    # 501 levels below isqrt(999500) = 999: the point-query path, not the sieve.
+    ("classify", "999000..999500", "--format", "tsv"):
+        "3d11289c6b1f077f1d1603f3930a97eaaafdae01f63ecb3ffa6640aadebcbf46",
+    ("classify", "1..30000", "--format", "tsv"):
+        "589b7ef202f1e9a70667667ce495083bb49bd2cfb9faa03dcf377e5cd6b8aca6",
 }
 
 
