@@ -13,7 +13,10 @@ quantities behind it; Undecided is a first-class verdict, not an error.
 
 The bounds are integer twelfths of the cusp widths w (c of them, summing to
 the index): strong = sum ceil(w/8) - index/12 - c/2 + mu2/4 + mu3/3, weak
-drops the mu terms, crude = index/24 - c/2.  No rule passes extra forms up
+drops the mu terms, crude = index/24 - c/2.  The widths enter only through
+sum ceil(w/8) = (index + sum((-w) mod 8))/8, read from the residues of the
+local widths mod 8 (``GroupProfile.ceil_eighths_sum``), never from a list
+of widths.  No rule passes extra forms up
 from a divisor level: after the strong-bound rule it could never fire.
 1. weak - crude = sum (ceil(w/8) - w/8) >= 0; strong - weak = mu2/4 + mu3/3.
 2. index/cusps is multiplicative; at p^e it is at least (p+1)/2 and does
@@ -133,7 +136,7 @@ def _level_invariants(n: int) -> _LevelInvariants:
 def _invariants(p: GroupProfile) -> _LevelInvariants:
     # The pole divisor takes ceil(w/8) - 1 at each cusp, so its degree is
     # sum ceil(w/8) less the cusp count.
-    ceil_sum = sum(-(-w // 8) * count for w, count in p.widths)
+    ceil_sum = p.ceil_eighths_sum
     weak = 12 * ceil_sum - p.index - 6 * p.cusp_count
     return _LevelInvariants(
         p, weak + 3 * p.mu2 + 4 * p.mu3, weak, p.index - 12 * p.cusp_count,
@@ -329,21 +332,28 @@ class ClassificationReport:
         time.  The witness_level column is always empty: no rule names a
         divisor level, and the column stays so that the rows keep their
         shape."""
-        yield (
-            "level", "verdict", "rule", "strong_bound", "genus", "divisor_degree", "witness_level"
-        )
-        for c in self.certificates:
-            yield (str(c.level), c.verdict.value, c.rule, str(c.bound), str(c.genus),
-                   str(c.divisor_degree), "")
+        yield _TSV_HEADER
+        yield from map(_tsv_row, self.certificates)
+
+
+_TSV_HEADER = (
+    "level", "verdict", "rule", "strong_bound", "genus", "divisor_degree", "witness_level"
+)
+
+
+def _tsv_row(c: Certificate) -> tuple[str, ...]:
+    return (str(c.level), c.verdict.value, c.rule, str(c.bound), str(c.genus),
+            str(c.divisor_degree), "")
 
 
 def _classify_window(lo: int, hi: int):
     """Yield (certificate, profile) for the levels lo..hi in turn.  A window
     of at least isqrt(hi) levels is factored by one sieve and goes through
-    the uncached kernels; a narrower one is a run of cached point queries."""
+    the uncached kernels; a narrower one is a run of cached point queries,
+    all made before the first is yielded, so that a level ``factorize``
+    refuses stops the window before any output."""
     if math.isqrt(hi) > hi - lo + 1:
-        for n in range(lo, hi + 1):
-            yield classify(n), group_profile(n)
+        yield from [(classify(n), group_profile(n)) for n in range(lo, hi + 1)]
         return
     for f in _factor_window(lo, hi):
         profile = _profile(f.value, f.factors)

@@ -7,10 +7,11 @@ when all checks pass and all verdicts are decided, and 1 for a counted
 mathematical failure (an Undecided verdict, a residual above tolerance or
 uncertifiable, or an oracle disagreement).  Any ``ValueError`` a command
 raises, its own or the library's, is a refused input: ``main`` turns it
-into ``parser.error``, which exits 2 with the message on stderr, as
-argparse does for what it refuses; commands check before they print, so
-stdout stays empty.  An ``ArithmeticError`` is an internal fault and is
-not caught.  Output is deterministic given the inputs and the seed.
+into the command's ``parser.error``, which exits 2 with the message and
+that command's usage line on stderr, as argparse does for what it
+refuses; commands check before they print, so stdout stays empty.  An
+``ArithmeticError`` is an internal fault and is not caught.  Output is
+deterministic given the inputs and the seed.
 
 Each common option is converted and range-checked once, by its argparse
 ``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
@@ -28,7 +29,7 @@ import math
 import os
 import sys
 
-from .classify import ClassificationReport, _classify_window
+from .classify import _TSV_HEADER, ClassificationReport, Verdict, _classify_window, _tsv_row
 from .gamma0 import _representative_text, cusp_rows, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
@@ -75,8 +76,9 @@ def _add_common(parser, flag, cast, expected, ok=lambda value: True, fallback=No
     return parser.add_argument(flag, type=parse, **kwargs), var, fallback
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, list]:
-    """The parser, and what ``_add_common`` returned for each common option."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, list]:
+    """The parser, its subparsers by command name, and what ``_add_common``
+    returned for each common option."""
     parser = argparse.ArgumentParser(
         prog="cuspdim",
         description=(
@@ -148,7 +150,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list]:
         "suite",
         choices=("eta-law", "cocycle", "character", "euler-identity", "rr-identity"),
     )
-    return parser, env_defaults
+    return parser, sub.choices, env_defaults
 
 
 def _emit_json(obj) -> None:
@@ -210,8 +212,19 @@ def _cmd_classify(args) -> int:
     lo, hi = _parse_range(args.range)
     if hi - lo >= MAX_RANGE_LEVELS:
         raise ValueError(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
+    window = _classify_window(lo, hi)
+    if args.format == "tsv":
+        # No trailer: each row is printed as its level is decided.  A window
+        # that can refuse a level decides them all before it yields one.
+        undecided = False
+        for i, (c, _) in enumerate(window):
+            if not i:
+                print("\t".join(_TSV_HEADER))
+            print("\t".join(_tsv_row(c)))
+            undecided = undecided or c.verdict is Verdict.UNDECIDED
+        return 1 if undecided else 0
     certs, table = [], []  # only the text table reads the profiles
-    for c, p in _classify_window(lo, hi):
+    for c, p in window:
         certs.append(c)
         if args.format == "text":
             table.append((
@@ -224,8 +237,6 @@ def _cmd_classify(args) -> int:
         _emit_rows_json(
             "certificates", map(_certificate_json, report.certificates), report.summary()
         )
-    elif args.format == "tsv":
-        _emit_tsv(report.to_tsv_rows())
     else:
         header = (
             "level", "index", "cusps", "mu2", "mu3", "genus",
@@ -373,7 +384,7 @@ _parser = None  # what _build_parser returns, once per process
 
 def main(argv=None) -> int:
     global _parser
-    parser, env_defaults = _parser = _parser or _build_parser()
+    parser, subparsers, env_defaults = _parser = _parser or _build_parser()
     for action, var, fallback in env_defaults:
         action.default = os.environ.get(var, fallback)
     args = parser.parse_args(argv)
@@ -386,7 +397,9 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        # The command's own parser, so its usage line is the one argparse
+        # prints when it refuses an option of that command.
+        subparsers[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

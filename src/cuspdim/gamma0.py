@@ -152,7 +152,8 @@ def _canonical_a(r: int, g: int, q: int) -> int:
 def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:
     """All cusp classes of the level-n group as (a, d, width) rows, ordered
     by d and then by a mod gcd(d, n/d); the widths are checked against the
-    p-adic multiset of ``group_profile`` before the rows are returned.
+    multiset that ``GroupProfile.widths`` reads, built from the local widths
+    of n's prime powers, before the rows are returned.
 
     Over d lie the classes r mod g = gcd(d, n/d) with r coprime to g, all
     of width n / (d g).  The least a = r (mod g) coprime to d is r itself
@@ -179,7 +180,7 @@ def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:
         else:
             rows += [(_canonical_a(r, g, q), d, w) for r in residues]
         counts[w] = counts.get(w, 0) + len(residues)
-    if counts != dict(group_profile(n).widths):
+    if counts != dict(_widths(n)):
         raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
     return tuple(rows)
 
@@ -211,8 +212,10 @@ def genus(n: int) -> int:
 
 @dataclass(frozen=True)
 class GroupProfile:
-    """The level-n invariants; ``widths`` holds (width, count) pairs, and
-    the cusp classes themselves are enumerated only when read."""
+    """The level-n invariants.  ``ceil_eighths_sum`` is the sum of
+    ceil(w/8) over the cusp widths w, the one number the dimension bounds
+    read from the widths; the (width, count) pairs ``widths`` and the cusp
+    classes themselves are built only when read."""
 
     level: int
     index: int
@@ -220,7 +223,11 @@ class GroupProfile:
     mu2: int
     mu3: int
     genus: int
-    widths: tuple[tuple[int, int], ...]
+    ceil_eighths_sum: int
+
+    @property
+    def widths(self) -> tuple[tuple[int, int], ...]:
+        return _widths(self.level)
 
     @property
     def cusps(self) -> tuple[CuspClass, ...]:
@@ -229,43 +236,84 @@ class GroupProfile:
 
 # Bounded: the small prime powers, which most levels share, stay cached.
 @lru_cache(maxsize=4096)
-def _local(p: int, e: int) -> tuple[int, int, tuple[tuple[int, int], ...], int, int]:
-    """Index and cusp count factors, (width, count) pairs and mu2, mu3
-    factors at p^e: over d = p^k lie phi(p^min(k, e-k)) classes of width
-    p^max(e-2k, 0).
+def _local(p: int, e: int) -> tuple:
+    """Index, cusp count, mu2 and mu3 factors, residue data and (width,
+    count) pairs at p^e: over d = p^k lie phi(p^min(k, e-k)) classes of
+    width p^max(e-2k, 0).
 
     The elliptic factors 1 + (-4|p) and 1 + (-3|p) are read from p mod 4
     and p mod 3: -1 is a square modulo an odd prime p exactly when
-    p = 1 (mod 4), and -3 exactly when p = 1 (mod 3)."""
+    p = 1 (mod 4), and -3 exactly when p = 1 (mod 3).
+
+    The residue data is what ``_profile`` needs of the widths mod 8: at
+    p = 2 the counts (n1, n2, n4) of local widths 1, 2 and 4 (a width of 8
+    or more adds nothing), and at odd p the signed sums of count * chi(w)
+    for chi_-4 (+1 on u = 1 mod 4) and chi_-8 (+1 on u = 1, 3 mod 8), where
+    chi(p^j) = chi(p)^j."""
     widths: dict[int, int] = {}
+    chi4 = 1 if p % 4 == 1 else -1
+    chi8 = 1 if p % 8 in (1, 3) else -1
+    sum4 = sum8 = 0
     for k in range(e + 1):
         j = min(k, e - k)
-        w = p ** max(e - 2 * k, 0)
-        widths[w] = widths.get(w, 0) + (p**j - p ** (j - 1) if j else 1)
+        t = max(e - 2 * k, 0)
+        count = p**j - p ** (j - 1) if j else 1
+        widths[p**t] = widths.get(p**t, 0) + count
+        sum4 += count * chi4**t
+        sum8 += count * chi8**t
+    residues = (widths.get(1, 0), widths.get(2, 0), widths.get(4, 0)) if p == 2 else (sum4, sum8)
     m2 = int(e == 1) if p == 2 else 2 * (p % 4 == 1)
     m3 = int(e == 1) if p == 3 else 2 * (p % 3 == 1)
-    return p**e + p ** (e - 1), sum(widths.values()), tuple(widths.items()), m2, m3
+    return p**e + p ** (e - 1), sum(widths.values()), m2, m3, residues, tuple(widths.items())
+
+
+def _widths(n: int) -> tuple[tuple[int, int], ...]:
+    """The (width, count) pairs of level n in increasing width: by the
+    Chinese remainder theorem a cusp class is a tuple of local classes, and
+    its width the product of their widths."""
+    widths = [(1, 1)]
+    for p, e in factorize(n).factors.items():
+        # Widths of distinct primes multiply to distinct products.
+        widths = [(w * v, c * k) for w, c in widths for v, k in _local(p, e)[5]]
+    return tuple(sorted(widths))
 
 
 def _profile(n: int, factors: dict[int, int]) -> GroupProfile:
     """All level-n invariants from the local data of its prime powers: by
-    the Chinese remainder theorem factors and widths multiply, and a cusp
-    class is a tuple of local classes.  A genus that is not a nonnegative
-    integer is an internal error."""
+    the Chinese remainder theorem the index, cusp count and elliptic factors
+    multiply.  A genus that is not a nonnegative integer is an internal error.
+
+    Sum ceil(w/8) = (index + pad)/8 with pad = sum((-w) mod 8), and pad
+    depends only on w mod 8.  Write w = 2^j u with u odd: (-u) mod 8 is
+    4 + chi_-4(u) + 2 chi_-8(u), (-2u) mod 8 is 4 + 2 chi_-4(u), (-4u) mod 8
+    is 4, and 0 from j = 3 on.  Both characters multiply over the odd
+    primes, so with T the number of odd-part classes and A, B the products
+    of the local signed sums, pad = n1 (4T + A + 2B) + n2 (4T + 2A) + 4 n4 T.
+    A sum index + pad that 8 does not divide is an internal error too."""
     idx = count = m2 = m3 = 1
-    widths = [(1, 1)]
+    odd_count = sum4 = sum8 = 1
+    n1, n2, n4 = 1, 0, 0
     for p, e in factors.items():
-        local_idx, local_count, local_widths, local_m2, local_m3 = _local(p, e)
+        local_idx, local_count, local_m2, local_m3, residues, _ = _local(p, e)
         idx *= local_idx
         count *= local_count
         m2 *= local_m2
         m3 *= local_m3
-        # Widths of distinct primes multiply to distinct products.
-        widths = [(w * v, c * k) for w, c in widths for v, k in local_widths]
+        if p == 2:
+            n1, n2, n4 = residues
+        else:
+            odd_count *= local_count
+            sum4 *= residues[0]
+            sum8 *= residues[1]
+    four_t = 4 * odd_count
+    pad = n1 * (four_t + sum4 + 2 * sum8) + n2 * (four_t + 2 * sum4) + n4 * four_t
+    ceil_sum, rest = divmod(idx + pad, 8)
+    if rest:
+        raise ArithmeticError(f"cusp widths mod 8 gave a pad of {pad} at level {n}, index {idx}")
     twelve_g = 12 + idx - 3 * m2 - 4 * m3 - 6 * count
     if twelve_g % 12 or twelve_g < 0:
         raise ArithmeticError(f"genus formula gave {Fraction(twelve_g, 12)} at level {n}")
-    return GroupProfile(n, idx, count, m2, m3, twelve_g // 12, tuple(sorted(widths)))
+    return GroupProfile(n, idx, count, m2, m3, twelve_g // 12, ceil_sum)
 
 
 @lru_cache(maxsize=4096, typed=True)

@@ -301,14 +301,16 @@ def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:
     up to n_max: the strong bound equals divisor degree + 1 - genus, and the
     three bounds are correctly ordered.
 
-    This is a consistency check of the code, not an independent route.  The
-    bounds and the genus come from the same ``group_profile``, whose genus
-    formula is checked there, and the divisor degree from ``cusp_rows``,
-    whose widths are checked against that profile's width multiset.  So
-    whenever ``cusp_rows`` returns, the identity holds by algebra and the
-    ordering holds because ceil(w/8) >= w/8 and the elliptic counts are
-    nonnegative; what can actually fail is the width-multiset check, and it
-    raises ArithmeticError rather than counting a failure.
+    The identity compares two routes to the sum of ceil(w/8) over the cusp
+    widths.  The bounds read it from ``group_profile``, which folds the
+    local widths mod 8 into one integer; the divisor degree sums
+    ceil(w/8) - 1 over the rows of ``cusp_rows``, which enumerates the cusp
+    classes divisor by divisor and checks them against the width multiset,
+    not against that integer.  So a wrong residue of a local width counts
+    as a failure here.  The genus and the elliptic counts are shared by
+    both sides: for them this is a consistency check, and the genus formula
+    is checked in ``group_profile``.  The ordering holds once the integer is
+    at least index/8 and the elliptic counts are nonnegative.
     """
     _check_int(n_max, "largest level")
     identity_bad = 0

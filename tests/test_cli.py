@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from cuspdim import cli
+from cuspdim import cli, gamma0
 from cuspdim.cli import main
-from cuspdim.classify import ClassificationReport, classify, classify_range
+from cuspdim.classify import (
+    RULE_CANONICAL_EXCLUSION, RULE_SIMPLE_POLE, ClassificationReport, classify, classify_range
+)
 from cuspdim.gamma0 import cusp_rows, cusps, group_profile
 
 
@@ -363,6 +365,35 @@ def test_output_bytes_frozen(capsys, monkeypatch):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
 
 
+def test_range_scan_builds_no_width_list(capsys, monkeypatch):
+    # The bounds read the sum of ceil(w/8) from residues mod 8.  A width
+    # list is built only by cusp_rows, at the levels whose rule reads
+    # individual cusp classes, and the profile's widths are never read.
+    def unread(profile):
+        raise AssertionError(f"widths of level {profile.level} read on a range scan")
+
+    built = []
+    real = gamma0._widths
+
+    def record(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(gamma0.GroupProfile, "widths", property(unread))
+    monkeypatch.setattr(gamma0, "_widths", record)
+    cusps.cache_clear()
+    report = classify_range(2000)
+    assert report.matches_m23()
+    code, out, _ = run(capsys, ["classify", "1..2000", "--format", "json"])
+    assert code == 0
+    argv = ("classify", "1..2000", "--format", "json")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_STDOUT_SHA256[argv]
+    assert json.loads(out) == report.to_json_obj()
+    by_cusp_class = {RULE_SIMPLE_POLE, RULE_CANONICAL_EXCLUSION}
+    assert set(built) == {c.level for c in report.certificates if c.rule in by_cusp_class}
+    assert set(built) == {11, 14, 15, 23}
+
+
 def test_checks_survive_python_O():
     # An assert vanishes under -O, so no module may use one for a check.
     package = Path(__file__).resolve().parents[1] / "src" / "cuspdim"
@@ -485,6 +516,44 @@ def test_exit_paths_end_without_traceback():
             lines = proc.stdout.splitlines()
             assert len(lines) == 1001 and all(line.endswith(" FAIL") for line in lines)
             assert "worst=" not in lines[-1]
+
+
+def test_refusal_shows_the_commands_usage(capsys):
+    # A refusal by the command reads like one by argparse for that command.
+    def stderr_of(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    refused = stderr_of(["cusps", "301", "--oracle"])
+    by_argparse = stderr_of(["cusps", "5", "--precision", "3"])
+    assert refused.startswith("usage: cuspdim cusps ")
+    assert refused.splitlines()[0] == by_argparse.splitlines()[0]
+    assert "cuspdim cusps: error: level 301 exceeds cutoff 300" in refused
+
+
+def test_classify_tsv_refused_part_way_prints_nothing(capsys):
+    # The second level of this window cannot be factored; the first can,
+    # and no row of it, nor the header, reaches stdout.
+    first = 19902264388079324315771885  # 5 * 41 * 1017139 * 95448327639797723
+    argv = ["classify", f"{first}..{first + 1}", "--format", "tsv"]
+    assert_usage_error(capsys, argv, f"cannot factor {first + 1}")
+    code, out, _ = run(capsys, ["classify", str(first), "--format", "tsv"])
+    assert code == 0 and out.count("\n") == 2
+
+
+def test_classify_tsv_rows_are_printed_as_decided(capsys, monkeypatch):
+    # Rows leave before the window ends: an internal fault after the first
+    # level still finds its row on stdout.
+    def one_then_fault(lo, hi):
+        yield classify(lo), group_profile(lo)
+        raise ArithmeticError("after the first level")
+
+    monkeypatch.setattr(cli, "_classify_window", one_then_fault)
+    with pytest.raises(ArithmeticError, match="after the first level"):
+        main(["classify", "1..5", "--format", "tsv"])
+    assert capsys.readouterr().out.splitlines()[1].startswith("1\tDimOne\t")
 
 
 def test_cusps_json_rows_match_json_module(capsys):

@@ -252,6 +252,41 @@ def test_group_profile_width_multiset():
         assert sum(k for _, k in p.widths) == p.cusp_count
 
 
+def test_ceil_eighths_sum_from_residues_mod_8():
+    # The residue kernel against the width multiset: every level up to 3000
+    # and smooth levels 2^a 3^b 5 7 11 13, where all four 2-adic classes
+    # and both characters at 3, 5, 7, 11 and 13 take part.
+    smooth = [2**a * 3**b * 5 * 7 * 11 * 13 for a in range(8) for b in range(5)]
+    for n in (*range(1, 3001), *smooth):
+        expected = sum(-(-w // 8) * k for w, k in group_profile(n).widths)
+        assert group_profile(n).ceil_eighths_sum == expected, n
+
+
+def test_width_residues_checked(monkeypatch):
+    # chi_-8(3) read as -1: the pad of level 3 moves by 4, so index + pad is
+    # no longer a multiple of 8.
+    real = gamma0._local
+
+    def wrong_chi8_at_3(p, e):
+        idx, count, m2, m3, residues, widths = real(p, e)
+        if p == 3:
+            residues = (residues[0], residues[0])
+        return idx, count, m2, m3, residues, widths
+
+    monkeypatch.setattr(gamma0, "_local", wrong_chi8_at_3)
+    with pytest.raises(ArithmeticError, match="pad"):
+        gamma0.group_profile.__wrapped__(3)
+
+    # One class of level 2 moved from width 2 to width 4: the pad moves by 2.
+    def width_two_read_as_four(p, e):
+        idx, count, m2, m3, (n1, n2, n4), widths = real(p, e)
+        return idx, count, m2, m3, (n1, n2 - 1, n4 + 1), widths
+
+    monkeypatch.setattr(gamma0, "_local", width_two_read_as_four)
+    with pytest.raises(ArithmeticError, match="pad"):
+        gamma0.group_profile.__wrapped__(2)
+
+
 def _cusp_rows_direct(n):
     """The cusp table class by class: for each residue r coprime to
     g = gcd(d, n/d), the least a = r (mod g) coprime to all of d, with the
@@ -292,8 +327,8 @@ def test_genus_formula_checked(monkeypatch):
     real = gamma0._local
 
     def one_more_elliptic_point(p, e):
-        idx, count, widths, m2, m3 = real(p, e)
-        return idx, count, widths, m2 + 1, m3
+        idx, count, m2, m3, residues, widths = real(p, e)
+        return idx, count, m2 + 1, m3, residues, widths
 
     monkeypatch.setattr(gamma0, "_local", one_more_elliptic_point)
     with pytest.raises(ArithmeticError, match="genus"):

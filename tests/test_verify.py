@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from collections import Counter
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspdim import verify
+from cuspdim import gamma0, verify
 from cuspdim.cli import main
 from cuspdim import (
     AutomorphyContext,
@@ -23,6 +24,8 @@ from cuspdim import (
     rr_identity_suite,
     verify_transformation,
 )
+
+classify_module = importlib.import_module("cuspdim.classify")
 
 
 def test_random_unimodular_stays_in_box():
@@ -86,6 +89,49 @@ def test_rr_suite_counts():
     assert r.checks == 400
     assert r.failures == 0
     assert len(r.lines) == 2
+
+
+@pytest.fixture
+def cold_profiles():
+    """Clear the caches that hold profiles and bounds before and after, so a
+    corrupted ``_local`` is read afresh and leaves nothing behind."""
+    caches = (gamma0.group_profile, classify_module._level_invariants, classify_module.classify)
+
+    def clear():
+        for cached in caches:
+            cached.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def _corrupt_residues(change):
+    real = gamma0._local
+
+    def corrupted(p, e):
+        idx, count, m2, m3, residues, widths = real(p, e)
+        return idx, count, m2, m3, change(p, residues), widths
+
+    return corrupted
+
+
+@pytest.mark.parametrize("change", [
+    # The chi_-8 sum negated at primes 3 mod 8.
+    lambda p, r: (r[0], -r[1]) if p % 8 == 3 else r,
+    # The chi_-4 sum negated at primes 3 mod 4 (it is 0 at p^1).
+    lambda p, r: (-r[0], r[1]) if p % 4 == 3 else r,
+    # Two 2-adic classes of width 8 or more counted as width 4.
+    lambda p, r: (r[0], r[1], r[2] + 2) if p == 2 else r,
+])
+def test_rr_identity_is_a_second_route(monkeypatch, cold_profiles, change):
+    # Each corruption keeps index + pad a multiple of 8, so the check in
+    # _profile cannot see it; the bounds then read a wrong sum of ceil(w/8)
+    # while the divisor degree still comes from the enumerated cusp rows.
+    monkeypatch.setattr(gamma0, "_local", _corrupt_residues(change))
+    result = rr_identity_suite(600)
+    assert result.failures > 0
+    assert "strong-bound-identity" in result.lines[0] and result.lines[0].endswith(" FAIL")
 
 
 def test_suites_refuse_vacuous_input():
