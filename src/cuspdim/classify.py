@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact import _check_int, _factor_window
 from .gamma0 import (
@@ -311,39 +311,43 @@ class ClassificationReport:
     def matches_m23(self) -> bool | None:
         """Whether the one-dimensional levels are exactly the element orders
         of M23; None unless the range starts at 1 and reaches 23."""
-        if self.lo != 1 or self.n_max < 23:
-            return None
-        return frozenset(self.dim_one_levels) == m23_element_orders()
+        return self.summary()["matches_m23_element_orders"]
 
     def summary(self) -> dict:
         """``to_json_obj`` without the certificates."""
-        return {
-            "range": [self.lo, self.n_max],
-            "dim_one_levels": list(self.dim_one_levels),
-            "undecided_levels": list(self.undecided_levels),
-            "matches_m23_element_orders": self.matches_m23(),
-        }
+        return _summary(self.lo, self.n_max, self.dim_one_levels, self.undecided_levels)
 
     def to_json_obj(self) -> dict:
         return {**self.summary(), "certificates": [c.to_json_obj() for c in self.certificates]}
 
     def to_tsv_rows(self) -> Iterator[tuple[str, ...]]:
-        """Tab-separated serialization rows, header first, made one at a
-        time.  The witness_level column is always empty: no rule names a
-        divisor level, and the column stays so that the rows keep their
-        shape."""
-        yield _TSV_HEADER
-        yield from map(_tsv_row, self.certificates)
+        """Tab-separated serialization rows, header first, made one at a time."""
+        return _tsv_rows(self.certificates)
 
 
-_TSV_HEADER = (
-    "level", "verdict", "rule", "strong_bound", "genus", "divisor_degree", "witness_level"
-)
+def _summary(lo: int, hi: int, dim_one_levels, undecided_levels) -> dict:
+    """The range report of lo..hi without its certificates.  The M23
+    comparison is None unless the range starts at 1 and reaches 23."""
+    return {
+        "range": [lo, hi],
+        "dim_one_levels": list(dim_one_levels),
+        "undecided_levels": list(undecided_levels),
+        "matches_m23_element_orders":
+            frozenset(dim_one_levels) == m23_element_orders() if lo == 1 and hi >= 23 else None,
+    }
 
 
-def _tsv_row(c: Certificate) -> tuple[str, ...]:
-    return (str(c.level), c.verdict.value, c.rule, str(c.bound), str(c.genus),
-            str(c.divisor_degree), "")
+def _tsv_rows(certificates: Iterable[Certificate]) -> Iterator[tuple[str, ...]]:
+    """The header and one row per certificate.  The header is made with the
+    first row, so a window that refuses a level before it yields one leaves
+    nothing to print.  The witness_level column is always empty: no rule
+    names a divisor level, and the column stays so that rows keep their shape."""
+    for i, c in enumerate(certificates):
+        if not i:
+            yield ("level", "verdict", "rule", "strong_bound", "genus", "divisor_degree",
+                   "witness_level")
+        yield (str(c.level), c.verdict.value, c.rule, str(c.bound), str(c.genus),
+               str(c.divisor_degree), "")
 
 
 def _classify_window(lo: int, hi: int):

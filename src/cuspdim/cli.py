@@ -11,7 +11,10 @@ into the command's ``parser.error``, which exits 2 with the message and
 that command's usage line on stderr, as argparse does for what it
 refuses; commands check before they print, so stdout stays empty.  An
 ``ArithmeticError`` is an internal fault and is not caught.  Output is
-deterministic given the inputs and the seed.
+deterministic given the inputs and the seed.  ``classify`` makes one pass
+and keeps no certificates: TSV and JSON rows are printed as their levels
+are decided (so a fault part way leaves them on stdout); the text table
+keeps one line per level for its column widths.
 
 Each common option is converted and range-checked once, by its argparse
 ``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
@@ -29,7 +32,7 @@ import math
 import os
 import sys
 
-from .classify import _TSV_HEADER, ClassificationReport, Verdict, _classify_window, _tsv_row
+from .classify import Verdict, _classify_window, _summary, _tsv_rows
 from .gamma0 import _representative_text, cusp_rows, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
@@ -158,12 +161,16 @@ def _emit_json(obj) -> None:
 
 
 def _emit_rows_json(key, row_texts, envelope) -> None:
-    """Print ``_emit_json`` of the envelope with a nonempty list under
-    ``key`` added, given each list item as its own indented JSON text;
-    ``key`` must sort before every key of the envelope."""
-    body = ",\n".join(row_texts)
-    rest = json.dumps(envelope, indent=2, sort_keys=True)
-    print(f'{{\n  "{key}": [\n{body}\n  ],\n{rest[2:]}')
+    """Print ``_emit_json`` of ``envelope()`` with a nonempty list under
+    ``key`` added, given each list item as its own indented JSON text.
+    Each item is printed as it arrives, the opening brace with the first;
+    ``envelope`` is called after the last, and ``key`` must sort before
+    every key of what it returns."""
+    write = sys.stdout.write
+    for i, text in enumerate(row_texts):
+        write((",\n" if i else f'{{\n  "{key}": [\n') + text)
+    rest = json.dumps(envelope(), indent=2, sort_keys=True)
+    write(f"\n  ],\n{rest[2:]}\n")
 
 
 def _emit_cusps_json(rows, envelope) -> None:
@@ -212,48 +219,42 @@ def _cmd_classify(args) -> int:
     lo, hi = _parse_range(args.range)
     if hi - lo >= MAX_RANGE_LEVELS:
         raise ValueError(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
-    window = _classify_window(lo, hi)
-    if args.format == "tsv":
-        # No trailer: each row is printed as its level is decided.  A window
-        # that can refuse a level decides them all before it yields one.
-        undecided = False
-        for i, (c, _) in enumerate(window):
-            if not i:
-                print("\t".join(_TSV_HEADER))
-            print("\t".join(_tsv_row(c)))
-            undecided = undecided or c.verdict is Verdict.UNDECIDED
-        return 1 if undecided else 0
-    certs, table = [], []  # only the text table reads the profiles
-    for c, p in window:
-        certs.append(c)
-        if args.format == "text":
-            table.append((
-                str(c.level), str(p.index), str(p.cusp_count), str(p.mu2), str(p.mu3),
-                str(p.genus), str(c.divisor_degree), str(c.bound), c.verdict.value, c.rule,
-            ))
-    report = ClassificationReport(hi, tuple(certs), lo)
+    dim_one, undecided = [], []
+
+    def window():
+        # The one pass: each level is tallied as it is decided, then printed.
+        # A window that can refuse a level decides them all before it yields one.
+        for c, p in _classify_window(lo, hi):
+            if c.verdict is not Verdict.DIM_AT_LEAST_TWO:
+                (dim_one if c.verdict is Verdict.DIM_ONE else undecided).append(c.level)
+            yield c, p
 
     if args.format == "json":
         _emit_rows_json(
-            "certificates", map(_certificate_json, report.certificates), report.summary()
+            "certificates", (_certificate_json(c) for c, _ in window()),
+            lambda: _summary(lo, hi, dim_one, undecided),
         )
+    elif args.format == "tsv":
+        _emit_tsv(_tsv_rows(c for c, _ in window()))
     else:
-        header = (
-            "level", "index", "cusps", "mu2", "mu3", "genus",
-            "divdeg", "bound", "verdict", "rule",
-        )
-        rows = [header, *table]
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        for row in rows:
-            print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+        # The column widths need the whole range: keep one line per level.
+        header = "level index cusps mu2 mu3 genus divdeg bound verdict rule".split()
+        widths, table = list(map(len, header)), ["\t".join(header)]
+        for c, p in window():
+            row = (*map(str, (c.level, p.index, p.cusp_count, p.mu2, p.mu3, p.genus,
+                              c.divisor_degree, c.bound)), c.verdict.value, c.rule)
+            widths = list(map(max, widths, map(len, row)))
+            table.append("\t".join(row))
+        for line in table:
+            print("  ".join(cell.rjust(w) for cell, w in zip(line.split("\t"), widths)))
         print()
-        print(f"dim-one levels: {list(report.dim_one_levels)}")
-        if report.undecided_levels:
-            print(f"UNDECIDED levels (rule coverage gap!): {list(report.undecided_levels)}")
-        matches = report.matches_m23()
+        print(f"dim-one levels: {dim_one}")
+        if undecided:
+            print(f"UNDECIDED levels (rule coverage gap!): {undecided}")
+        matches = _summary(lo, hi, dim_one, undecided)["matches_m23_element_orders"]
         if matches is not None:
             print(f"matches M23 element orders: {matches}")
-    return 1 if report.undecided_levels else 0
+    return 1 if undecided else 0
 
 
 def _cmd_cusps(args) -> int:
@@ -274,21 +275,16 @@ def _cmd_cusps(args) -> int:
         oracle_verdict = "AGREE" if formula_widths == orbit_widths else "DISAGREE"
 
     if args.format == "json":
-        _emit_cusps_json(
-            rows,
-            {
-                "level": n,
-                "index": profile.index,
-                "oracle": oracle_verdict,
-                "metadata": {"representative_convention": REPRESENTATIVE_NOTE},
-            },
-        )
+        _emit_cusps_json(rows, lambda: {
+            "level": n, "index": profile.index, "oracle": oracle_verdict,
+            "metadata": {"representative_convention": REPRESENTATIVE_NOTE},
+        })
     elif args.format == "tsv":
-        table = [("a", "d", "representative", "width")]
-        table += [(str(a), str(d), _representative_text(a, d), str(w)) for a, d, w in rows]
+        print("a\td\trepresentative\twidth")
+        for a, d, w in rows:
+            print(f"{a}\t{d}\t{_representative_text(a, d)}\t{w}")
         if oracle_verdict is not None:
-            table.append(("oracle", oracle_verdict, "", ""))
-        _emit_tsv(table)
+            print(f"oracle\t{oracle_verdict}\t\t")
     else:
         print(f"level {n}: index {profile.index}, {profile.cusp_count} cusp classes")
         for a, d, w in rows:

@@ -27,7 +27,7 @@ __all__ = [
 
 
 def j_factor(gamma: UnimodularMatrix, tau: complex, weight) -> complex:
-    """(c*tau + d) raised to the weight, through exp(-w * Log(c*tau + d)) with
+    """(c*tau + d) raised to minus the weight, exp(-w * Log(c*tau + d)) with
     the principal logarithm.
 
     With this convention the matrix -Id gets the factor e^(-pi*i*w) for every
@@ -42,9 +42,9 @@ def j_factor(gamma: UnimodularMatrix, tau: complex, weight) -> complex:
 
 
 def eta_multiplier(gamma: UnimodularMatrix) -> UnitPhase:
-    """The 24th root of unity by which eta transforms:
-    eta(gamma tau) = eps(gamma) * (c tau + d)^(1/2) * eta(tau),
-    with the principal square root for c > 0.
+    """The 24th root of unity eps(gamma) of the eta transformation law
+    eta(gamma tau) = conj(eps(gamma)) * (c tau + d)^(1/2) * eta(tau),
+    with the principal square root, 1 / j_factor(gamma, tau, 1/2).
 
     Upper-triangular with d = 1: e(-b/24).  For c > 0:
     e(-(a + d)/(24 c) + s(d, c)/2 + 1/8) with s the Dedekind sum, taken in

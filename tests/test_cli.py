@@ -353,6 +353,13 @@ FROZEN_STDOUT_SHA256 = {
         "3d11289c6b1f077f1d1603f3930a97eaaafdae01f63ecb3ffa6640aadebcbf46",
     ("classify", "1..30000", "--format", "tsv"):
         "589b7ef202f1e9a70667667ce495083bb49bd2cfb9faa03dcf377e5cd6b8aca6",
+    ("classify", "999000..999500", "--format", "json"):
+        "053b7693bca51d93748ac1c85b137fcfa097bf6e952b5d3e3f441dcfee7b4f7e",
+    ("classify", "999000..999500"):
+        "00c02bffaf31097969ef91ebf4a3cf455441b4967846356d55b5a518c420e996",
+    # A text table with no M23 line.
+    ("classify", "24..40"):
+        "e30cb99587d97fa00e201a3c635009ad60219e427648046bce5192690a100086",
 }
 
 
@@ -535,17 +542,19 @@ def test_refusal_shows_the_commands_usage(capsys):
 
 def test_classify_tsv_refused_part_way_prints_nothing(capsys):
     # The second level of this window cannot be factored; the first can,
-    # and no row of it, nor the header, reaches stdout.
+    # and in no format does any of it reach stdout: no row, no TSV header,
+    # no opening brace of the JSON.
     first = 19902264388079324315771885  # 5 * 41 * 1017139 * 95448327639797723
-    argv = ["classify", f"{first}..{first + 1}", "--format", "tsv"]
-    assert_usage_error(capsys, argv, f"cannot factor {first + 1}")
+    for fmt in ("tsv", "json", "text"):
+        argv = ["classify", f"{first}..{first + 1}", "--format", fmt]
+        assert_usage_error(capsys, argv, f"cannot factor {first + 1}")
     code, out, _ = run(capsys, ["classify", str(first), "--format", "tsv"])
     assert code == 0 and out.count("\n") == 2
 
 
 def test_classify_tsv_rows_are_printed_as_decided(capsys, monkeypatch):
-    # Rows leave before the window ends: an internal fault after the first
-    # level still finds its row on stdout.
+    # Rows leave before the window ends, in TSV and in JSON: an internal
+    # fault after the first level still finds its row on stdout.
     def one_then_fault(lo, hi):
         yield classify(lo), group_profile(lo)
         raise ArithmeticError("after the first level")
@@ -554,6 +563,9 @@ def test_classify_tsv_rows_are_printed_as_decided(capsys, monkeypatch):
     with pytest.raises(ArithmeticError, match="after the first level"):
         main(["classify", "1..5", "--format", "tsv"])
     assert capsys.readouterr().out.splitlines()[1].startswith("1\tDimOne\t")
+    with pytest.raises(ArithmeticError, match="after the first level"):
+        main(["classify", "1..5", "--format", "json"])
+    assert capsys.readouterr().out == '{\n  "certificates": [\n' + cli._certificate_json(classify(1))
 
 
 def test_cusps_json_rows_match_json_module(capsys):
@@ -569,7 +581,7 @@ def test_cusps_json_rows_match_json_module(capsys):
                 "oracle": oracle,
                 "metadata": {"representative_convention": cli.REPRESENTATIVE_NOTE},
             }
-            cli._emit_cusps_json(cusp_rows(n), envelope)
+            cli._emit_cusps_json(cusp_rows(n), lambda: envelope)
             rows = [
                 {"a": c.a, "d": c.d, "representative": str(c.representative), "width": c.width}
                 for c in cusps(n)
@@ -590,9 +602,13 @@ def test_certificate_json_rows_match_json_module(capsys):
     for lo, hi in ((1, 60), (23, 23), (9, 9), (24, 40), (11, 15)):
         report = window_report(lo, hi)
         expected = json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
-        cli._emit_rows_json(
-            "certificates", map(cli._certificate_json, report.certificates), report.summary()
-        )
+        rows = map(cli._certificate_json, report.certificates)
+
+        def envelope():
+            assert next(rows, None) is None  # read after the last row
+            return report.summary()
+
+        cli._emit_rows_json("certificates", rows, envelope)
         assert capsys.readouterr().out == expected, (lo, hi)
         code, out, _ = run(capsys, ["classify", f"{lo}..{hi}", "--format", "json"])
         assert code == 0 and out == expected, (lo, hi)

@@ -55,6 +55,26 @@ def test_j_factor_weight_additivity():
         assert abs(a * a - b) < 1e-12 * abs(b)
 
 
+def test_docstring_conventions_of_eta_law_and_j_factor():
+    # eta(gamma tau) = conj(eps(gamma)) * (c tau + d)^(1/2) * eta(tau) with
+    # the principal root, and j_factor is (c tau + d) to minus the weight;
+    # eta here is the bare product, not the library's series.
+    def eta(t):
+        q, value = cmath.exp(2j * math.pi * t), cmath.exp(2j * math.pi * t / 24)
+        for k in range(1, 1000):  # Im(gamma tau) is as small as 0.022 here
+            value *= 1 - q**k
+        return value
+
+    tau = 0.13 + 0.9j
+    for g in (M(1, 0, 1, 1), M(2, 1, 5, 3), M(-3, 1, -7, 2), M(0, -1, 1, 0)):
+        root = cmath.sqrt(g.c * tau + g.d)
+        eps = eta_multiplier(g).to_complex()
+        assert abs(eta(g.act(tau)) - eps.conjugate() * root * eta(tau)) < 1e-12, g
+        assert abs(eta(g.act(tau)) - eps * root * eta(tau)) > 0.1, g
+        for w in (HALF, 1, Fraction(3, 2), 2):
+            assert abs(j_factor(g, tau, w) - root ** (-2 * float(w))) < 1e-12, (g, w)
+
+
 def test_eta_multiplier_values():
     assert eta_multiplier(M.translation(1)) == UnitPhase(Fraction(-1, 24))
     assert eta_multiplier(M.translation(-5)) == UnitPhase(Fraction(5, 24))
