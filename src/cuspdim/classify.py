@@ -11,9 +11,12 @@ all but one stubborn case, which a genus-two argument settles.
 Every answer ships as a Certificate naming the rule used and the exact
 quantities behind it; Undecided is a first-class verdict, not an error.
 
-The bounds are integer twelfths of the cusp widths w (c of them, summing to
-the index): strong = sum ceil(w/8) - index/12 - c/2 + mu2/4 + mu3/3, weak
-drops the mu terms, crude = index/24 - c/2.  The widths enter only through
+The strong bound is the integer deg + 1 - genus, where the pole divisor's
+degree deg = sum ceil(w/8) - c runs over the c cusp widths w (summing to
+the index); with the genus formula written out it is
+sum ceil(w/8) - index/12 - c/2 + mu2/4 + mu3/3.  The weak bound drops the
+mu terms and crude = index/24 - c/2; these two are rationals, built only
+by ``bound_weak`` and ``bound_crude``.  The widths enter only through
 sum ceil(w/8) = (index + sum((-w) mod 8))/8, read from the residues of the
 local widths mod 8 (``GroupProfile.ceil_eighths_sum``), never from a list
 of widths.  No rule passes extra forms up
@@ -119,12 +122,10 @@ def pole_divisor(n: int) -> CuspDivisor:
 
 
 class _LevelInvariants(NamedTuple):
-    """Bounds in integer twelfths (crude in 24ths), pole-divisor degree."""
+    """The profile, the strong bound and the pole-divisor degree, as integers."""
 
     profile: GroupProfile
-    strong_twelfths: int
-    weak_twelfths: int
-    crude_24ths: int
+    strong: int
     divisor_degree: int
 
 
@@ -136,45 +137,43 @@ def _level_invariants(n: int) -> _LevelInvariants:
 def _invariants(p: GroupProfile) -> _LevelInvariants:
     # The pole divisor takes ceil(w/8) - 1 at each cusp, so its degree is
     # sum ceil(w/8) less the cusp count.
-    ceil_sum = p.ceil_eighths_sum
-    weak = 12 * ceil_sum - p.index - 6 * p.cusp_count
-    return _LevelInvariants(
-        p, weak + 3 * p.mu2 + 4 * p.mu3, weak, p.index - 12 * p.cusp_count,
-        ceil_sum - p.cusp_count,
-    )
+    deg = p.ceil_eighths_sum - p.cusp_count
+    return _LevelInvariants(p, deg + 1 - p.genus, deg)
 
 
 def bound_strong(n: int) -> Fraction:
-    """Exact Riemann-Roch lower bound for the dimension: equals
-    deg(pole divisor) + 1 - genus, so it is always an integer."""
-    return Fraction(_level_invariants(n).strong_twelfths, 12)
+    """Exact Riemann-Roch lower bound for the dimension,
+    deg(pole divisor) + 1 - genus: the classifier's integer, as a Fraction."""
+    return Fraction(_level_invariants(n).strong)
 
 
 def bound_weak(n: int) -> Fraction:
     """The strong bound with the elliptic-point credits dropped; a rational
     lower bound for it."""
-    return Fraction(_level_invariants(n).weak_twelfths, 12)
+    p = _level_invariants(n).profile
+    return Fraction(12 * p.ceil_eighths_sum - p.index - 6 * p.cusp_count, 12)
 
 
 def bound_crude(n: int) -> Fraction:
     """index/24 - cusps/2: a lower bound for the weak bound that visibly
     grows with the level, so only finitely many levels can stay at
     dimension one."""
-    return Fraction(_level_invariants(n).crude_24ths, 24)
+    p = _level_invariants(n).profile
+    return Fraction(p.index - 12 * p.cusp_count, 24)
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
-    """One level's verdict with the exact data that justifies it.
+class Certificate(NamedTuple):
+    """One level's verdict with the exact data that justifies it, as a tuple.
 
-    ``bound`` is the strong Riemann-Roch lower bound for the dimension;
-    ``witness`` carries rule-specific evidence (JSON-safe values only).
+    ``bound`` is the strong Riemann-Roch lower bound for the dimension, the
+    int deg(pole divisor) + 1 - genus; ``witness`` carries rule-specific
+    evidence (JSON-safe values only).
     """
 
     level: int
     verdict: Verdict
     rule: str
-    bound: Fraction
+    bound: int
     genus: int
     divisor_degree: int
     witness: dict | None = None
@@ -251,29 +250,21 @@ def classify(n: int) -> Certificate:
 
 
 def _decide(inv: _LevelInvariants) -> Certificate:
-    p = inv.profile
-    n = p.level
-    deg = inv.divisor_degree
-    strong = Fraction(inv.strong_twelfths, 12)
-
-    def cert(verdict, rule, witness=None):
-        return Certificate(n, verdict, rule, strong, p.genus, deg, witness)
-
-    if inv.strong_twelfths > 12:
-        return cert(Verdict.DIM_AT_LEAST_TWO, RULE_STRONG_BOUND)
-    if deg == 0:
-        return cert(Verdict.DIM_ONE, RULE_EMPTY_DIVISOR)
-    if deg == 1 and p.genus >= 1:
-        a, d, width, _ = pole_divisor(n).rows[0]
-        return cert(
-            Verdict.DIM_ONE,
-            RULE_SIMPLE_POLE,
-            {"support_cusp": _representative_text(a, d), "width": width},
-        )
-    witness = _weight_two_exclusion(p)
-    if witness is not None:
-        return cert(Verdict.DIM_ONE, RULE_CANONICAL_EXCLUSION, witness)
-    return cert(Verdict.UNDECIDED, RULE_UNDECIDED)
+    p, strong, deg = inv
+    verdict, witness = Verdict.DIM_ONE, None
+    if strong > 1:
+        verdict, rule = Verdict.DIM_AT_LEAST_TWO, RULE_STRONG_BOUND
+    elif deg == 0:
+        rule = RULE_EMPTY_DIVISOR
+    elif deg == 1 and p.genus >= 1:
+        a, d, width, _ = pole_divisor(p.level).rows[0]
+        rule = RULE_SIMPLE_POLE
+        witness = {"support_cusp": _representative_text(a, d), "width": width}
+    elif (witness := _weight_two_exclusion(p)) is not None:
+        rule = RULE_CANONICAL_EXCLUSION
+    else:
+        verdict, rule = Verdict.UNDECIDED, RULE_UNDECIDED
+    return Certificate(p.level, verdict, rule, strong, p.genus, deg, witness)
 
 
 def m23_element_orders() -> frozenset[int]:
@@ -359,8 +350,8 @@ def _classify_window(lo: int, hi: int):
     if math.isqrt(hi) > hi - lo + 1:
         yield from [(classify(n), group_profile(n)) for n in range(lo, hi + 1)]
         return
-    for f in _factor_window(lo, hi):
-        profile = _profile(f.value, f.factors)
+    for n, factors in _factor_window(lo, hi):
+        profile = _profile(n, factors)
         yield _decide(_invariants(profile)), profile
 
 

@@ -205,9 +205,10 @@ _SIEVE_BLOCK = 1 << 14
 
 
 def _factor_window(lo: int, hi: int):
-    """Yield ``factorize(n)`` for lo <= n <= hi in turn, uncached: block by
-    block over the window, the primes up to isqrt(hi) are divided out, and
-    what is left of a level above 1 is one prime larger than all of them."""
+    """Yield (n, factors) for lo <= n <= hi in turn, uncached, where factors
+    is ``factorize(n).factors``: block by block over the window, the primes
+    up to isqrt(hi) are divided out, and what is left of a level above 1 is
+    one prime larger than all of them."""
     root = math.isqrt(hi)
     marks = bytearray([1]) * (root + 1)
     marks[:2] = b"\0\0"
@@ -229,7 +230,7 @@ def _factor_window(lo: int, hi: int):
         for n, m, f in zip(itertools.count(start), rest, factors):
             if m > 1:
                 f[m] = 1
-            yield Factorization(n, f)
+            yield n, f
 
 
 @lru_cache(maxsize=65536, typed=True)

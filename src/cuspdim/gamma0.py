@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import _check_int, divisors, factorize
 
@@ -210,12 +211,13 @@ def genus(n: int) -> int:
     return group_profile(n).genus
 
 
-@dataclass(frozen=True)
-class GroupProfile:
-    """The level-n invariants.  ``ceil_eighths_sum`` is the sum of
-    ceil(w/8) over the cusp widths w, the one number the dimension bounds
-    read from the widths; the (width, count) pairs ``widths`` and the cusp
-    classes themselves are built only when read."""
+class GroupProfile(NamedTuple):
+    """The level-n invariants, a plain tuple of seven integers; the fields
+    are checked where they are computed, in ``_profile``.  ``ceil_eighths_sum``
+    is the sum of ceil(w/8) over the cusp widths w, the one number the
+    dimension bounds read from the widths; the (width, count) pairs
+    ``widths`` and the cusp classes themselves are built only when read.
+    The field ``index`` shadows ``tuple.index``."""
 
     level: int
     index: int

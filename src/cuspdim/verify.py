@@ -301,16 +301,16 @@ def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:
     up to n_max: the strong bound equals divisor degree + 1 - genus, and the
     three bounds are correctly ordered.
 
-    The identity compares two routes to the sum of ceil(w/8) over the cusp
-    widths.  The bounds read it from ``group_profile``, which folds the
-    local widths mod 8 into one integer; the divisor degree sums
-    ceil(w/8) - 1 over the rows of ``cusp_rows``, which enumerates the cusp
-    classes divisor by divisor and checks them against the width multiset,
-    not against that integer.  So a wrong residue of a local width counts
-    as a failure here.  The genus and the elliptic counts are shared by
-    both sides: for them this is a consistency check, and the genus formula
-    is checked in ``group_profile``.  The ordering holds once the integer is
-    at least index/8 and the elliptic counts are nonnegative.
+    The strong bound is deg + 1 - genus, with deg the pole-divisor degree
+    of the profile: sum ceil(w/8) - c, which ``group_profile`` folds from
+    the local widths mod 8.  So the identity compares that degree with the
+    one summed as ceil(w/8) - 1 over the rows of ``cusp_rows``, which
+    enumerates the cusp classes divisor by divisor and checks them against
+    the width multiset, not against that integer.  A wrong residue of a
+    local width counts as a failure here.  The genus is shared by both
+    sides and cancels; its formula is checked in ``group_profile``.  The
+    ordering holds once the integer is at least index/8 and the elliptic
+    counts are nonnegative.
     """
     _check_int(n_max, "largest level")
     identity_bad = 0

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 from fractions import Fraction
@@ -194,6 +193,25 @@ def test_window_matches_point_queries(monkeypatch):
     assert report.certificates == tuple(classify(n) for n in range(1, 3001))
 
 
+def test_certificates_carry_the_integer_bound():
+    # The strong bound is one integer from the sieve (classify_range) and
+    # from the point queries (a narrow window) to the certificate; only
+    # bound_strong hands it out as a Fraction.
+    for certificates in (
+        classify_range(3000).certificates,
+        [c for c, _ in _classify_window(999_000, 999_100)],
+    ):
+        for c in certificates:
+            assert type(c.bound) is int, c.level
+            assert c.bound == bound_strong(c.level), c.level
+
+
+def test_records_are_immutable():
+    for record, field in ((group_profile(23), "genus"), (classify(23), "bound")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
 def test_divisor_monotonicity():
     # a one-dimensional level forces one dimension at every divisor level
     for n in range(1, 2000):
@@ -223,7 +241,7 @@ def test_weight_two_exclusion_is_gated_by_its_preconditions(monkeypatch):
     # The rule fires wherever its witness exists, not at one named level:
     # level 23's invariants, relabelled as level 47, reach it unchanged.
     inv = classify_module._level_invariants(23)
-    relabelled = inv._replace(profile=dataclasses.replace(inv.profile, level=47))
+    relabelled = inv._replace(profile=inv.profile._replace(level=47))
     witness = {"support_cusp": "0"}
     monkeypatch.setattr(classify_module, "_weight_two_exclusion", lambda p: witness)
     cert = classify_module._decide(relabelled)

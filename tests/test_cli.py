@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -212,6 +213,22 @@ def test_verify_tolerance_default_is_the_suites(monkeypatch, suite, name):
     assert [kw.get("tolerance") for kw in seen] == [None, 1e-11, 1e-12]
 
 
+def test_verify_character_seed_reaches_the_suite(monkeypatch):
+    # A passing character run prints the same bytes at every seed, so the
+    # frozen digests cannot see the seed arrive; this watches for it.
+    seen = []
+    real = cli.character_suite
+    monkeypatch.setattr(
+        cli, "character_suite", lambda **kw: seen.append(kw["seed"]) or real(n_max=2, **kw)
+    )
+    monkeypatch.delenv("CUSPDIM_SEED", raising=False)
+    main(["verify", "character"])
+    main(["verify", "character", "--seed", "1"])
+    monkeypatch.setenv("CUSPDIM_SEED", "1")
+    main(["verify", "character"])
+    assert seen == [0, 1, 1]
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, ["verify", "euler-identity", "--format", "json"])
     assert code == 0
@@ -399,6 +416,21 @@ def test_range_scan_builds_no_width_list(capsys, monkeypatch):
     by_cusp_class = {RULE_SIMPLE_POLE, RULE_CANONICAL_EXCLUSION}
     assert set(built) == {c.level for c in report.certificates if c.rule in by_cusp_class}
     assert set(built) == {11, 14, 15, 23}
+
+
+def test_range_scan_builds_no_fraction(capsys, monkeypatch):
+    # From the sieve to the certificate the strong bound is an int.  Level
+    # 23's witness compares cusp orders as Fractions, so the range starts
+    # above it.
+    argv = ["classify", "24..3000", "--format", "json"]
+    code, expected, _ = run(capsys, argv)
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built on a range scan")
+
+    monkeypatch.setattr(importlib.import_module("cuspdim.classify"), "Fraction", refuse)
+    assert run(capsys, argv) == (0, expected, "")
 
 
 def test_checks_survive_python_O():

@@ -106,11 +106,11 @@ def test_factor_window_matches_factorize(monkeypatch, block):
     monkeypatch.setattr(exact, "_SIEVE_BLOCK", block)
     for lo, hi in ((1, 5000), (999_000, 1_001_000), (10**12, 10**12 + 300)):
         window = list(_factor_window(lo, hi))
-        assert [f.value for f in window] == list(range(lo, hi + 1))
-        for f in window:
-            expected = factorize(f.value)
-            assert f == expected
-            assert list(f.factors) == list(expected.factors), f.value
+        assert [n for n, _ in window] == list(range(lo, hi + 1))
+        for n, factors in window:
+            expected = factorize(n).factors
+            assert factors == expected
+            assert list(factors) == list(expected), n
 
 
 def test_is_prime_matches_sieve():

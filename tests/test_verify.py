@@ -243,16 +243,20 @@ def test_pair_draw_skip_matches_two_choices():
             assert skipped.getstate() == drawn.getstate(), (seed, k)
 
 
-@pytest.mark.parametrize("level, count", [(5, 191), (7, 240)])
-def test_character_suite_draws_stay_aligned_past_clean_levels(monkeypatch, level, count):
+@pytest.mark.parametrize(
+    "level, seed, count", [(5, 0, 191), (7, 0, 240), (7, 1, 241)],
+    ids=["5-191", "7-240", "7-241-seed1"],
+)
+def test_character_suite_draws_stay_aligned_past_clean_levels(monkeypatch, level, seed, count):
     # Clean levels skip their draws and the failing one reads them; both the
     # failing level and the clean levels after it must see the generator as
-    # the per-draw reference does.
+    # the per-draw reference does.  A passing run prints the same bytes at
+    # every seed, so a second seed is checked here.
     calls = _corrupt_nth_call(monkeypatch, level, 2)
-    result = character_suite(n_max=10, kernel_samples=5, seed=0)
+    result = character_suite(n_max=10, kernel_samples=5, seed=seed)
     calls.clear()
-    expected, failing = _per_draw_character_failures(10, 10_000, 5, seed=0)
-    assert result.failures == expected == count
+    expected, failing = _per_draw_character_failures(10, 10_000, 5, seed=seed)
+    assert result.failures == expected == count > 0
     assert {n for n, *_ in failing} == {level}
     assert [line for line in result.lines if line.endswith("FAIL")] == [
         line for line in result.lines if line.startswith(f"n={level} h=1 ")
