@@ -79,6 +79,8 @@ class Verdict(str, Enum):
     UNDECIDED = "Undecided"
 
 
+_VERDICT_TEXT = {v: v.value for v in Verdict}
+
 RULE_STRONG_BOUND = "strong-bound-exceeds-one"
 RULE_EMPTY_DIVISOR = "empty-pole-divisor"
 RULE_SIMPLE_POLE = "single-simple-pole-positive-genus"
@@ -181,7 +183,7 @@ class Certificate(NamedTuple):
     def to_json_obj(self) -> dict:
         return {
             "level": self.level,
-            "verdict": self.verdict.value,
+            "verdict": _VERDICT_TEXT[self.verdict],
             "rule": self.rule,
             "strong_bound": str(self.bound),
             "genus": self.genus,
@@ -337,7 +339,7 @@ def _tsv_rows(certificates: Iterable[Certificate]) -> Iterator[tuple[str, ...]]:
         if not i:
             yield ("level", "verdict", "rule", "strong_bound", "genus", "divisor_degree",
                    "witness_level")
-        yield (str(c.level), c.verdict.value, c.rule, str(c.bound), str(c.genus),
+        yield (str(c.level), _VERDICT_TEXT[c.verdict], c.rule, str(c.bound), str(c.genus),
                str(c.divisor_degree), "")
 
 

@@ -32,7 +32,7 @@ import math
 import os
 import sys
 
-from .classify import Verdict, _classify_window, _summary, _tsv_rows
+from .classify import _VERDICT_TEXT, Verdict, _classify_window, _summary, _tsv_rows
 from .gamma0 import _representative_text, cusp_rows, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
@@ -193,7 +193,7 @@ def _certificate_json(c) -> str:
     return (
         f'    {{\n      "divisor_degree": {c.divisor_degree},\n      "genus": {c.genus},\n'
         f'      "level": {c.level},\n      "rule": "{c.rule}",\n'
-        f'      "strong_bound": "{c.bound}",\n      "verdict": "{c.verdict.value}",\n'
+        f'      "strong_bound": "{c.bound}",\n      "verdict": "{_VERDICT_TEXT[c.verdict]}",\n'
         f'      "witness": {witness}\n    }}'
     )
 
@@ -242,7 +242,7 @@ def _cmd_classify(args) -> int:
         widths, table = list(map(len, header)), ["\t".join(header)]
         for c, p in window():
             row = (*map(str, (c.level, p.index, p.cusp_count, p.mu2, p.mu3, p.genus,
-                              c.divisor_degree, c.bound)), c.verdict.value, c.rule)
+                              c.divisor_degree, c.bound)), _VERDICT_TEXT[c.verdict], c.rule)
             widths = list(map(max, widths, map(len, row)))
             table.append("\t".join(row))
         for line in table:

@@ -233,13 +233,21 @@ def _factor_window(lo: int, hi: int):
             yield n, f
 
 
+def _divisors_of(factors: dict[int, int]) -> list[int]:
+    """All divisors of the number with these prime factors, unsorted."""
+    divs = [1]
+    for p, e in factors.items():
+        step = divs
+        for _ in range(e):
+            step = [d * p for d in step]
+            divs += step
+    return divs
+
+
 @lru_cache(maxsize=65536, typed=True)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, sorted ascending; n is checked by ``factorize``."""
-    divs = [1]
-    for p, e in factorize(n).factors.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return tuple(sorted(divs))
+    return tuple(sorted(_divisors_of(factorize(n).factors)))
 
 
 def euler_phi(n: int) -> int:

@@ -150,37 +150,42 @@ def _canonical_a(r: int, g: int, q: int) -> int:
     raise ArithmeticError(f"no representative coprime to {q} in class {r} mod {g}")
 
 
-def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:
-    """All cusp classes of the level-n group as (a, d, width) rows, ordered
-    by d and then by a mod gcd(d, n/d); the widths are checked against the
-    multiset that ``GroupProfile.widths`` reads, built from the local widths
-    of n's prime powers, before the rows are returned.
+# Bounded: the small moduli, which most divisors share, stay cached.
+@lru_cache(maxsize=1024)
+def _coprime_residues(g: int) -> tuple[int, ...]:
+    """The residues 0 < r < g coprime to g, for g > 1."""
+    return tuple(r for r in range(1, g) if math.gcd(r, g) == 1)
 
-    Over d lie the classes r mod g = gcd(d, n/d) with r coprime to g, all
-    of width n / (d g).  The least a = r (mod g) coprime to d is r itself
-    unless d has a prime that g lacks; only then is it searched for, coprime
-    to q, the part of d prime to g.  A class with g = 1 is 0/1 at d = 1 and
-    1/d otherwise."""
+
+def _divisor_classes(n: int, divs):
+    """Yield (d, g, width, residues) for each d in ``divs``, divisors of n: the
+    cusp classes over d are the residues coprime to g = gcd(d, n/d), of width n/(d g)."""
+    for d in divs:
+        m = n // d
+        g = math.gcd(d, m)
+        yield d, g, m // g, (0,) if g == 1 else _coprime_residues(g)
+
+
+def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:
+    """All cusp classes of the level-n group as (a, d, width) rows, ordered by d and
+    then by a mod gcd(d, n/d); the widths are first checked against the multiset that
+    ``GroupProfile.widths`` reads, built from the local widths of n's prime powers.
+
+    The classes come from ``_divisor_classes``.  The least a = r (mod g) coprime to d is
+    r itself unless d has a prime that g lacks; only then is it searched for, coprime to
+    q, the part of d prime to g.  With g = 1 it is 0 at d = 1, else 1."""
     _check_int(n, "level")
     rows = []
     counts: dict[int, int] = {}
-    for d in divisors(n):
-        m = n // d
-        g = math.gcd(d, m)
-        w = m // g
+    for d, g, w, residues in _divisor_classes(n, divisors(n)):
+        counts[w] = counts.get(w, 0) + len(residues)
         if g == 1:
             rows.append((0 if d == 1 else 1, d, w))
-            counts[w] = counts.get(w, 0) + 1
             continue
-        residues = [r for r in range(1, g) if math.gcd(r, g) == 1]
         q = d
         while (h := math.gcd(q, g)) > 1:
             q //= h
-        if q == 1:
-            rows += [(r, d, w) for r in residues]
-        else:
-            rows += [(_canonical_a(r, g, q), d, w) for r in residues]
-        counts[w] = counts.get(w, 0) + len(residues)
+        rows += [(r if q == 1 else _canonical_a(r, g, q), d, w) for r in residues]
     if counts != dict(_widths(n)):
         raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
     return tuple(rows)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import PHASE_ONE, UnitPhase, _check_int, _check_tau, _check_tolerance, _dedekind_12c
-from .gamma0 import UnimodularMatrix, is_member
+from .gamma0 import UnimodularMatrix
 from .qseries import PrecisionError, _series_tail_bound, evaluate
 
 __all__ = [
@@ -81,7 +81,7 @@ def gamma0_character(n: int, h: int, gamma: UnimodularMatrix) -> UnitPhase:
     subgroup.
     """
     _check_character(n, h)
-    if not is_member(gamma, n):
+    if gamma.c % n:
         raise ValueError(f"{gamma} is not in the level-{n} group")
     m = n * h
     return UnitPhase(Fraction(-gamma.c * gamma.d % m, m))

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import bound_crude, bound_strong, bound_weak, pole_divisor
-from .exact import _check_int, _check_tolerance, divisors
-from .gamma0 import UnimodularMatrix, group_profile
+from .classify import _invariants, _LevelInvariants
+from .exact import _check_int, _check_tolerance, _divisors_of, _factor_window, divisors
+from .gamma0 import UnimodularMatrix, _divisor_classes, _profile
 from .multiplier import (
     AutomorphyContext,
     gamma0_character,
@@ -84,11 +84,12 @@ def random_unimodular(rng: random.Random, entry_bound: int = 50) -> UnimodularMa
     row is the minimal completion, which stays inside the box)."""
     # A coprime pair exists in the box only from entry_bound 1 on.
     _check_int(entry_bound, "entry bound")
+    # randrange(2b + 1) - b makes the one _randbelow call of randint(-b, b).
     while True:
-        c = rng.randint(-entry_bound, entry_bound)
-        d = rng.randint(-entry_bound, entry_bound)
+        c = rng.randrange(2 * entry_bound + 1) - entry_bound
+        d = rng.randrange(2 * entry_bound + 1) - entry_bound
         if math.gcd(c, d) == 1:
-            return _build_row(c, d, rng.randint(-entry_bound, entry_bound))
+            return _build_row(c, d, rng.randrange(2 * entry_bound + 1) - entry_bound)
 
 
 def random_level_element(
@@ -100,10 +101,10 @@ def random_level_element(
     _check_int(multiple_bound, "multiple bound", 0)
     _check_int(entry_bound, "entry bound")
     while True:
-        c = n * rng.randint(-multiple_bound, multiple_bound)
-        d = rng.randint(-entry_bound, entry_bound)
+        c = n * (rng.randrange(2 * multiple_bound + 1) - multiple_bound)
+        d = rng.randrange(2 * entry_bound + 1) - entry_bound
         if math.gcd(c, d) == 1:
-            return _build_row(c, d, rng.randint(-entry_bound, entry_bound))
+            return _build_row(c, d, rng.randrange(2 * entry_bound + 1) - entry_bound)
 
 
 def _fmt_tau(tau: complex) -> str:
@@ -296,35 +297,34 @@ def euler_identity_suite(depth: int = 200) -> SuiteResult:
     return SuiteResult("euler-identity", 3, failures, None, tuple(lines))
 
 
+def _bound_24ths(inv: _LevelInvariants) -> tuple[int, int, int]:
+    """24 times the crude, weak and strong bounds of one level, as integers."""
+    p, c12 = inv.profile, 12 * inv.profile.cusp_count
+    return p.index - c12, 24 * p.ceil_eighths_sum - 2 * p.index - c12, 24 * inv.strong
+
+
 def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:
     """Exact bookkeeping identities of the classifier bounds for every level
     up to n_max: the strong bound equals divisor degree + 1 - genus, and the
     three bounds are correctly ordered.
 
-    The strong bound is deg + 1 - genus, with deg the pole-divisor degree
-    of the profile: sum ceil(w/8) - c, which ``group_profile`` folds from
-    the local widths mod 8.  So the identity compares that degree with the
-    one summed as ceil(w/8) - 1 over the rows of ``cusp_rows``, which
-    enumerates the cusp classes divisor by divisor and checks them against
-    the width multiset, not against that integer.  A wrong residue of a
-    local width counts as a failure here.  The genus is shared by both
-    sides and cancels; its formula is checked in ``group_profile``.  The
-    ordering holds once the integer is at least index/8 and the elliptic
-    counts are nonnegative.
+    One sieve factors the levels.  The strong bound the classifier decides on
+    (``_invariants`` of ``_profile``) folds sum ceil(w/8) from the local widths
+    mod 8; the identity recounts the degree as ceil(w/8) - 1 per class of
+    ``_divisor_classes``, the enumeration ``cusp_rows`` reads.  So a wrong
+    residue of a local width, or a class of width above 8 lost from or added to
+    the enumeration, fails it.  The genus and the elliptic counts are shared
+    with the profile, which checks them.  The ordering is compared in 24ths.
     """
     _check_int(n_max, "largest level")
-    identity_bad = 0
-    order_bad = 0
-    for n in range(1, n_max + 1):
-        p = group_profile(n)
-        deg = pole_divisor(n).degree()
-        strong = bound_strong(n)
-        weak = bound_weak(n)
-        crude = bound_crude(n)
-        if strong != deg + 1 - p.genus:
-            identity_bad += 1
-        if not crude <= weak <= strong:
-            order_bad += 1
+    identity_bad = order_bad = 0
+    for n, factors in _factor_window(1, n_max):
+        inv = _invariants(_profile(n, factors))
+        classes = _divisor_classes(n, _divisors_of(factors))
+        deg = sum(len(residues) * (-(-w // 8) - 1) for _, _, w, residues in classes if w > 8)
+        identity_bad += inv.strong != deg + 1 - inv.profile.genus
+        crude, weak, strong = _bound_24ths(inv)
+        order_bad += not crude <= weak <= strong
     lines = (
         f"strong-bound-identity n<={n_max} failures={identity_bad} "
         f"{'PASS' if identity_bad == 0 else 'FAIL'}",

@@ -6,14 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from cuspdim import gamma0, verify
+from cuspdim import exact, gamma0, verify
 from cuspdim.cli import main
 from cuspdim import (
     AutomorphyContext,
     SuiteResult,
     UnimodularMatrix,
+    bound_crude,
+    bound_strong,
+    bound_weak,
     character_suite,
     cocycle_suite,
+    cusp_rows,
     divisors,
     eta_expansion,
     eta_law_suite,
@@ -132,6 +136,77 @@ def test_rr_identity_is_a_second_route(monkeypatch, cold_profiles, change):
     result = rr_identity_suite(600)
     assert result.failures > 0
     assert "strong-bound-identity" in result.lines[0] and result.lines[0].endswith(" FAIL")
+
+
+def test_rr_identity_counts_the_shared_class_enumeration(monkeypatch):
+    # Drop residue 2 of the classes over d = 3 at level 405 (g = 3, width
+    # 45): the profile is untouched, so the recounted degree falls by
+    # ceil(45/8) - 1 = 5, and cusp_rows, which reads the same generator,
+    # sees its width multiset disagree.
+    real = gamma0._divisor_classes
+
+    def corrupted(n, divs):
+        for d, g, w, residues in real(n, divs):
+            yield d, g, w, residues[:-1] if (n, d) == (405, 3) else residues
+
+    for module in (gamma0, verify):
+        monkeypatch.setattr(module, "_divisor_classes", corrupted)
+    result = rr_identity_suite(600)
+    assert result.failures == 1
+    assert result.lines[0] == "strong-bound-identity n<=600 failures=1 FAIL"
+    assert result.lines[1].endswith("failures=0 PASS")
+    with pytest.raises(ArithmeticError, match="level 405"):
+        cusp_rows(405)
+    assert len(cusp_rows(404)) == gamma0.cusp_count(404)
+
+
+def test_rr_identity_24ths_are_the_public_bounds():
+    # The suite compares the bounds as integers and never calls the public
+    # Fraction functions; they must be the same numbers.
+    for n, factors in exact._factor_window(1, 2000):
+        inv = classify_module._invariants(gamma0._profile(n, factors))
+        public = tuple(24 * bound(n) for bound in (bound_crude, bound_weak, bound_strong))
+        assert verify._bound_24ths(inv) == public, n
+
+
+def test_rr_identity_needs_no_point_factorization(monkeypatch):
+    # One sieve factors every level of the suite.
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    for name in ("cuspdim.exact", "cuspdim.gamma0"):
+        monkeypatch.setattr(importlib.import_module(name), "factorize", refuse)
+    assert rr_identity_suite(2000).ok
+
+
+def _randint_unimodular(rng, entry_bound=50):
+    while True:
+        c = rng.randint(-entry_bound, entry_bound)
+        d = rng.randint(-entry_bound, entry_bound)
+        if math.gcd(c, d) == 1:
+            return verify._build_row(c, d, rng.randint(-entry_bound, entry_bound))
+
+
+def _randint_level_element(rng, n, multiple_bound=3, entry_bound=50):
+    while True:
+        c = n * rng.randint(-multiple_bound, multiple_bound)
+        d = rng.randint(-entry_bound, entry_bound)
+        if math.gcd(c, d) == 1:
+            return verify._build_row(c, d, rng.randint(-entry_bound, entry_bound))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_draws_follow_the_randint_stream(seed):
+    # Each seeded suite prints frozen bytes, so the draws must read the
+    # generator exactly as randint(-b, b) did.
+    for level in (1, 7, 60, 240):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert random_level_element(ours, level) == _randint_level_element(reference, level)
+            assert random_unimodular(ours) == _randint_unimodular(reference)
+        edge = random_level_element(ours, level, 0, 1)
+        assert edge == _randint_level_element(reference, level, 0, 1)
+        assert ours.getstate() == reference.getstate(), (seed, level)
 
 
 def test_suites_refuse_vacuous_input():
