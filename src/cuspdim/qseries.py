@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +37,21 @@ __all__ = [
 # Depth cap for the constructor-time cross-check of the cube identity; see
 # the dual-route note on eta_cubed.
 _CUBE_CHECK_DEPTH = 1024
+
+# A product runs the schoolbook loop when its operands have at most this many
+# pairs of nonzero terms per output term, and one big-integer multiplication
+# otherwise (see FracQSeries.__mul__).  Sparse products, such as an eta series
+# times a short one, are faster term by term; dense ones, such as the powers
+# inside an eta quotient, are faster packed.  Timing both kernels on each of
+# the 415 products of the benchmark's ``series`` items (Python 3.11, x86-64),
+# the total is lowest, and flat within 1%, for thresholds from 4 to 12;
+# all-packed costs 3% more and all-schoolbook 3.7 times as much.
+_SCHOOLBOOK_PAIRS_PER_TERM = 8
+
+# Little-endian signed ``struct`` codes by lane width in bits, narrowest
+# first.  A product whose lanes fit one of them is packed and unpacked by
+# ``struct`` in one call each.
+_LANE_CODES = ((8, "b"), (16, "h"), (32, "i"), (64, "q"))
 
 
 class GridError(ArithmeticError):
@@ -71,7 +87,10 @@ class FracQSeries:
         self.step = Fraction(step)
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
-        self.coeffs = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if not {int, Fraction}.issuperset(map(type, coeffs)):
+            coeffs = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs)
+        self.coeffs = coeffs
         if not self.coeffs:
             raise ValueError("a series needs at least one retained term")
         if growth is not None:
@@ -123,7 +142,8 @@ class FracQSeries:
         return self.coeffs[k]
 
     def truncate(self, precision: int) -> "FracQSeries":
-        if not 1 <= precision <= len(self.coeffs):
+        _check_int(precision, "precision")
+        if precision > len(self.coeffs):
             raise ValueError(f"cannot truncate to {precision} of {self.precision} terms")
         return FracQSeries(self.offset, self.step, self.coeffs[:precision], self.growth)
 
@@ -178,25 +198,36 @@ class FracQSeries:
         )
 
     def __mul__(self, other) -> "FracQSeries":
+        """Product on the common grid, exact out to the shorter known span.
+
+        Both operands become integer polynomials over one denominator each
+        (the lcm of their coefficients' denominators), multiplied once and
+        divided once: coefficients stay ``int`` when both denominators are 1
+        and are all ``Fraction`` otherwise.
+
+        When the operands have at most ``_SCHOOLBOOK_PAIRS_PER_TERM`` pairs of
+        nonzero terms per output term, the pairs are multiplied one by one.
+        Otherwise each operand is packed into one ``int``, one lane per grid
+        point (Kronecker substitution), and the two ints are multiplied once.
+        Output term k sums at most min(|a|, |b|) products of nonzero terms, so
+        |c_k| <= max|a| * max|b| * min(|a|, |b|); a lane holds that bound's
+        bits plus a sign bit (see ``_kronecker``).
+        """
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         if not isinstance(other, FracQSeries):
             return NotImplemented
         step = _frac_gcd(self.step, other.step)
-        m1 = int(self.step / step)
-        m2 = int(other.step / step)
         count = int(min(self.precision * self.step, other.precision * other.step) / step)
-        coeffs = [0] * count
-        other_support = other.support()
-        for i, ci, _ in self.support():
-            base = i * m1
-            if base >= count:
-                break
-            for j, cj, _ in other_support:
-                idx = base + j * m2
-                if idx >= count:
-                    break
-                coeffs[idx] += ci * cj
+        a, den_a = _grid_terms(self, int(self.step / step), count)
+        b, den_b = _grid_terms(other, int(other.step / step), count)
+        if len(a) * len(b) <= _SCHOOLBOOK_PAIRS_PER_TERM * count:
+            coeffs = _schoolbook(a, b, count)
+        else:
+            coeffs = _kronecker(a, b, count)
+        den = den_a * den_b
+        if den != 1:
+            coeffs = [Fraction(c, den) for c in coeffs]
         if self.growth is not None and other.growth is not None:
             # |sum_{i+j=k} f_i g_j| <= A B sum (1+i)^a (1+k-i)^b <= A B (1+k)^(a+b+1)
             growth = (self.growth[0] * other.growth[0], self.growth[1] + other.growth[1] + 1.0)
@@ -209,6 +240,8 @@ class FracQSeries:
     def inverse(self) -> "FracQSeries":
         """Reciprocal series.  Requires a nonzero coefficient in position 0.
 
+        Term k sums c_i * out[k - i] over the nonzero c_i with 1 <= i <= k
+        only, so P terms cost O(P * |support|): O(P^1.5) for an eta series.
         The result carries no growth certificate, so it cannot be evaluated
         with a rigorous tail bound.
         """
@@ -216,27 +249,48 @@ class FracQSeries:
         if c0 == 0:
             raise ValueError("cannot invert a series whose leading retained term vanishes")
         inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
+        terms = [(i, c) for i, c, _ in self.support()[1:]]
         out = [inv0] + [0] * (self.precision - 1)
         for k in range(1, self.precision):
             acc = 0
-            for i in range(1, k + 1):
-                ci = self.coeffs[i]
-                if ci:
-                    acc += ci * out[k - i]
+            for i, ci in terms:
+                if i > k:
+                    break
+                acc += ci * out[k - i]
             out[k] = -inv0 * acc
         return FracQSeries(-self.offset, self.step, out, None)
 
     def __pow__(self, k: int) -> "FracQSeries":
-        if not isinstance(k, int):
+        """Integer power by repeated squaring: about log2(k) products.
+
+        The growth certificate is the one k - 1 sequential products carry,
+        bit for bit: (A, alpha) -> (A * A0, alpha + alpha0 + 1), k - 1 times.
+        A negative k inverts first; a ``bool`` is not an exponent.
+        """
+        try:
+            _check_int(k, "exponent", minimum=None)
+        except ValueError:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
             return FracQSeries(0, self.step, (1,) + (0,) * (self.precision - 1), (1.0, 0.0))
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
+        growth = self.growth
+        if growth is not None:
+            a, alpha = a0, alpha0 = growth
+            for _ in range(k - 1):
+                a, alpha = a * a0, alpha + alpha0 + 1.0
+            growth = (a, alpha)
+        result = None
+        square = self
+        while True:
+            if k & 1:
+                result = square if result is None else result * square
+            k >>= 1
+            if not k:
+                break
+            square = square * square
+        return FracQSeries(result.offset, result.step, result.coeffs, growth)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FracQSeries):
@@ -261,6 +315,88 @@ class FracQSeries:
             "step": str(self.step),
             "coeffs": [str(c) for c in self.coeffs],
         }
+
+
+# -- product kernels ---------------------------------------------------------
+
+
+def _grid_terms(series: FracQSeries, m: int, count: int) -> tuple[list[tuple[int, int]], int]:
+    """Nonzero terms of ``series`` at grid positions k*m below ``count``, as
+    (position, integer) pairs over one common denominator, and that
+    denominator."""
+    terms = []
+    den = None
+    for k, c, _ in series.support():
+        pos = k * m
+        if pos >= count:
+            break
+        terms.append((pos, c))
+        if type(c) is not int:
+            den = math.lcm(den or 1, c.denominator)
+    if den is None:
+        return terms, 1
+    return [(pos, c.numerator * (den // c.denominator)) for pos, c in terms], den
+
+
+def _schoolbook(a: list, b: list, count: int) -> list[int]:
+    """Coefficients 0..count-1 of a product, one pair of terms at a time."""
+    out = [0] * count
+    for i, ci in a:
+        for j, cj in b:
+            k = i + j
+            if k >= count:
+                break
+            out[k] += ci * cj
+    return out
+
+
+def _kronecker(a: list, b: list, count: int) -> list[int]:
+    """Coefficients 0..count-1 of a product from one multiplication of ints.
+
+    Each operand becomes sum c * 2^(width * position), and their product
+    holds coefficient k in lane k.  That coefficient sums at most
+    min(|a|, |b|) products of terms, so
+
+        |c_k| <= max|a| * max|b| * min(|a|, |b|).
+
+    A lane holds the bit length of that bound plus a sign bit, rounded up to
+    8, 16, 32 or 64 bits, or above that to whole bytes.  Adding 2^(width-1)
+    to every lane makes each lane nonnegative, so no lane borrows from the
+    next; flipping that bit again leaves each lane in two's complement.
+    """
+    bound = max(abs(c) for _, c in a) * max(abs(c) for _, c in b) * min(len(a), len(b))
+    bits = bound.bit_length() + 1
+    for width, code in _LANE_CODES:
+        if width >= bits:
+            break
+    else:
+        width, code = 8 * ((bits + 7) // 8), None
+    size = width // 8
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
+    packed = []
+    for terms in (a, b):
+        if code is None:
+            data = bytearray(size * count)
+            for pos, c in terms:
+                data[pos * size:(pos + 1) * size] = c.to_bytes(size, "little", signed=True)
+        else:
+            lanes = [0] * count
+            for pos, c in terms:
+                lanes[pos] = c
+            data = struct.pack(f"<{count}{code}", *lanes)
+        # Each lane holds its term in two's complement: take 2^width back
+        # from the next lane for every negative one.
+        n = int.from_bytes(data, "little")
+        packed.append(n - (((n >> (width - 1)) & ones) << width))
+    bias = ones << (width - 1)
+    lanes = ((packed[0] * packed[1] + bias) & ((1 << (width * count)) - 1)) ^ bias
+    data = lanes.to_bytes(size * count, "little")
+    if code is not None:
+        return list(struct.unpack(f"<{count}{code}", data))
+    return [
+        int.from_bytes(data[k:k + size], "little", signed=True)
+        for k in range(0, size * count, size)
+    ]
 
 
 # -- constructors ------------------------------------------------------------

@@ -377,6 +377,17 @@ FROZEN_STDOUT_SHA256 = {
     # A text table with no M23 line.
     ("classify", "24..40"):
         "e30cb99587d97fa00e201a3c635009ad60219e427648046bce5192690a100086",
+    # Full-size series, recorded from the term-pair product loop.  Their
+    # products take the packed path with lanes on both sides of 64 bits,
+    # and 1:-1 at 2000 terms is one long inverse.
+    ("qexp", "etaq", "1", "1:24", "500"):
+        "709ec2064b11cd319dccb1ec02dd8ab2e27020c27d24af0ad7449ce727938b21",
+    ("qexp", "etaq", "1", "1:-1", "2000", "--format", "json"):
+        "5f43c91483b8e97d65ed789128f5cdf17e3b315ef7e670cbde3cb379c4dcf30a",
+    ("qexp", "etaq", "4", "1:-8,2:16,4:-8", "300", "--format", "tsv"):
+        "050ed9cd5b35fb740d44b81fd8370df2d548d65f1ad85a3bd36c7dfb88fc93fa",
+    ("qexp", "eta3", "1024"):
+        "e96b50628f0107593249700f6928d54401b039081d9fc6e0b2eaa92f22bd199a",
 }
 
 

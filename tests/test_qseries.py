@@ -253,6 +253,196 @@ def test_power_and_inverse():
     assert e**-1 == inv
 
 
+# -- kernel references ---------------------------------------------------------
+#
+# Reference loops for the product, inverse and power kernels: every pair of
+# nonzero terms multiplied one by one, the reciprocal summed over every index,
+# and a power as k - 1 products.  The kernels must give the same offset, step,
+# coefficients and growth.
+
+
+def reference_mul(x, y):
+    step = qseries._frac_gcd(x.step, y.step)
+    m1 = int(x.step / step)
+    m2 = int(y.step / step)
+    count = int(min(x.precision * x.step, y.precision * y.step) / step)
+    coeffs = [0] * count
+    y_support = y.support()
+    for i, ci, _ in x.support():
+        base = i * m1
+        if base >= count:
+            break
+        for j, cj, _ in y_support:
+            idx = base + j * m2
+            if idx >= count:
+                break
+            coeffs[idx] += ci * cj
+    if x.growth is not None and y.growth is not None:
+        growth = (x.growth[0] * y.growth[0], x.growth[1] + y.growth[1] + 1.0)
+    else:
+        growth = None
+    return FracQSeries(x.offset + y.offset, step, coeffs, growth)
+
+
+def reference_inverse(x):
+    c0 = x.coeffs[0]
+    inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
+    out = [inv0] + [0] * (x.precision - 1)
+    for k in range(1, x.precision):
+        acc = 0
+        for i in range(1, k + 1):
+            ci = x.coeffs[i]
+            if ci:
+                acc += ci * out[k - i]
+        out[k] = -inv0 * acc
+    return FracQSeries(-x.offset, x.step, out, None)
+
+
+def reference_pow(x, k):
+    if k < 0:
+        return reference_pow(reference_inverse(x), -k)
+    if k == 0:
+        return FracQSeries(0, x.step, (1,) + (0,) * (x.precision - 1), (1.0, 0.0))
+    result = x
+    for _ in range(k - 1):
+        result = reference_mul(result, x)
+    return result
+
+
+def assert_same_series(got, want, *operands):
+    assert (got.offset, got.step, got.growth) == (want.offset, want.step, want.growth)
+    assert got.coeffs == want.coeffs
+    # Integer operands give int coefficients; a Fraction operand may give
+    # Fraction zeros where the reference loop left int ones.
+    if operands and all(type(c) is int for x in operands for c in x.coeffs):
+        assert all(type(c) is int for c in got.coeffs)
+
+
+def random_series(rng, fractions=False):
+    step = Fraction(1, rng.choice((1, 2, 3)))
+    offset = Fraction(rng.randint(-30, 30), rng.choice((1, 8, 24)))
+    magnitude = rng.choice((1, 9, 2**31, 3 * 2**30, 10**30))
+    density = rng.choice((0.05, 0.3, 1.0))
+    coeffs = [
+        rng.randint(-magnitude, magnitude) if rng.random() < density else 0
+        for _ in range(rng.randint(1, 70))
+    ]
+    if fractions:
+        coeffs = [Fraction(c, rng.choice((1, 2, 3, 4, 9, 25))) for c in coeffs]
+    growth = None if rng.random() < 0.2 else (rng.uniform(0, 9), rng.uniform(0, 3))
+    return FracQSeries(offset, step, coeffs, growth)
+
+
+@pytest.fixture(params=["chosen", "schoolbook", "kronecker"])
+def kernel(request, monkeypatch):
+    # Pin the product kernel by the pairs-per-term threshold: 0 sends every
+    # product with a nonzero operand through the packed multiplication.
+    limits = {"chosen": qseries._SCHOOLBOOK_PAIRS_PER_TERM, "schoolbook": 10**9, "kronecker": 0}
+    monkeypatch.setattr(qseries, "_SCHOOLBOOK_PAIRS_PER_TERM", limits[request.param])
+    return request.param
+
+
+def test_products_match_reference_loop(kernel, monkeypatch):
+    ran = {"_schoolbook": 0, "_kronecker": 0}
+    for name in ran:
+        real = getattr(qseries, name)
+
+        def counted(a, b, count, real=real, name=name):
+            ran[name] += 1
+            return real(a, b, count)
+
+        monkeypatch.setattr(qseries, name, counted)
+    rng = random.Random(18)
+    for trial in range(300):
+        x = random_series(rng, fractions=trial % 5 == 0)
+        y = random_series(rng, fractions=trial % 7 == 0)
+        assert_same_series(x * y, reference_mul(x, y), x, y)
+    if kernel == "chosen":
+        assert min(ran.values()) > 20, ran
+
+
+def test_product_edge_operands(kernel):
+    e = eta_expansion(90)
+    zero = FracQSeries(Fraction(1, 3), Fraction(1, 2), [0] * 40, (1.0, 0.0))
+    # The coarser operand spans less, so the finer one's tail is dropped.
+    coarse = FracQSeries(Fraction(-1, 8), 1, [(-1) ** k * (k + 1) for k in range(30)])
+    fine = FracQSeries(Fraction(5, 3), Fraction(1, 3), [k % 7 - 3 for k in range(200)])
+    halves = FracQSeries(0, 1, [Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 7)] * 10)
+    thirds = FracQSeries(0, Fraction(1, 3), [Fraction(k - 20, 9) for k in range(60)])
+    big = FracQSeries(0, 1, [(-1) ** k * (10**30 + k) for k in range(50)], (1e30, 0.0))
+    for x, y in ((e, zero), (zero, zero), (coarse, fine), (fine, coarse), (e, big),
+                 (big, big), (halves, thirds), (halves, e), (thirds, big), (e, e)):
+        assert_same_series(x * y, reference_mul(x, y), x, y)
+        assert_same_series(y * x, reference_mul(y, x), x, y)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 63, 64, 65, 72, 128, 129])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_lanes_at_their_bound(kernel, width, sign):
+    # Sixteen equal terms times sixteen ones put 16 * c in term 15, exactly
+    # the lane bound max|a| * max|b| * min(|a|, |b|).  At 2^(width-1) that
+    # needs one bit more than the bound's bit length, on either side of the
+    # 8, 16, 32 and 64-bit lanes and of a whole byte.
+    for value in (2 ** (width - 1) - 16, 2 ** (width - 1), 2**width - 16):
+        x = FracQSeries(0, 1, [sign * value // 16] * 16)
+        ones = FracQSeries(0, 1, [1] * 16)
+        product = x * ones
+        assert product.coeffs[15] == sign * (value // 16) * 16
+        assert_same_series(product, reference_mul(x, ones), x)
+        assert_same_series(x * x, reference_mul(x, x), x)
+
+
+def test_inverse_matches_reference_loop():
+    rng = random.Random(19)
+    cases = [eta_expansion(300), eta_expansion(40) * 3, FracQSeries(0, 1, [2, 1, 0, 0])]
+    for _ in range(60):
+        x = random_series(rng, fractions=rng.random() < 0.3)
+        if x.coeffs[0] == 0:
+            x = FracQSeries(x.offset, x.step, (rng.choice((-1, 1, 3)),) + x.coeffs[1:])
+        cases.append(x)
+    for x in cases:
+        got, want = x.inverse(), reference_inverse(x)
+        assert_same_series(got, want)
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_powers_match_sequential_products(kernel):
+    rng = random.Random(20)
+    cases = [eta_expansion(64), FracQSeries(Fraction(1, 24), 2, eta_expansion(40).coeffs, (1.0, 0.0))]
+    cases += [random_series(rng, fractions=k == 0) for k in range(4)]
+    for x in cases:
+        for k in range(-2, 8):
+            if k < 0 and x.coeffs[0] == 0:
+                continue
+            # A negative power of an integer series may hold Fractions.
+            operands = (x,) if k >= 0 else ()
+            assert_same_series(x**k, reference_pow(x, k), *operands)
+
+
+@pytest.mark.parametrize("x", [3 * eta_expansion(64), unary_theta(2, 1, 64)])
+def test_power_growth_is_the_sequential_products(x):
+    # Squaring reaches A^k by other float products than k - 1 sequential
+    # ones, and for the theta growth (6 + 2 sqrt 2, 1/2) they round
+    # differently from k = 4 on; the certificate must still be the
+    # sequential one, bit for bit.
+    sequential = x**0
+    for k in range(18):
+        assert (x**k).growth == sequential.growth, k
+        assert (x**k).coeffs == sequential.coeffs, k
+        sequential = reference_mul(sequential, x) if k else x
+
+
+def test_bool_is_not_an_exponent_or_precision():
+    e = eta_expansion(10)
+    for k in (True, False, 1.0):
+        with pytest.raises(TypeError):
+            e**k
+    with pytest.raises(ValueError):
+        e.truncate(True)
+    with pytest.raises(ValueError):
+        e.truncate(2.0)
+
+
 def test_inverse_requires_unit_leading_term():
     with pytest.raises(ValueError):
         FracQSeries(0, 1, [0, 1]).inverse()
