@@ -33,7 +33,7 @@ import os
 import sys
 
 from .classify import _VERDICT_TEXT, Verdict, _classify_window, _summary, _tsv_rows
-from .gamma0 import _representative_text, cusp_rows, group_profile
+from .gamma0 import _cusp_blocks, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
 from .verify import (
@@ -173,15 +173,24 @@ def _emit_rows_json(key, row_texts, envelope) -> None:
     write(f"\n  ],\n{rest[2:]}\n")
 
 
-def _emit_cusps_json(rows, envelope) -> None:
-    """The cusp table as JSON, one f-string per (a, d, width) row: every row
-    field is an int or a digits-and-slash string, so nothing needs escaping."""
-    _emit_rows_json("cusps", (
-        f'    {{\n      "a": {a},\n      "d": {d},\n'
-        f'      "representative": "{_representative_text(a, d)}",\n'
-        f'      "width": {w}\n    }}'
-        for a, d, w in rows
-    ), envelope)
+def _emit_cusps_json(blocks, envelope) -> None:
+    """The cusp table as JSON from its (d, width, numerators) blocks, one
+    f-string per class: every field is an int or a digits-and-slash string,
+    so nothing needs escaping."""
+
+    def texts():
+        for d, w, numerators in blocks:
+            slash = f"/{d}" if d > 1 else ""
+            if len(numerators) == 1:
+                a = numerators[0]
+                yield (f'    {{\n      "a": {a},\n      "d": {d},\n      "representative": '
+                       f'"{a}{slash}",\n      "width": {w}\n    }}')
+            else:
+                head = f',\n      "d": {d},\n      "representative": "'
+                tail = f'{slash}",\n      "width": {w}\n    }}'
+                yield ",\n".join([f'    {{\n      "a": {a}{head}{a}{tail}' for a in numerators])
+
+    _emit_rows_json("cusps", texts(), envelope)
 
 
 def _certificate_json(c) -> str:
@@ -258,6 +267,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cusps(args) -> int:
+    """The cusp table of one level, written block by block as ``_cusp_blocks``
+    resolves it: one write per divisor d, one f-string per class, and d and
+    the width formatted once per block.  The table's size, the oracle's
+    cutoff and the table's widths are all checked before anything is printed."""
     n = args.level
     profile = group_profile(n)
     if profile.cusp_count > MAX_CUSP_CLASSES:
@@ -267,28 +280,42 @@ def _cmd_cusps(args) -> int:
 
     # The oracle refuses a level above its cutoff before the table is built.
     orbits = oracle_cusps(n, args.oracle_cutoff) if args.oracle else None
-    rows = cusp_rows(n)
+    blocks = _cusp_blocks(n)
     oracle_verdict = None
     if args.oracle:
-        formula_widths = sorted(w for _, _, w in rows)
+        blocks = list(blocks)
+        formula_widths = sorted([w for _, w, numerators in blocks for _ in numerators])
         orbit_widths = sorted(o.width for o in orbits)
         oracle_verdict = "AGREE" if formula_widths == orbit_widths else "DISAGREE"
 
+    write = sys.stdout.write
     if args.format == "json":
-        _emit_cusps_json(rows, lambda: {
+        _emit_cusps_json(blocks, lambda: {
             "level": n, "index": profile.index, "oracle": oracle_verdict,
             "metadata": {"representative_convention": REPRESENTATIVE_NOTE},
         })
     elif args.format == "tsv":
-        print("a\td\trepresentative\twidth")
-        for a, d, w in rows:
-            print(f"{a}\t{d}\t{_representative_text(a, d)}\t{w}")
+        write("a\td\trepresentative\twidth\n")
+        for d, w, numerators in blocks:
+            slash = f"/{d}" if d > 1 else ""
+            if len(numerators) == 1:
+                a = numerators[0]
+                write(f"{a}\t{d}\t{a}{slash}\t{w}\n")
+            else:
+                head, tail = f"\t{d}\t", f"{slash}\t{w}\n"
+                write("".join([f"{a}{head}{a}{tail}" for a in numerators]))
         if oracle_verdict is not None:
             print(f"oracle\t{oracle_verdict}\t\t")
     else:
         print(f"level {n}: index {profile.index}, {profile.cusp_count} cusp classes")
-        for a, d, w in rows:
-            print(f"  a={a:<4d} d={d:<6d} representative={_representative_text(a, d):<10s} width={w}")
+        for d, w, numerators in blocks:
+            slash = f"/{d}" if d > 1 else ""
+            if len(numerators) == 1:
+                a = numerators[0]
+                write(f"  a={a:<4d} d={d:<6d} representative={f'{a}{slash}':<10s} width={w}\n")
+            else:
+                head, tail = f" d={d:<6d} representative=", f" width={w}\n"
+                write("".join([f"  a={a:<4d}{head}{f'{a}{slash}':<10s}{tail}" for a in numerators]))
         print(f"note: {REPRESENTATIVE_NOTE}")
         if oracle_verdict is not None:
             print(f"oracle cross-check: {oracle_verdict}")

@@ -166,29 +166,43 @@ def _divisor_classes(n: int, divs):
         yield d, g, m // g, (0,) if g == 1 else _coprime_residues(g)
 
 
-def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:
-    """All cusp classes of the level-n group as (a, d, width) rows, ordered by d and
-    then by a mod gcd(d, n/d); the widths are first checked against the multiset that
-    ``GroupProfile.widths`` reads, built from the local widths of n's prime powers.
+def _cusp_blocks(n: int):
+    """An iterator of (d, width, numerators) blocks, one per divisor d of n in
+    increasing order, the numerators a ordered by a mod g = gcd(d, n/d).
 
-    The classes come from ``_divisor_classes``.  The least a = r (mod g) coprime to d is
-    r itself unless d has a prime that g lacks; only then is it searched for, coprime to
-    q, the part of d prime to g.  With g = 1 it is 0 at d = 1, else 1."""
+    One pass over ``_divisor_classes`` keeps the classes and counts their
+    widths, and the counts must equal ``_width_counts`` before any block is
+    returned.  Then the least a = r (mod g) coprime to d is r itself unless d
+    has a prime that g lacks; only then is it searched for, coprime to q, the
+    part of d prime to g.  With g = 1 it is 0 at d = 1, else 1."""
     _check_int(n, "level")
-    rows = []
+    classes = []
     counts: dict[int, int] = {}
-    for d, g, w, residues in _divisor_classes(n, divisors(n)):
-        counts[w] = counts.get(w, 0) + len(residues)
+    for block in _divisor_classes(n, divisors(n)):
+        classes.append(block)
+        w = block[2]
+        counts[w] = counts.get(w, 0) + len(block[3])
+    if counts != _width_counts(n):
+        raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
+    return _resolved(classes)
+
+
+def _resolved(classes):
+    """The blocks of ``_cusp_blocks``, resolved as they are read."""
+    for d, g, w, residues in classes:
         if g == 1:
-            rows.append((0 if d == 1 else 1, d, w))
+            yield d, w, (0,) if d == 1 else (1,)
             continue
         q = d
         while (h := math.gcd(q, g)) > 1:
             q //= h
-        rows += [(r if q == 1 else _canonical_a(r, g, q), d, w) for r in residues]
-    if counts != dict(_widths(n)):
-        raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
-    return tuple(rows)
+        yield d, w, residues if q == 1 else [_canonical_a(r, g, q) for r in residues]
+
+
+def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:
+    """All cusp classes of the level-n group as (a, d, width) rows, one per
+    numerator of each block of ``_cusp_blocks``, which checks the widths first."""
+    return tuple((a, d, w) for d, w, numerators in _cusp_blocks(n) for a in numerators)
 
 
 # Typed caches: True must reach the level check, not the entry of 1.
@@ -234,7 +248,7 @@ class GroupProfile(NamedTuple):
 
     @property
     def widths(self) -> tuple[tuple[int, int], ...]:
-        return _widths(self.level)
+        return tuple(sorted(_width_counts(self.level).items()))
 
     @property
     def cusps(self) -> tuple[CuspClass, ...]:
@@ -274,15 +288,16 @@ def _local(p: int, e: int) -> tuple:
     return p**e + p ** (e - 1), sum(widths.values()), m2, m3, residues, tuple(widths.items())
 
 
-def _widths(n: int) -> tuple[tuple[int, int], ...]:
-    """The (width, count) pairs of level n in increasing width: by the
-    Chinese remainder theorem a cusp class is a tuple of local classes, and
-    its width the product of their widths."""
-    widths = [(1, 1)]
+def _width_counts(n: int) -> dict[int, int]:
+    """The cusp widths of level n with their counts: by the Chinese remainder
+    theorem a cusp class is a tuple of local classes, and its width the
+    product of their widths."""
+    counts = {1: 1}
     for p, e in factorize(n).factors.items():
+        local = _local(p, e)[5]
         # Widths of distinct primes multiply to distinct products.
-        widths = [(w * v, c * k) for w, c in widths for v, k in _local(p, e)[5]]
-    return tuple(sorted(widths))
+        counts = {w * v: c * k for w, c in counts.items() for v, k in local}
+    return counts
 
 
 def _profile(n: int, factors: dict[int, int]) -> GroupProfile:

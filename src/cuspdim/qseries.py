@@ -80,7 +80,7 @@ class FracQSeries:
     inversion drops it.
     """
 
-    __slots__ = ("offset", "step", "coeffs", "growth", "_support")
+    __slots__ = ("offset", "step", "coeffs", "growth", "_terms", "_support")
 
     def __init__(self, offset, step, coeffs, growth=None):
         self.offset = Fraction(offset)
@@ -99,7 +99,7 @@ class FracQSeries:
                 raise ValueError(f"growth must be two finite numbers >= 0, got {growth!r}")
             growth = (float(a), float(alpha))
         self.growth = growth
-        self._support = None
+        self._terms = self._support = None
 
     @property
     def precision(self) -> int:
@@ -109,18 +109,24 @@ class FracQSeries:
     def exponent(self, k: int) -> Fraction:
         return self.offset + k * self.step
 
+    def _nonzero(self) -> tuple[tuple[int, int | Fraction], ...]:
+        """Nonzero terms as (index, coefficient), cached: what the exact
+        kernels read, so no coefficient is ever converted to float there."""
+        if self._terms is None:
+            self._terms = tuple((k, c) for k, c in enumerate(self.coeffs) if c)
+        return self._terms
+
     def support(self) -> tuple[tuple[int, int | Fraction, float], ...]:
-        """Nonzero terms as (index, coefficient, float(coefficient)), cached."""
+        """Nonzero terms as (index, coefficient, float(coefficient)), cached;
+        the float overflows above about 1.8e308, and only ``evaluate`` reads it."""
         if self._support is None:
-            self._support = tuple(
-                (k, c, float(c)) for k, c in enumerate(self.coeffs) if c
-            )
+            self._support = tuple((k, c, float(c)) for k, c in self._nonzero())
         return self._support
 
     def leading(self) -> tuple[int, int | Fraction] | None:
         """Index and value of the first nonzero coefficient, if any."""
-        sup = self.support()
-        return (sup[0][0], sup[0][1]) if sup else None
+        terms = self._nonzero()
+        return terms[0] if terms else None
 
     def coefficient(self, exponent) -> int | Fraction:
         """Exact coefficient of q^exponent.
@@ -173,7 +179,7 @@ class FracQSeries:
         for series in (self, other):
             start = int((series.offset - offset) / step)
             m = int(series.step / step)
-            for k, c, _ in series.support():
+            for k, c in series._nonzero():
                 idx = start + k * m
                 if idx >= count:
                     break
@@ -249,7 +255,7 @@ class FracQSeries:
         if c0 == 0:
             raise ValueError("cannot invert a series whose leading retained term vanishes")
         inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
-        terms = [(i, c) for i, c, _ in self.support()[1:]]
+        terms = self._nonzero()[1:]
         out = [inv0] + [0] * (self.precision - 1)
         for k in range(1, self.precision):
             acc = 0
@@ -326,7 +332,7 @@ def _grid_terms(series: FracQSeries, m: int, count: int) -> tuple[list[tuple[int
     denominator."""
     terms = []
     den = None
-    for k, c, _ in series.support():
+    for k, c in series._nonzero():
         pos = k * m
         if pos >= count:
             break

@@ -311,7 +311,7 @@ def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:
     One sieve factors the levels.  The strong bound the classifier decides on
     (``_invariants`` of ``_profile``) folds sum ceil(w/8) from the local widths
     mod 8; the identity recounts the degree as ceil(w/8) - 1 per class of
-    ``_divisor_classes``, the enumeration ``cusp_rows`` reads.  So a wrong
+    ``_divisor_classes``, the enumeration ``_cusp_blocks`` reads.  So a wrong
     residue of a local width, or a class of width above 8 lost from or added to
     the enumeration, fails it.  The genus and the elliptic counts are shared
     with the profile, which checks them.  The ordering is compared in 24ths.

@@ -14,7 +14,7 @@ from cuspdim.cli import main
 from cuspdim.classify import (
     RULE_CANONICAL_EXCLUSION, RULE_SIMPLE_POLE, ClassificationReport, classify, classify_range
 )
-from cuspdim.gamma0 import cusp_rows, cusps, group_profile
+from cuspdim.gamma0 import cusps, group_profile
 
 
 def run(capsys, argv):
@@ -388,6 +388,16 @@ FROZEN_STDOUT_SHA256 = {
         "050ed9cd5b35fb740d44b81fd8370df2d548d65f1ad85a3bd36c7dfb88fc93fa",
     ("qexp", "eta3", "1024"):
         "e96b50628f0107593249700f6928d54401b039081d9fc6e0b2eaa92f22bd199a",
+    ("cusps", "393216", "--format", "tsv"):
+        "d5d78f745b4442e1c82d745dc4cfae35abb36aadb29e0a6f47431089cf6fd5c9",
+    ("cusps", "6469693230"):
+        "bdff2d3655059b0576acf80e49ba5912b30078aa78ec4ccb4bcaa7af4bb49527",
+    # 2^10 3^4 5^2 7: 6,912 classes, and for 6,582 of them the numerator is
+    # searched for, because d has a prime that gcd(d, n/d) lacks.
+    ("cusps", "14515200", "--format", "tsv"):
+        "e5029a5ced95fabb7c41362786bfce891848bb14ac9f311a25fa2e45f0b27ddf",
+    ("cusps", "14515200"):
+        "488b634398f788c8663cb0f16acdcae50ec9faf19e3a059582e40768f6d8e8d3",
 }
 
 
@@ -401,21 +411,21 @@ def test_output_bytes_frozen(capsys, monkeypatch):
 
 
 def test_range_scan_builds_no_width_list(capsys, monkeypatch):
-    # The bounds read the sum of ceil(w/8) from residues mod 8.  A width
-    # list is built only by cusp_rows, at the levels whose rule reads
-    # individual cusp classes, and the profile's widths are never read.
+    # The bounds read the sum of ceil(w/8) from residues mod 8.  The width
+    # counts are built only by the cusp-table check, at the levels whose rule
+    # reads individual cusp classes, and the profile's widths are never read.
     def unread(profile):
         raise AssertionError(f"widths of level {profile.level} read on a range scan")
 
     built = []
-    real = gamma0._widths
+    real = gamma0._width_counts
 
     def record(n):
         built.append(n)
         return real(n)
 
     monkeypatch.setattr(gamma0.GroupProfile, "widths", property(unread))
-    monkeypatch.setattr(gamma0, "_widths", record)
+    monkeypatch.setattr(gamma0, "_width_counts", record)
     cusps.cache_clear()
     report = classify_range(2000)
     assert report.matches_m23()
@@ -518,13 +528,30 @@ def test_classify_refuses_oversized_range(capsys, monkeypatch):
 
 
 def test_cusps_refuses_oversized_table(capsys, monkeypatch):
-    def no_rows(n):
+    def no_blocks(n):
         raise AssertionError(f"cusp classes of level {n} enumerated for a refused table")
 
-    monkeypatch.setattr(cli, "cusp_rows", no_rows)
+    monkeypatch.setattr(cli, "_cusp_blocks", no_blocks)
     # 2^60 has 3 * 2^29 cusp classes
     argv = ["cusps", str(2**60), "--format", "json"]
     assert_usage_error(capsys, argv, "has 1610612736 cusp classes, more than 1000000")
+
+
+def test_cusps_checks_the_table_before_the_first_row(capsys, monkeypatch):
+    # Drop residue 2 of the classes over d = 3 at level 405: the width
+    # multiset disagrees, and in no format does any row, header or opening
+    # brace reach stdout first.
+    real = gamma0._divisor_classes
+
+    def corrupted(n, divs):
+        for d, g, w, residues in real(n, divs):
+            yield d, g, w, residues[:-1] if (n, d) == (405, 3) else residues
+
+    monkeypatch.setattr(gamma0, "_divisor_classes", corrupted)
+    for fmt in ("json", "tsv", "text"):
+        with pytest.raises(ArithmeticError, match="width multiset at level 405"):
+            main(["cusps", "405", "--format", fmt])
+        assert capsys.readouterr().out == "", fmt
 
 
 def test_factorization_beyond_budget_is_refused():
@@ -612,7 +639,7 @@ def test_classify_tsv_rows_are_printed_as_decided(capsys, monkeypatch):
 
 
 def test_cusps_json_rows_match_json_module(capsys):
-    # The row writer against the generic encoder, on every small level and
+    # The block writer against the generic encoder, on every small level and
     # on levels with more than 4096 cusp classes.
     big = (304250263527210, 2**10 * 3**4 * 5**2 * 7, 2**12 * 3**4 * 5**2)
     for n in (*range(1, 3001), *big):
@@ -624,7 +651,7 @@ def test_cusps_json_rows_match_json_module(capsys):
                 "oracle": oracle,
                 "metadata": {"representative_convention": cli.REPRESENTATIVE_NOTE},
             }
-            cli._emit_cusps_json(cusp_rows(n), lambda: envelope)
+            cli._emit_cusps_json(gamma0._cusp_blocks(n), lambda: envelope)
             rows = [
                 {"a": c.a, "d": c.d, "representative": str(c.representative), "width": c.width}
                 for c in cusps(n)

@@ -267,12 +267,14 @@ def reference_mul(x, y):
     m2 = int(y.step / step)
     count = int(min(x.precision * x.step, y.precision * y.step) / step)
     coeffs = [0] * count
-    y_support = y.support()
-    for i, ci, _ in x.support():
+    y_terms = [(j, cj) for j, cj in enumerate(y.coeffs) if cj]
+    for i, ci in enumerate(x.coeffs):
         base = i * m1
         if base >= count:
             break
-        for j, cj, _ in y_support:
+        if not ci:
+            continue
+        for j, cj in y_terms:
             idx = base + j * m2
             if idx >= count:
                 break
@@ -374,6 +376,18 @@ def test_product_edge_operands(kernel):
                  (big, big), (halves, thirds), (halves, e), (thirds, big), (e, e)):
         assert_same_series(x * y, reference_mul(x, y), x, y)
         assert_same_series(y * x, reference_mul(y, x), x, y)
+
+
+def test_exact_kernels_take_coefficients_past_float_range(kernel):
+    # 10^400 has no float; products, sums, inverses and the leading term
+    # read the exact coefficients only.
+    big = FracQSeries(0, 1, [10**400, 1])
+    e = eta_expansion(4)
+    assert_same_series(big * e, reference_mul(big, e), big, e)
+    assert_same_series(e * big, reference_mul(e, big), big, e)
+    assert (big + big).coeffs == (2 * 10**400, 2)
+    assert big.leading() == (0, 10**400)
+    assert FracQSeries(0, 1, [1, 10**400]).inverse().coeffs == (1, -(10**400))
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 63, 64, 65, 72, 128, 129])
