@@ -162,10 +162,10 @@ def _emit_json(obj) -> None:
 
 def _emit_rows_json(key, row_texts, envelope) -> None:
     """Print ``_emit_json`` of ``envelope()`` with a nonempty list under
-    ``key`` added, given each list item as its own indented JSON text.
-    Each item is printed as it arrives, the opening brace with the first;
-    ``envelope`` is called after the last, and ``key`` must sort before
-    every key of what it returns."""
+    ``key`` added, given the list items as indented JSON texts, one or more
+    per text, joined by a comma and a newline.  Each text is printed as it
+    arrives, the opening brace with the first; ``envelope`` is called after
+    the last, and ``key`` must sort before every key of what it returns."""
     write = sys.stdout.write
     for i, text in enumerate(row_texts):
         write((",\n" if i else f'{{\n  "{key}": [\n') + text)
