@@ -33,7 +33,7 @@ import os
 import sys
 
 from .classify import _VERDICT_TEXT, Verdict, _classify_window, _summary, _tsv_rows
-from .gamma0 import _cusp_blocks, group_profile
+from .gamma0 import _cusp_blocks, _denominator_text, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
 from .verify import (
@@ -162,10 +162,10 @@ def _emit_json(obj) -> None:
 
 def _emit_rows_json(key, row_texts, envelope) -> None:
     """Print ``_emit_json`` of ``envelope()`` with a nonempty list under
-    ``key`` added, given the list items as indented JSON texts, one or more
-    per text, joined by a comma and a newline.  Each text is printed as it
-    arrives, the opening brace with the first; ``envelope`` is called after
-    the last, and ``key`` must sort before every key of what it returns."""
+    ``key`` added, given each list item as its own indented JSON text.
+    Each item is printed as it arrives, the opening brace with the first;
+    ``envelope`` is called after the last, and ``key`` must sort before
+    every key of what it returns."""
     write = sys.stdout.write
     for i, text in enumerate(row_texts):
         write((",\n" if i else f'{{\n  "{key}": [\n') + text)
@@ -174,23 +174,19 @@ def _emit_rows_json(key, row_texts, envelope) -> None:
 
 
 def _emit_cusps_json(blocks, envelope) -> None:
-    """The cusp table as JSON from its (d, width, numerators) blocks, one
-    f-string per class: every field is an int or a digits-and-slash string,
-    so nothing needs escaping."""
-
-    def texts():
-        for d, w, numerators in blocks:
-            slash = f"/{d}" if d > 1 else ""
-            if len(numerators) == 1:
-                a = numerators[0]
-                yield (f'    {{\n      "a": {a},\n      "d": {d},\n      "representative": '
-                       f'"{a}{slash}",\n      "width": {w}\n    }}')
-            else:
-                head = f',\n      "d": {d},\n      "representative": "'
-                tail = f'{slash}",\n      "width": {w}\n    }}'
-                yield ",\n".join([f'    {{\n      "a": {a}{head}{a}{tail}' for a in numerators])
-
-    _emit_rows_json("cusps", texts(), envelope)
+    """The cusp table as ``_emit_rows_json`` prints it, written from its
+    (d, width, numerators) blocks with one f-string per class, d and the
+    width formatted once per block: every field is an int or a
+    digits-and-slash string, so nothing needs escaping."""
+    write, sep = sys.stdout.write, '{\n  "cusps": [\n'
+    for d, w, numerators in blocks:
+        head = f',\n      "d": {d},\n      "representative": "'
+        tail = f'{_denominator_text(d)}",\n      "width": {w}\n    }}'
+        for a in numerators:
+            write(f'{sep}    {{\n      "a": {a}{head}{a}{tail}')
+            sep = ",\n"
+    rest = json.dumps(envelope(), indent=2, sort_keys=True)
+    write(f"\n  ],\n{rest[2:]}\n")
 
 
 def _certificate_json(c) -> str:
@@ -267,10 +263,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cusps(args) -> int:
-    """The cusp table of one level, written block by block as ``_cusp_blocks``
-    resolves it: one write per divisor d, one f-string per class, and d and
-    the width formatted once per block.  The table's size, the oracle's
-    cutoff and the table's widths are all checked before anything is printed."""
+    """The cusp table of one level, written as ``_cusp_blocks`` resolves it:
+    one write of one f-string per class, with d and the width formatted once
+    per divisor block.  The table's size, the oracle's cutoff and the
+    table's widths are all checked before anything is printed."""
     n = args.level
     profile = group_profile(n)
     if profile.cusp_count > MAX_CUSP_CLASSES:
@@ -297,25 +293,17 @@ def _cmd_cusps(args) -> int:
     elif args.format == "tsv":
         write("a\td\trepresentative\twidth\n")
         for d, w, numerators in blocks:
-            slash = f"/{d}" if d > 1 else ""
-            if len(numerators) == 1:
-                a = numerators[0]
-                write(f"{a}\t{d}\t{a}{slash}\t{w}\n")
-            else:
-                head, tail = f"\t{d}\t", f"{slash}\t{w}\n"
-                write("".join([f"{a}{head}{a}{tail}" for a in numerators]))
+            head, tail = f"\t{d}\t", f"{_denominator_text(d)}\t{w}\n"
+            for a in numerators:
+                write(f"{a}{head}{a}{tail}")
         if oracle_verdict is not None:
             print(f"oracle\t{oracle_verdict}\t\t")
     else:
         print(f"level {n}: index {profile.index}, {profile.cusp_count} cusp classes")
         for d, w, numerators in blocks:
-            slash = f"/{d}" if d > 1 else ""
-            if len(numerators) == 1:
-                a = numerators[0]
-                write(f"  a={a:<4d} d={d:<6d} representative={f'{a}{slash}':<10s} width={w}\n")
-            else:
-                head, tail = f" d={d:<6d} representative=", f" width={w}\n"
-                write("".join([f"  a={a:<4d}{head}{f'{a}{slash}':<10s}{tail}" for a in numerators]))
+            head, over, tail = f" d={d:<6d} representative=", _denominator_text(d), f" width={w}\n"
+            for a in numerators:
+                write(f"  a={a:<4d}{head}{f'{a}{over}':<10s}{tail}")
         print(f"note: {REPRESENTATIVE_NOTE}")
         if oracle_verdict is not None:
             print(f"oracle cross-check: {oracle_verdict}")

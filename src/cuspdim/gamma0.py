@@ -133,10 +133,16 @@ class CuspClass:
         return Fraction(self.a, self.d)
 
 
+def _denominator_text(d: int) -> str:
+    """What follows the numerator in the text of a representative a/d, as
+    ``str(Fraction(a, d))`` writes it: "/d", or nothing at d = 1.  Here a is
+    already coprime to d, and a = 0 only when d = 1."""
+    return f"/{d}" if d > 1 else ""
+
+
 def _representative_text(a: int, d: int) -> str:
-    """``str(Fraction(a, d))`` without building the Fraction: a is already
-    coprime to d, and a = 0 only when d = 1."""
-    return str(a) if d == 1 else f"{a}/{d}"
+    """``str(Fraction(a, d))`` without building the Fraction."""
+    return f"{a}{_denominator_text(d)}"
 
 
 def _canonical_a(r: int, g: int, q: int) -> int:
