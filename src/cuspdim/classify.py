@@ -15,12 +15,12 @@ The strong bound is the integer deg + 1 - genus, where the pole divisor's
 degree deg = sum ceil(w/8) - c runs over the c cusp widths w (summing to
 the index); with the genus formula written out it is
 sum ceil(w/8) - index/12 - c/2 + mu2/4 + mu3/3.  The weak bound drops the
-mu terms and crude = index/24 - c/2; these two are rationals, built only
-by ``bound_weak`` and ``bound_crude``.  The widths enter only through
-sum ceil(w/8) = (index + sum((-w) mod 8))/8, read from the residues of the
-local widths mod 8 (``GroupProfile.ceil_eighths_sum``), never from a list
-of widths.  No rule passes extra forms up
-from a divisor level: after the strong-bound rule it could never fire.
+mu terms and crude = index/24 - c/2; ``_bound_24ths`` counts all three in
+24ths, and ``bound_weak`` and ``bound_crude`` divide once.  The widths
+enter only through sum ceil(w/8) = (index + sum((-w) mod 8))/8, read from
+the residues of the local widths mod 8 (``GroupProfile.ceil_eighths_sum``),
+never from a list of widths.  No rule passes extra forms up from a divisor
+level: after the strong-bound rule it could never fire.
 1. weak - crude = sum (ceil(w/8) - w/8) >= 0; strong - weak = mu2/4 + mu3/3.
 2. index/cusps is multiplicative; at p^e it is at least (p+1)/2 and does
    not decrease with e.  The cusp count of p^e sums phi(p^min(k, e-k)) over
@@ -149,19 +149,23 @@ def bound_strong(n: int) -> Fraction:
     return Fraction(_level_invariants(n).strong)
 
 
+def _bound_24ths(inv: _LevelInvariants) -> tuple[int, int, int]:
+    """24 times the crude, weak and strong bounds of one level, as integers."""
+    p, c12 = inv.profile, 12 * inv.profile.cusp_count
+    return p.index - c12, 24 * p.ceil_eighths_sum - 2 * p.index - c12, 24 * inv.strong
+
+
 def bound_weak(n: int) -> Fraction:
     """The strong bound with the elliptic-point credits dropped; a rational
     lower bound for it."""
-    p = _level_invariants(n).profile
-    return Fraction(12 * p.ceil_eighths_sum - p.index - 6 * p.cusp_count, 12)
+    return Fraction(_bound_24ths(_level_invariants(n))[1], 24)
 
 
 def bound_crude(n: int) -> Fraction:
     """index/24 - cusps/2: a lower bound for the weak bound that visibly
     grows with the level, so only finitely many levels can stay at
     dimension one."""
-    p = _level_invariants(n).profile
-    return Fraction(p.index - 12 * p.cusp_count, 24)
+    return Fraction(_bound_24ths(_level_invariants(n))[0], 24)
 
 
 class Certificate(NamedTuple):

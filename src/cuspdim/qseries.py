@@ -38,16 +38,6 @@ __all__ = [
 # the dual-route note on eta_cubed.
 _CUBE_CHECK_DEPTH = 1024
 
-# A product runs the schoolbook loop when its operands have at most this many
-# pairs of nonzero terms per output term, and one big-integer multiplication
-# otherwise (see FracQSeries.__mul__).  Sparse products, such as an eta series
-# times a short one, are faster term by term; dense ones, such as the powers
-# inside an eta quotient, are faster packed.  Timing both kernels on each of
-# the 415 products of the benchmark's ``series`` items (Python 3.11, x86-64),
-# the total is lowest, and flat within 1%, for thresholds from 4 to 12;
-# all-packed costs 3% more and all-schoolbook 3.7 times as much.
-_SCHOOLBOOK_PAIRS_PER_TERM = 8
-
 # Little-endian signed ``struct`` codes by lane width in bits, narrowest
 # first.  A product whose lanes fit one of them is packed and unpacked by
 # ``struct`` in one call each.
@@ -211,15 +201,13 @@ class FracQSeries:
         divided once: coefficients stay ``int`` when both denominators are 1
         and are all ``Fraction`` otherwise.
 
-        When the operands have at most ``_SCHOOLBOOK_PAIRS_PER_TERM`` pairs of
-        nonzero terms per output term, the pairs are multiplied one by one.
-        Otherwise each operand is packed into one ``int``, one lane per grid
-        point (Kronecker substitution), and the two ints are multiplied once.
-        Output term k sums at most min(|a|, |b|) products of nonzero terms, so
-        |c_k| <= max|a| * max|b| * min(|a|, |b|); a lane holds that bound's
-        bits plus a sign bit (see ``_kronecker``).
+        Each operand is packed into one ``int``, one lane per grid point
+        (Kronecker substitution), and the two ints are multiplied once; see
+        ``_kronecker`` for the lane width.  An operand with no nonzero term
+        in range makes every coefficient 0, and nothing is packed.  An
+        ``int`` or ``Fraction`` scales every term; a ``bool`` is no scalar.
         """
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             return self._scaled(other)
         if not isinstance(other, FracQSeries):
             return NotImplemented
@@ -227,10 +215,7 @@ class FracQSeries:
         count = int(min(self.precision * self.step, other.precision * other.step) / step)
         a, den_a = _grid_terms(self, int(self.step / step), count)
         b, den_b = _grid_terms(other, int(other.step / step), count)
-        if len(a) * len(b) <= _SCHOOLBOOK_PAIRS_PER_TERM * count:
-            coeffs = _schoolbook(a, b, count)
-        else:
-            coeffs = _kronecker(a, b, count)
+        coeffs = _kronecker(a, b, count) if a and b else [0] * count
         den = den_a * den_b
         if den != 1:
             coeffs = [Fraction(c, den) for c in coeffs]
@@ -342,18 +327,6 @@ def _grid_terms(series: FracQSeries, m: int, count: int) -> tuple[list[tuple[int
     if den is None:
         return terms, 1
     return [(pos, c.numerator * (den // c.denominator)) for pos, c in terms], den
-
-
-def _schoolbook(a: list, b: list, count: int) -> list[int]:
-    """Coefficients 0..count-1 of a product, one pair of terms at a time."""
-    out = [0] * count
-    for i, ci in a:
-        for j, cj in b:
-            k = i + j
-            if k >= count:
-                break
-            out[k] += ci * cj
-    return out
 
 
 def _kronecker(a: list, b: list, count: int) -> list[int]:
@@ -565,7 +538,8 @@ def _tail_bound(a: float, alpha: float, r: float, start: int, scale: float) -> f
     """Upper bound for A*scale*sum_{k >= start} (1+k)^alpha r^k, 0 <= r < 1.
 
     Split r^k = r^(k/10) * r^(9k/10); the polynomial-times-r^(k/10) factor is
-    maximized in closed form and the rest is geometric.
+    maximized in closed form and the rest is geometric.  A peak past float
+    range leaves the tail unbounded, as r >= 1 does.
     """
     if r <= 0.0:
         return 1e-300
@@ -577,7 +551,10 @@ def _tail_bound(a: float, alpha: float, r: float, start: int, scale: float) -> f
         y = r**0.1
         kp = -alpha / math.log(y) - 1.0
         kp = max(kp, float(start))
-        peak = (1.0 + kp) ** alpha * y**kp
+        try:
+            peak = (1.0 + kp) ** alpha * y**kp
+        except OverflowError:
+            return math.inf
     log_geo = 0.9 * start * math.log(r)
     geo = math.exp(max(log_geo, -700.0))
     return a * scale * peak * geo / (1.0 - r**0.9) + 1e-300

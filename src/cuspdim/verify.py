@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import _invariants, _LevelInvariants
+from .classify import _bound_24ths, _invariants
 from .exact import _check_int, _check_tolerance, _divisors_of, _factor_window, divisors
 from .gamma0 import UnimodularMatrix, _divisor_classes, _profile
 from .multiplier import (
@@ -295,12 +295,6 @@ def euler_identity_suite(depth: int = 200) -> SuiteResult:
     failures += 0 if same_quot else 1
     lines.append(f"eta-quotient-1:3-vs-eta_cubed depth={depth} {'PASS' if same_quot else 'FAIL'}")
     return SuiteResult("euler-identity", 3, failures, None, tuple(lines))
-
-
-def _bound_24ths(inv: _LevelInvariants) -> tuple[int, int, int]:
-    """24 times the crude, weak and strong bounds of one level, as integers."""
-    p, c12 = inv.profile, 12 * inv.profile.cusp_count
-    return p.index - c12, 24 * p.ceil_eighths_sum - 2 * p.index - c12, 24 * inv.strong
 
 
 def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:

@@ -275,6 +275,15 @@ def test_transformation_precision_failure_paths():
         verify_transformation(
             lambda p: eta_expansion(p).inverse(), ctx, M.inversion(), 1j
         )
+    # an unbounded tail near the real axis, fixed or raised by doubling
+    def delta(precision):
+        return eta_quotient_expansion(EtaQuotient(1, {1: 24}), precision)
+
+    for series in (delta(100), delta):
+        with pytest.raises(PrecisionError):
+            verify_transformation(
+                series, AutomorphyContext(weight=12), M.inversion(), complex(0.1, 1e-12)
+            )
     for tau in (1 - 1j, complex(math.nan, 1.0), complex(0.0, math.nan), complex(math.inf, 1.0),
                 complex(0.0, math.inf)):
         with pytest.raises(ValueError):

@@ -166,7 +166,7 @@ def test_rr_identity_24ths_are_the_public_bounds():
     for n, factors in exact._factor_window(1, 2000):
         inv = classify_module._invariants(gamma0._profile(n, factors))
         public = tuple(24 * bound(n) for bound in (bound_crude, bound_weak, bound_strong))
-        assert verify._bound_24ths(inv) == public, n
+        assert classify_module._bound_24ths(inv) == public, n
 
 
 def test_rr_identity_needs_no_point_factorization(monkeypatch):
