@@ -372,16 +372,27 @@ def test_exact_kernels_take_coefficients_past_float_range():
 
 @pytest.mark.parametrize("width", [8, 16, 32, 63, 64, 65, 72, 128, 129])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_product_lanes_at_their_bound(width, sign):
-    # Sixteen equal terms times sixteen ones put 16 * c in term 15, exactly
-    # the lane bound max|a| * max|b| * min(|a|, |b|).  At 2^(width-1) that
-    # needs one bit more than the bound's bit length, on either side of the
-    # 8, 16, 32 and 64-bit lanes and of a whole byte.
+# The ids name the kernel that the retired threshold of 8 pairs of nonzero
+# terms per output term picked for each spacing: 16 pairs per term packed,
+# about 8.3 sat at the tuned threshold, and about 1 ran term by term.  Every
+# spacing now reaches the packed kernel, with zero lanes between the terms.
+@pytest.mark.parametrize("spacing", [1, 2, 16], ids=["kronecker", "chosen", "schoolbook"])
+def test_product_lanes_at_their_bound(spacing, width, sign):
+    # Sixteen equal terms times sixteen ones, each spacing apart, put 16 * c
+    # in term 15 * spacing, exactly the lane bound max|a| * max|b| *
+    # min(|a|, |b|).  At 2^(width-1) that needs one bit more than the
+    # bound's bit length, on either side of the 8, 16, 32 and 64-bit lanes
+    # and of a whole byte.
+    def spaced(c):
+        coeffs = [0] * (15 * spacing + 1)
+        coeffs[::spacing] = [c] * 16
+        return FracQSeries(0, 1, coeffs)
+
     for value in (2 ** (width - 1) - 16, 2 ** (width - 1), 2**width - 16):
-        x = FracQSeries(0, 1, [sign * value // 16] * 16)
-        ones = FracQSeries(0, 1, [1] * 16)
+        x = spaced(sign * value // 16)
+        ones = spaced(1)
         product = x * ones
-        assert product.coeffs[15] == sign * (value // 16) * 16
+        assert product.coeffs[15 * spacing] == sign * (value // 16) * 16
         assert_same_series(product, reference_mul(x, ones), x)
         assert_same_series(x * x, reference_mul(x, x), x)
 
