@@ -46,9 +46,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import _check_int, _factor_window
+from .exact import _check_int, _factor_window, factorize
 from .gamma0 import (
-    CuspClass, GroupProfile, _profile, _representative_text, cusp_rows, cusps, group_profile
+    CuspClass, GroupProfile, _cusp_blocks, _profile, _representative_text, cusps, group_profile
 )
 from .qseries import EtaQuotient, eta_quotient_cusp_order
 
@@ -119,8 +119,9 @@ class CuspDivisor:
 
 def pole_divisor(n: int) -> CuspDivisor:
     """Maximal cusp poles available to the quotient by the cube of eta:
-    coefficient ceil(w/8) - 1 at each width-w cusp class."""
-    return CuspDivisor(n, tuple((a, d, w, -(-w // 8) - 1) for a, d, w in cusp_rows(n) if w > 8))
+    coefficient ceil(w/8) - 1 at each cusp class of width w > 8."""
+    rows = [(a, d, w, -(-w // 8) - 1) for d, w, nums in _cusp_blocks(n) if w > 8 for a in nums]
+    return CuspDivisor(n, tuple(rows))
 
 
 class _LevelInvariants(NamedTuple):
@@ -335,30 +336,26 @@ def _summary(lo: int, hi: int, dim_one_levels, undecided_levels) -> dict:
 
 
 def _tsv_rows(certificates: Iterable[Certificate]) -> Iterator[tuple[str, ...]]:
-    """The header and one row per certificate.  The header is made with the
-    first row, so a window that refuses a level before it yields one leaves
-    nothing to print.  The witness_level column is always empty: no rule
-    names a divisor level, and the column stays so that rows keep their shape."""
-    for i, c in enumerate(certificates):
-        if not i:
-            yield ("level", "verdict", "rule", "strong_bound", "genus", "divisor_degree",
-                   "witness_level")
+    """The header and one row per certificate.  The witness_level column is
+    always empty: no rule names a divisor level, and the column stays so
+    that rows keep their shape."""
+    yield "level", "verdict", "rule", "strong_bound", "genus", "divisor_degree", "witness_level"
+    for c in certificates:
         yield (str(c.level), _VERDICT_TEXT[c.verdict], c.rule, str(c.bound), str(c.genus),
                str(c.divisor_degree), "")
 
 
-def _classify_window(lo: int, hi: int):
-    """Yield (certificate, profile) for the levels lo..hi in turn.  A window
-    of at least isqrt(hi) levels is factored by one sieve and goes through
-    the uncached kernels; a narrower one is a run of cached point queries,
-    all made before the first is yielded, so that a level ``factorize``
-    refuses stops the window before any output."""
+def _classify_window(lo: int, hi: int) -> Iterator[tuple[Certificate, GroupProfile]]:
+    """An iterator of (certificate, profile) for the levels lo..hi in turn,
+    each through the uncached kernels.  A window of at least isqrt(hi)
+    levels is factored by one sieve as it is read; a narrower one by
+    ``factorize``, level by level, before this returns, so a level it
+    refuses raises at the call."""
     if math.isqrt(hi) > hi - lo + 1:
-        yield from [(classify(n), group_profile(n)) for n in range(lo, hi + 1)]
-        return
-    for n, factors in _factor_window(lo, hi):
-        profile = _profile(n, factors)
-        yield _decide(_invariants(profile)), profile
+        factored = [(n, factorize(n).factors) for n in range(lo, hi + 1)]
+    else:
+        factored = _factor_window(lo, hi)
+    return ((_decide(_invariants(p)), p) for p in (_profile(n, f) for n, f in factored))
 
 
 def classify_range(n_max: int) -> ClassificationReport:

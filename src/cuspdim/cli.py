@@ -8,13 +8,14 @@ mathematical failure (an Undecided verdict, a residual above tolerance or
 uncertifiable, or an oracle disagreement).  Any ``ValueError`` a command
 raises, its own or the library's, is a refused input: ``main`` turns it
 into the command's ``parser.error``, which exits 2 with the message and
-that command's usage line on stderr, as argparse does for what it
-refuses; commands check before they print, so stdout stays empty.  An
-``ArithmeticError`` is an internal fault and is not caught.  Output is
-deterministic given the inputs and the seed.  ``classify`` makes one pass
-and keeps no certificates: TSV and JSON rows are printed as their levels
-are decided (so a fault part way leaves them on stdout); the text table
-keeps one line per level for its column widths.
+that command's usage line on stderr, as argparse does for what it refuses.
+Data sources refuse when called; commands call them before their first
+write, so a refusal leaves stdout empty.  An ``ArithmeticError`` is an
+internal fault and is not caught.  Output is deterministic given the
+inputs and the seed.  ``classify`` makes one pass and keeps no
+certificates: TSV and JSON rows are printed as their levels are decided
+(so a fault part way leaves them on stdout); the text table keeps one
+line per level for its column widths.
 
 Each common option is converted and range-checked once, by its argparse
 ``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
@@ -48,10 +49,14 @@ __all__ = ["main"]
 
 ENV_PREFIX = "CUSPDIM_"
 
-# A million levels take tens of seconds; larger ranges are refused, not left to run for hours.
+# A million levels take about 8.5 s (``classify 1..1000000 --format tsv``, 8.3 and 8.7 s in two
+# runs); larger ranges are refused, not left to run for hours.
 MAX_RANGE_LEVELS = 10**6
 # Likewise a table of more cusp classes than this is refused before it is built.
 MAX_CUSP_CLASSES = 10**6
+# Likewise a series precision above this, before any product is computed: the widest products
+# grow fast (``qexp etaq 12 1:-4,6:3,12:-2 N``: 26 s at N = 15000, 48 to 72 s at N = 20000).
+MAX_SERIES_TERMS = 15000
 
 REPRESENTATIVE_NOTE = (
     "cusp representatives use the least nonnegative numerator coprime to the "
@@ -163,12 +168,14 @@ def _emit_json(obj) -> None:
 def _emit_rows_json(key, row_texts, envelope) -> None:
     """Print ``_emit_json`` of ``envelope()`` with a nonempty list under
     ``key`` added, given each list item as its own indented JSON text.
-    Each item is printed as it arrives, the opening brace with the first;
+    The opening brace is printed first and each item as it arrives;
     ``envelope`` is called after the last, and ``key`` must sort before
     every key of what it returns."""
-    write = sys.stdout.write
-    for i, text in enumerate(row_texts):
-        write((",\n" if i else f'{{\n  "{key}": [\n') + text)
+    write, sep = sys.stdout.write, ""
+    write(f'{{\n  "{key}": [\n')
+    for text in row_texts:
+        write(sep + text)
+        sep = ",\n"
     rest = json.dumps(envelope(), indent=2, sort_keys=True)
     write(f"\n  ],\n{rest[2:]}\n")
 
@@ -225,11 +232,11 @@ def _cmd_classify(args) -> int:
     if hi - lo >= MAX_RANGE_LEVELS:
         raise ValueError(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
     dim_one, undecided = [], []
+    levels = _classify_window(lo, hi)
 
     def window():
         # The one pass: each level is tallied as it is decided, then printed.
-        # A window that can refuse a level decides them all before it yields one.
-        for c, p in _classify_window(lo, hi):
+        for c, p in levels:
             if c.verdict is not Verdict.DIM_AT_LEAST_TWO:
                 (dim_one if c.verdict is Verdict.DIM_ONE else undecided).append(c.level)
             yield c, p
@@ -317,6 +324,12 @@ def _integer(text: str, what: str) -> int:
         raise ValueError(f"malformed {what} {text!r}") from None
 
 
+def _series_terms(prec: int) -> int:
+    if prec > MAX_SERIES_TERMS:
+        raise ValueError(f"precision {prec} is more than {MAX_SERIES_TERMS} series terms")
+    return prec
+
+
 def _build_series(words: list[str], default_precision: int):
     kind, params = words[0], words[1:]
     required = {"eta": 0, "eta3": 0, "theta": 2, "etaq": 2}.get(kind)
@@ -328,6 +341,7 @@ def _build_series(words: list[str], default_precision: int):
             f"got {' '.join(words)!r}"
         )
     prec = _integer(params[required], "precision") if len(params) > required else default_precision
+    prec = _series_terms(prec)
     if kind == "eta":
         return eta_expansion(prec)
     if kind == "eta3":
@@ -374,7 +388,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "character":
         result = character_suite(seed=args.seed)
     elif args.suite == "euler-identity":
-        result = euler_identity_suite(depth=args.precision)
+        result = euler_identity_suite(depth=_series_terms(args.precision))
     else:
         result = rr_identity_suite()
     if args.format == "json":

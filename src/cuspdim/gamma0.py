@@ -176,19 +176,19 @@ def _cusp_blocks(n: int):
     """An iterator of (d, width, numerators) blocks, one per divisor d of n in
     increasing order, the numerators a ordered by a mod g = gcd(d, n/d).
 
-    One pass over ``_divisor_classes`` keeps the classes and counts their
-    widths, and the counts must equal ``_width_counts`` before any block is
-    returned.  Then the least a = r (mod g) coprime to d is r itself unless d
-    has a prime that g lacks; only then is it searched for, coprime to q, the
-    part of d prime to g.  With g = 1 it is 0 at d = 1, else 1."""
+    The classes of every divisor are kept, and the width multiset
+    ``_width_counts`` is counted down by each block's class count; every
+    count must end at zero before any block is returned.  Then the least
+    a = r (mod g) coprime to d is r itself unless d has a prime that g
+    lacks; only then is it searched for, coprime to q, the part of d prime
+    to g.  With g = 1 it is 0 at d = 1, else 1."""
     _check_int(n, "level")
-    classes = []
-    counts: dict[int, int] = {}
-    for block in _divisor_classes(n, divisors(n)):
-        classes.append(block)
-        w = block[2]
-        counts[w] = counts.get(w, 0) + len(block[3])
-    if counts != _width_counts(n):
+    # The multiset first, so that its interim dicts are gone before the classes are built.
+    counts = _width_counts(n)
+    classes = list(_divisor_classes(n, divisors(n)))
+    for _, _, w, residues in classes:
+        counts[w] = counts.get(w, 0) - len(residues)
+    if any(counts.values()):
         raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
     return _resolved(classes)
 

@@ -13,6 +13,7 @@ import cmath
 import math
 import numbers
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,7 +86,10 @@ class FracQSeries:
             raise ValueError("a series needs at least one retained term")
         if growth is not None:
             a, alpha = growth
-            if not all(isinstance(x, numbers.Real) and 0 <= x < math.inf for x in (a, alpha)):
+            # Not compared with inf: an int past float range is below it, but float() overflows.
+            if not all(
+                isinstance(x, numbers.Real) and 0 <= x <= sys.float_info.max for x in (a, alpha)
+            ):
                 raise ValueError(f"growth must be two finite numbers >= 0, got {growth!r}")
             growth = (float(a), float(alpha))
         self.growth = growth

@@ -1,5 +1,9 @@
+import ast
 import importlib
+import inspect
 import json
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -22,7 +26,8 @@ from cuspdim import (
     pole_divisor,
 )
 from cuspdim.classify import _classify_window
-from cuspdim.gamma0 import group_profile
+from cuspdim.gamma0 import CuspClass, group_profile
+from cuspdim.qseries import EtaQuotient
 from helpers import primes
 
 # The package's ``classify`` attribute is the function, not the module.
@@ -165,9 +170,9 @@ def test_matches_reference_needs_coverage():
 
 
 def test_window_matches_point_queries(monkeypatch):
-    # A window of at least isqrt(hi) levels goes through the sieve, a
-    # narrower one through the cached point queries; both must give what
-    # classify(n) and group_profile(n) give.
+    # A window of at least isqrt(hi) levels is factored by the sieve, a
+    # narrower one by factorize; both must give what classify(n) and
+    # group_profile(n) give.
     sieved = []
     real = classify_module._factor_window
 
@@ -247,6 +252,76 @@ def test_weight_two_exclusion_is_gated_by_its_preconditions(monkeypatch):
     cert = classify_module._decide(relabelled)
     assert (cert.level, cert.verdict, cert.witness) == (47, Verdict.DIM_ONE, witness)
     assert cert.rule == "weight-two-form-excludes-canonical-class"
+
+
+def _exclusion_guard(profile):
+    """Run ``_weight_two_exclusion`` on profile under a line trace; return
+    its result and which of its ``return None`` statements ran (0 for the
+    first in the source), or None if none did."""
+    func = classify_module._weight_two_exclusion
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    guards = sorted(
+        func.__code__.co_firstlineno + node.lineno - 1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+        and node.value.value is None
+    )
+    assert len(guards) == 8
+    lines = []
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return trace_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is func.__code__ else None)
+    try:
+        result = func(profile)
+    finally:
+        sys.settrace(previous)
+    return result, guards.index(lines[-1]) if lines[-1] in guards else None
+
+
+def _orders_at(orders):
+    """A stand-in for ``eta_quotient_cusp_order`` reading orders by (a, d)."""
+    return lambda quotient, c: Fraction(orders[c.a, c.d])
+
+
+class _WeightThree(EtaQuotient):
+    def weight(self):
+        return Fraction(3)
+
+
+# Level 23's support cusp is 0 = 0/1 (width 23) and its other cusp is
+# infinity = 1/23; the real witness has order 2 at both.
+@pytest.mark.parametrize("level, patches, guard", [
+    (11, {}, 0),  # genus 1
+    (26, {}, 0),  # mu2 = 2
+    (22, {}, 1),  # two support cusps, widths 22 and 11
+    (28, {}, 2),  # one support cusp, of multiplicity ceil(28/8) - 1 = 3
+    (23, {"EtaQuotient": _WeightThree}, 3),
+    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): Fraction(5, 2), (1, 23): 2})}, 4),
+    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 4, (1, 23): 0})}, 4),
+    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 2, (1, 23): 3})}, 5),
+    # A third cusp: the orders still sum to index/6 = 4, the differential's
+    # to 1, not 2g - 2 = 2.
+    (23, {"cusps": lambda n: (*cusps(n), CuspClass(n, 2, 23, 1)),
+          "eta_quotient_cusp_order": _orders_at({(0, 1): 2, (1, 23): 1, (2, 23): 1})}, 6),
+    # The differential vanishes doubly at infinity, not simply at the support.
+    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 1, (1, 23): 3})}, 7),
+])
+def test_weight_two_exclusion_guards(monkeypatch, level, patches, guard):
+    # Each precondition of the genus-two endgame refuses on its own: at a
+    # real level where one exists, else with one input of the rule replaced.
+    for name, value in patches.items():
+        monkeypatch.setattr(classify_module, name, value)
+    assert _exclusion_guard(group_profile(level)) == (None, guard)
+
+
+def test_weight_two_exclusion_witness_runs_no_guard():
+    witness, guard = _exclusion_guard(group_profile(23))
+    assert guard is None and witness["support_cusp"] == "0"
 
 
 def test_cusp_count_closed_form_and_ratio_growth():

@@ -174,8 +174,37 @@ def test_qexp_usage_errors(capsys):
         (["etaq", "4", "1:-8,1:3", "6"], "'1:-8,1:3'"),
         (["eta", "0"], "got 0"),
         (["eta", "10", "20"], "'eta 10 20'"),
+        (["etaq", "x", "1:1", "10"], "malformed level 'x'"),
+        (["theta", "z", "1", "10"], "malformed theta index 'z'"),
     ):
         assert_usage_error(capsys, ["qexp", *bad], quoted)
+
+
+def test_series_term_cap_is_refused_before_any_product(capsys, monkeypatch):
+    # A precision above the cap exits 2 before any series is expanded, as a
+    # positional, as --precision or from CUSPDIM_PRECISION, and for the
+    # euler-identity suite's depth.  CI runs that suite at depth 4096.
+    assert cli.MAX_SERIES_TERMS >= 4096
+
+    def no_series(*args, **kwargs):
+        raise AssertionError(f"series built for a refused precision: {args} {kwargs}")
+
+    for name in ("eta_quotient_expansion", "eta_expansion", "eta_cubed", "unary_theta",
+                 "euler_identity_suite"):
+        monkeypatch.setattr(cli, name, no_series)
+    over = cli.MAX_SERIES_TERMS + 1
+    message = f"precision {over} is more than {cli.MAX_SERIES_TERMS} series terms"
+    etaq = ["qexp", "etaq", "12", "1:-4,6:3,12:-2"]
+    for argv in (
+        [*etaq, str(over)],
+        [*etaq, "--precision", str(over)],
+        ["qexp", "eta3", str(over)],
+        ["qexp", "theta", "2", "1", "--precision", str(over)],
+        ["verify", "euler-identity", "--precision", str(over)],
+    ):
+        assert_usage_error(capsys, argv, message)
+    monkeypatch.setenv("CUSPDIM_PRECISION", str(over))
+    assert_usage_error(capsys, ["qexp", "eta"], message)
 
 
 def test_verify_euler_identity(capsys):
@@ -620,6 +649,29 @@ def test_classify_tsv_refused_part_way_prints_nothing(capsys):
         assert_usage_error(capsys, argv, f"cannot factor {first + 1}")
     code, out, _ = run(capsys, ["classify", str(first), "--format", "tsv"])
     assert code == 0 and out.count("\n") == 2
+
+
+def test_undecided_level_exits_one_in_every_format(capsys, monkeypatch):
+    # Without the genus-two endgame level 23 is Undecided: a rule coverage
+    # gap, counted as a failure in every format.
+    monkeypatch.setattr(
+        importlib.import_module("cuspdim.classify"), "_weight_two_exclusion", lambda p: None
+    )
+    code, out, _ = run(capsys, ["classify", "1..30"])
+    assert code == 1
+    assert out.endswith(
+        "UNDECIDED levels (rule coverage gap!): [23]\nmatches M23 element orders: False\n"
+    )
+    code, out, _ = run(capsys, ["classify", "1..30", "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["undecided_levels"] == [23]
+    assert payload["matches_m23_element_orders"] is False
+    code, out, _ = run(capsys, ["classify", "1..30", "--format", "tsv"])
+    assert code == 1
+    assert [row for row in out.splitlines() if row.startswith("23\t")] == [
+        "23\tUndecided\tundecided\t1\t2\t2\t"
+    ]
 
 
 def test_classify_tsv_rows_are_printed_as_decided(capsys, monkeypatch):

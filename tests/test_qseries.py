@@ -38,6 +38,16 @@ def test_construction_validation():
             FracQSeries(0, 1, [1], growth=growth)
 
 
+def test_growth_past_float_range_is_refused():
+    # An int or Fraction this large is below inf but has no float: the
+    # constructor refuses it instead of letting float() overflow.
+    huge = 10**400
+    for growth in ((huge, 0), (0, huge), (Fraction(huge, 3), 1.0)):
+        with pytest.raises(ValueError, match="growth must be two finite numbers >= 0"):
+            FracQSeries(0, 1, [1], growth=growth)
+    assert FracQSeries(0, 1, [1], growth=(10**300, 0)).growth == (1e300, 0.0)
+
+
 def test_eta_expansion_frozen():
     e = eta_expansion(8)
     assert e.offset == Fraction(1, 24)

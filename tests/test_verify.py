@@ -10,6 +10,7 @@ from cuspdim import exact, gamma0, verify
 from cuspdim.cli import main
 from cuspdim import (
     AutomorphyContext,
+    PrecisionError,
     SuiteResult,
     UnimodularMatrix,
     bound_crude,
@@ -54,6 +55,20 @@ def test_suites_pass_at_reduced_size():
     assert character_suite(n_max=12, pairs_per_level=500, kernel_samples=20).ok
     assert euler_identity_suite(depth=60).ok
     assert rr_identity_suite(n_max=500).ok
+
+
+def test_eta_law_counts_uncertified_samples(monkeypatch):
+    # A sample no precision certifies is a failure with no residual.
+    def uncertified(*args):
+        raise PrecisionError("no precision certifies this sample")
+
+    monkeypatch.setattr(verify, "verify_transformation", uncertified)
+    r = eta_law_suite(samples=5, seed=0)
+    assert (r.checks, r.failures, r.worst_residual, len(r.lines)) == (5, 5, None, 5)
+    assert all(
+        line.endswith(" uncertified: no precision certifies this sample FAIL") for line in r.lines
+    )
+    assert "worst=" not in r.summary() and r.summary().endswith(" FAIL")
 
 
 def test_suites_are_deterministic():
