@@ -124,49 +124,43 @@ def pole_divisor(n: int) -> CuspDivisor:
     return CuspDivisor(n, tuple(rows))
 
 
-class _LevelInvariants(NamedTuple):
-    """The profile, the strong bound and the pole-divisor degree, as integers."""
-
-    profile: GroupProfile
-    strong: int
-    divisor_degree: int
-
-
-@lru_cache(maxsize=4096, typed=True)
-def _level_invariants(n: int) -> _LevelInvariants:
-    return _invariants(group_profile(n))
-
-
-def _invariants(p: GroupProfile) -> _LevelInvariants:
-    # The pole divisor takes ceil(w/8) - 1 at each cusp, so its degree is
-    # sum ceil(w/8) less the cusp count.
+def _invariants(p: GroupProfile) -> tuple[int, int]:
+    """(strong bound, pole-divisor degree); the divisor's ceil(w/8) - 1 per
+    cusp sums to sum ceil(w/8) less the cusp count."""
     deg = p.ceil_eighths_sum - p.cusp_count
-    return _LevelInvariants(p, deg + 1 - p.genus, deg)
+    return deg + 1 - p.genus, deg
+
+
+# The benchmark's per-layer metric classify._level_invariants.hit_ratio reads
+# this cache by name, so it stays until that metric goes (ROADMAP item 1).
+@lru_cache(maxsize=4096, typed=True)
+def _level_invariants(n: int) -> tuple[int, int]:
+    return _invariants(group_profile(n))
 
 
 def bound_strong(n: int) -> Fraction:
     """Exact Riemann-Roch lower bound for the dimension,
     deg(pole divisor) + 1 - genus: the classifier's integer, as a Fraction."""
-    return Fraction(_level_invariants(n).strong)
+    return Fraction(_level_invariants(n)[0])
 
 
-def _bound_24ths(inv: _LevelInvariants) -> tuple[int, int, int]:
+def _bound_24ths(p: GroupProfile) -> tuple[int, int, int]:
     """24 times the crude, weak and strong bounds of one level, as integers."""
-    p, c12 = inv.profile, 12 * inv.profile.cusp_count
-    return p.index - c12, 24 * p.ceil_eighths_sum - 2 * p.index - c12, 24 * inv.strong
+    c12 = 12 * p.cusp_count
+    return p.index - c12, 24 * p.ceil_eighths_sum - 2 * p.index - c12, 24 * _invariants(p)[0]
 
 
 def bound_weak(n: int) -> Fraction:
     """The strong bound with the elliptic-point credits dropped; a rational
     lower bound for it."""
-    return Fraction(_bound_24ths(_level_invariants(n))[1], 24)
+    return Fraction(_bound_24ths(group_profile(n))[1], 24)
 
 
 def bound_crude(n: int) -> Fraction:
     """index/24 - cusps/2: a lower bound for the weak bound that visibly
     grows with the level, so only finitely many levels can stay at
     dimension one."""
-    return Fraction(_bound_24ths(_level_invariants(n))[0], 24)
+    return Fraction(_bound_24ths(group_profile(n))[0], 24)
 
 
 class Certificate(NamedTuple):
@@ -219,8 +213,6 @@ def _weight_two_exclusion(p: GroupProfile) -> dict | None:
     if mult != 2:
         return None
     quotient = EtaQuotient(n, {1: 2, n: 2})
-    if quotient.weight() != 2:
-        return None
     orders = [(c, eta_quotient_cusp_order(quotient, c)) for c in cusps(n)]
     # Holomorphic cusp form: integral positive order at every cusp.  Eta is
     # zero-free away from cusps, so these orders are the whole divisor.
@@ -228,13 +220,10 @@ def _weight_two_exclusion(p: GroupProfile) -> dict | None:
         return None
     if sum(o for _, o in orders) != Fraction(p.index, 6):
         return None
-    # As a differential the order drops by one at each cusp (no elliptic
-    # corrections here since mu2 = mu3 = 0).
-    diff_orders = [(c, int(o) - 1) for c, o in orders]
-    if sum(o for _, o in diff_orders) != 2 * p.genus - 2:
-        return None
-    at_support = next(o for c, o in diff_orders if c == support)
-    if at_support != 1:
+    # As a differential the order drops by one at each cusp (mu2 = mu3 = 0),
+    # leaving degree index/6 - c = 2g - 2 = 2: order 2 at the support cusp
+    # is a simple zero there, and the other zero lies at another cusp.
+    if next(o for c, o in orders if c == support) != 2:
         return None
     return {
         "support_cusp": _representative_text(support.a, support.d),
@@ -253,11 +242,11 @@ def classify(n: int) -> Certificate:
     and the genus-two exclusion settles level 23.  Anything else is
     Undecided.  Only the last two rules look at individual cusp classes.
     """
-    return _decide(_level_invariants(n))
+    return _decide(group_profile(n))
 
 
-def _decide(inv: _LevelInvariants) -> Certificate:
-    p, strong, deg = inv
+def _decide(p: GroupProfile) -> Certificate:
+    strong, deg = _invariants(p)
     verdict, witness = Verdict.DIM_ONE, None
     if strong > 1:
         verdict, rule = Verdict.DIM_AT_LEAST_TWO, RULE_STRONG_BOUND
@@ -355,7 +344,7 @@ def _classify_window(lo: int, hi: int) -> Iterator[tuple[Certificate, GroupProfi
         factored = [(n, factorize(n).factors) for n in range(lo, hi + 1)]
     else:
         factored = _factor_window(lo, hi)
-    return ((_decide(_invariants(p)), p) for p in (_profile(n, f) for n, f in factored))
+    return ((_decide(p), p) for p in (_profile(n, f) for n, f in factored))
 
 
 def classify_range(n_max: int) -> ClassificationReport:

@@ -276,6 +276,8 @@ def kronecker(a: int, n: int) -> int:
     Edge conventions: (a|1) = 1; (a|-1) = -1 exactly when a < 0; and
     (a|0) = 1 when a = +-1, else 0.
     """
+    _check_int(a, "numerator", minimum=None)
+    _check_int(n, "denominator", minimum=None)
     if n == 0:
         return 1 if a in (1, -1) else 0
     result = 1
@@ -326,6 +328,7 @@ def dedekind_sum(d: int, c: int) -> Fraction:
 
     Requires c >= 1 and gcd(d, c) = 1.  Depends on d only modulo c.
     """
+    _check_int(d, "first argument", minimum=None)
     _check_int(c, "modulus")
     if math.gcd(d, c) != 1:
         raise ValueError(f"arguments must be coprime, got gcd({d}, {c}) != 1")

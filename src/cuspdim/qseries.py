@@ -568,7 +568,10 @@ def _series_tail_bound(series: FracQSeries, im_tau: float, start: int) -> float:
     """Tail bound from term ``start`` on, for this or a longer expansion."""
     a, alpha = series.growth
     r = math.exp(-2.0 * math.pi * im_tau * float(series.step))
-    scale = math.exp(-2.0 * math.pi * im_tau * float(series.offset))
+    try:
+        scale = math.exp(-2.0 * math.pi * im_tau * float(series.offset))
+    except OverflowError:
+        return math.inf
     return _tail_bound(a, alpha, r, start, scale)
 
 
@@ -576,7 +579,8 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
     """Numeric value of the series at tau (upper half-plane) together with a
     rigorous bound on the truncation error of the underlying infinite series.
 
-    Requires a growth certificate on the series.  Term phases are reduced
+    Requires a growth certificate on the series, and raises PrecisionError
+    without one or when a term is past float range.  Term phases are reduced
     exactly (integer numerators over one denominator, from the exact binary
     value of Re(tau)) before any float exponential, so rounding noise stays
     near machine epsilon; a small roundoff allowance is folded into the
@@ -598,13 +602,18 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
     two_pi = 2.0 * math.pi
     total = 0j
     absmass = 0.0
-    for k, _, cf in series.support():
-        decay = math.exp(-two_pi * v * (off_f + k * step_f))
-        if decay == 0.0:
-            break
-        phase = (a + k * b) % den / den
-        total += cf * decay * cmath.exp(2j * math.pi * phase)
-        absmass += abs(cf) * decay
+    try:
+        for k, _, cf in series.support():
+            decay = math.exp(-two_pi * v * (off_f + k * step_f))
+            if decay == 0.0:
+                break
+            phase = (a + k * b) % den / den
+            total += cf * decay * cmath.exp(2j * math.pi * phase)
+            absmass += abs(cf) * decay
+        if absmass == math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise PrecisionError(f"a term of the series at Im(tau) = {v} is past float range") from None
     bound = _series_tail_bound(series, v, series.precision)
     bound += 64.0 * 2.220446049250313e-16 * (absmass + abs(total))
     return EvalResult(total, bound)

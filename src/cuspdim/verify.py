@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import _bound_24ths, _invariants
+from .classify import _bound_24ths
 from .exact import _check_int, _check_tolerance, _divisors_of, _factor_window, divisors
 from .gamma0 import UnimodularMatrix, _divisor_classes, _profile
 from .multiplier import (
@@ -84,12 +84,8 @@ def random_unimodular(rng: random.Random, entry_bound: int = 50) -> UnimodularMa
     row is the minimal completion, which stays inside the box)."""
     # A coprime pair exists in the box only from entry_bound 1 on.
     _check_int(entry_bound, "entry bound")
-    # randrange(2b + 1) - b makes the one _randbelow call of randint(-b, b).
-    while True:
-        c = rng.randrange(2 * entry_bound + 1) - entry_bound
-        d = rng.randrange(2 * entry_bound + 1) - entry_bound
-        if math.gcd(c, d) == 1:
-            return _build_row(c, d, rng.randrange(2 * entry_bound + 1) - entry_bound)
+    # Level 1 with bottom-left multiples up to entry_bound: the same draws.
+    return random_level_element(rng, 1, entry_bound, entry_bound)
 
 
 def random_level_element(
@@ -100,6 +96,7 @@ def random_level_element(
     _check_int(n, "level")
     _check_int(multiple_bound, "multiple bound", 0)
     _check_int(entry_bound, "entry bound")
+    # randrange(2b + 1) - b makes the one _randbelow call of randint(-b, b).
     while True:
         c = n * (rng.randrange(2 * multiple_bound + 1) - multiple_bound)
         d = rng.randrange(2 * entry_bound + 1) - entry_bound
@@ -302,22 +299,22 @@ def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:
     up to n_max: the strong bound equals divisor degree + 1 - genus, and the
     three bounds are correctly ordered.
 
-    One sieve factors the levels.  The strong bound the classifier decides on
-    (``_invariants`` of ``_profile``) folds sum ceil(w/8) from the local widths
-    mod 8; the identity recounts the degree as ceil(w/8) - 1 per class of
-    ``_divisor_classes``, the enumeration ``_cusp_blocks`` reads.  So a wrong
+    One sieve factors the levels.  The strong bound the classifier decides on,
+    in 24ths (``_bound_24ths`` of ``_profile``), folds sum ceil(w/8) from the
+    local widths mod 8; the identity recounts the degree as ceil(w/8) - 1 per class
+    of ``_divisor_classes``, the enumeration ``_cusp_blocks`` reads.  So a wrong
     residue of a local width, or a class of width above 8 lost from or added to
     the enumeration, fails it.  The genus and the elliptic counts are shared
-    with the profile, which checks them.  The ordering is compared in 24ths.
+    with the profile, which checks them.
     """
     _check_int(n_max, "largest level")
     identity_bad = order_bad = 0
     for n, factors in _factor_window(1, n_max):
-        inv = _invariants(_profile(n, factors))
+        p = _profile(n, factors)
         classes = _divisor_classes(n, _divisors_of(factors))
         deg = sum(len(residues) * (-(-w // 8) - 1) for _, _, w, residues in classes if w > 8)
-        identity_bad += inv.strong != deg + 1 - inv.profile.genus
-        crude, weak, strong = _bound_24ths(inv)
+        crude, weak, strong = _bound_24ths(p)
+        identity_bad += strong != 24 * (deg + 1 - p.genus)
         order_bad += not crude <= weak <= strong
     lines = (
         f"strong-bound-identity n<={n_max} failures={identity_bad} "

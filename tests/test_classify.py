@@ -26,8 +26,7 @@ from cuspdim import (
     pole_divisor,
 )
 from cuspdim.classify import _classify_window
-from cuspdim.gamma0 import CuspClass, group_profile
-from cuspdim.qseries import EtaQuotient
+from cuspdim.gamma0 import group_profile
 from helpers import primes
 
 # The package's ``classify`` attribute is the function, not the module.
@@ -70,7 +69,7 @@ def test_pole_divisor_api_from_integer_rows():
         assert divisor.support() == tuple(c for c, _ in expected), n
         coefficients = dict(expected)
         assert all(divisor.coefficient(c) == coefficients.get(c, 0) for c in level_cusps), n
-        assert divisor.degree() == classify_module._level_invariants(n).divisor_degree, n
+        assert divisor.degree() == classify_module._invariants(group_profile(n))[1], n
 
 
 def test_pole_divisor_degree_zero_exactly_through_eight():
@@ -244,9 +243,8 @@ def test_rules_fired_in_range():
 
 def test_weight_two_exclusion_is_gated_by_its_preconditions(monkeypatch):
     # The rule fires wherever its witness exists, not at one named level:
-    # level 23's invariants, relabelled as level 47, reach it unchanged.
-    inv = classify_module._level_invariants(23)
-    relabelled = inv._replace(profile=inv.profile._replace(level=47))
+    # level 23's profile, relabelled as level 47, reaches it unchanged.
+    relabelled = group_profile(23)._replace(level=47)
     witness = {"support_cusp": "0"}
     monkeypatch.setattr(classify_module, "_weight_two_exclusion", lambda p: witness)
     cert = classify_module._decide(relabelled)
@@ -266,7 +264,7 @@ def _exclusion_guard(profile):
         if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
         and node.value.value is None
     )
-    assert len(guards) == 8
+    assert len(guards) == 6
     lines = []
 
     def trace_lines(frame, event, arg):
@@ -288,11 +286,6 @@ def _orders_at(orders):
     return lambda quotient, c: Fraction(orders[c.a, c.d])
 
 
-class _WeightThree(EtaQuotient):
-    def weight(self):
-        return Fraction(3)
-
-
 # Level 23's support cusp is 0 = 0/1 (width 23) and its other cusp is
 # infinity = 1/23; the real witness has order 2 at both.
 @pytest.mark.parametrize("level, patches, guard", [
@@ -300,16 +293,11 @@ class _WeightThree(EtaQuotient):
     (26, {}, 0),  # mu2 = 2
     (22, {}, 1),  # two support cusps, widths 22 and 11
     (28, {}, 2),  # one support cusp, of multiplicity ceil(28/8) - 1 = 3
-    (23, {"EtaQuotient": _WeightThree}, 3),
-    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): Fraction(5, 2), (1, 23): 2})}, 4),
-    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 4, (1, 23): 0})}, 4),
-    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 2, (1, 23): 3})}, 5),
-    # A third cusp: the orders still sum to index/6 = 4, the differential's
-    # to 1, not 2g - 2 = 2.
-    (23, {"cusps": lambda n: (*cusps(n), CuspClass(n, 2, 23, 1)),
-          "eta_quotient_cusp_order": _orders_at({(0, 1): 2, (1, 23): 1, (2, 23): 1})}, 6),
+    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): Fraction(5, 2), (1, 23): 2})}, 3),
+    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 4, (1, 23): 0})}, 3),
+    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 2, (1, 23): 3})}, 4),
     # The differential vanishes doubly at infinity, not simply at the support.
-    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 1, (1, 23): 3})}, 7),
+    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 1, (1, 23): 3})}, 5),
 ])
 def test_weight_two_exclusion_guards(monkeypatch, level, patches, guard):
     # Each precondition of the genus-two endgame refuses on its own: at a

@@ -249,6 +249,23 @@ def test_dedekind_sum_validation():
         dedekind_sum(1, 0)
     with pytest.raises(ValueError):
         dedekind_sum(2, 4)
+    # Both arguments are integers, and True is not 1.
+    for bad in (1.5, 1.0, True, "1", Fraction(1)):
+        with pytest.raises(ValueError):
+            dedekind_sum(bad, 2)
+        with pytest.raises(ValueError):
+            dedekind_sum(1, bad)
+
+
+def test_kronecker_validation():
+    # Both arguments are integers of any sign, and True is not 1.
+    for bad in (1.5, 1.0, 0.0, True, False, "1", Fraction(1)):
+        with pytest.raises(ValueError):
+            kronecker(bad, 0)
+        with pytest.raises(ValueError):
+            kronecker(bad, 15)
+        with pytest.raises(ValueError):
+            kronecker(1, bad)
 
 
 def test_dedekind_reciprocity():

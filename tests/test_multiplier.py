@@ -8,6 +8,7 @@ import pytest
 from cuspdim import (
     AutomorphyContext,
     EtaQuotient,
+    FracQSeries,
     PrecisionError,
     UnimodularMatrix,
     UnitPhase,
@@ -17,6 +18,7 @@ from cuspdim import (
     eta_expansion,
     eta_multiplier,
     eta_quotient_expansion,
+    evaluate,
     gamma0_character,
     j_factor,
     random_level_element,
@@ -290,6 +292,21 @@ def test_transformation_precision_failure_paths():
             verify_transformation(eta_expansion(64), ctx, M.inversion(), tau)
         with pytest.raises(ValueError):
             j_factor(M.inversion(), tau, HALF)
+
+
+def test_terms_past_float_range_raise_precision_error():
+    # q^-1000 at Im(tau) = 1 is e^(2000 pi), and 10^400 q^0 is past float
+    # range by itself: no value can be reported, fixed or raised by doubling.
+    def low_offset(precision):
+        return FracQSeries(-1000, 1, [1] + [0] * (precision - 1), (1.0, 0.0))
+
+    for series in (low_offset(3), FracQSeries(0, 1, [10**400], (1.0, 0.0))):
+        with pytest.raises(PrecisionError, match="past float range"):
+            evaluate(series, 1j)
+        with pytest.raises(PrecisionError, match="past float range"):
+            verify_transformation(series, AutomorphyContext(weight=12), M.inversion(), 1j)
+    with pytest.raises(PrecisionError):
+        verify_transformation(low_offset, AutomorphyContext(weight=12), M.inversion(), 1j)
 
 
 def test_bool_is_not_an_integer_argument():

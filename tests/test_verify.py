@@ -179,9 +179,9 @@ def test_rr_identity_24ths_are_the_public_bounds():
     # The suite compares the bounds as integers and never calls the public
     # Fraction functions; they must be the same numbers.
     for n, factors in exact._factor_window(1, 2000):
-        inv = classify_module._invariants(gamma0._profile(n, factors))
+        profile = gamma0._profile(n, factors)
         public = tuple(24 * bound(n) for bound in (bound_crude, bound_weak, bound_strong))
-        assert classify_module._bound_24ths(inv) == public, n
+        assert classify_module._bound_24ths(profile) == public, n
 
 
 def test_rr_identity_needs_no_point_factorization(monkeypatch):
