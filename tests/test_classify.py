@@ -287,17 +287,24 @@ def _orders_at(orders):
 
 
 # Level 23's support cusp is 0 = 0/1 (width 23) and its other cusp is
-# infinity = 1/23; the real witness has order 2 at both.
+# infinity = 1/23; the real witness has order 2 at both.  The case ids are
+# the ones these cases had when the rule also checked the quotient's weight
+# and the differential's degree, so each case keeps its name.
 @pytest.mark.parametrize("level, patches, guard", [
-    (11, {}, 0),  # genus 1
-    (26, {}, 0),  # mu2 = 2
-    (22, {}, 1),  # two support cusps, widths 22 and 11
-    (28, {}, 2),  # one support cusp, of multiplicity ceil(28/8) - 1 = 3
-    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): Fraction(5, 2), (1, 23): 2})}, 3),
-    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 4, (1, 23): 0})}, 3),
-    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 2, (1, 23): 3})}, 4),
+    pytest.param(11, {}, 0, id="11-patches0-0"),  # genus 1
+    pytest.param(26, {}, 0, id="26-patches1-0"),  # mu2 = 2
+    pytest.param(22, {}, 1, id="22-patches2-1"),  # two support cusps, widths 22 and 11
+    # One support cusp, of multiplicity ceil(28/8) - 1 = 3.
+    pytest.param(28, {}, 2, id="28-patches3-2"),
+    pytest.param(23, {"eta_quotient_cusp_order": _orders_at({(0, 1): Fraction(5, 2), (1, 23): 2})},
+                 3, id="23-patches5-4"),
+    pytest.param(23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 4, (1, 23): 0})},
+                 3, id="23-patches6-4"),
+    pytest.param(23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 2, (1, 23): 3})},
+                 4, id="23-patches7-5"),
     # The differential vanishes doubly at infinity, not simply at the support.
-    (23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 1, (1, 23): 3})}, 5),
+    pytest.param(23, {"eta_quotient_cusp_order": _orders_at({(0, 1): 1, (1, 23): 3})},
+                 5, id="23-patches9-7"),
 ])
 def test_weight_two_exclusion_guards(monkeypatch, level, patches, guard):
     # Each precondition of the genus-two endgame refuses on its own: at a
