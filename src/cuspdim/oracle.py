@@ -2,10 +2,12 @@
 
 Cosets of the level-n group inside SL2(Z) are enumerated by breadth-first
 closure under the standard generators, with coset identity decided by the
-membership test alone.  Boundary orbits then fall out as cycles of the
-right translation action on cosets, and each width is found by a direct
-stabilizer search.  Nothing here touches the closed-form width or count
-formulas, so the two routes can be compared in tests.
+canonical bottom-row label ``_coset_key``, which
+``test_cosets_pairwise_inequivalent`` checks against the membership test.
+Boundary orbits then fall out as cycles of the right translation action on
+cosets, and each width is found by a direct stabilizer search.  Nothing
+here touches the closed-form width or count formulas, so the two routes can
+be compared in tests.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact import _check_int
 from .gamma0 import UnimodularMatrix, is_member
@@ -66,32 +69,46 @@ def _coset_key(c: int, d: int, n: int) -> tuple[int, int]:
     return (g, d * pow(c0, -1, n1) % n1)
 
 
-def _coset_table(n: int) -> dict[tuple[int, int], UnimodularMatrix]:
+@lru_cache(maxsize=1)
+def _residue_table(n: int) -> tuple[tuple[int, int, int], ...]:
+    # For a fixed c mod n the label is linear in d: _coset_key(c, d, n) is
+    # (g, d * t mod n/g) with (g, t) = _coset_key(c, 1, n).  Row c holds
+    # (g, n/g, t), so labelling a bottom row is one index, a multiply and a mod.
+    # One entry: the orbit walk reuses the table its closure just built.
+    return tuple((g, n // g, t) for g, t in (_coset_key(c, 1, n) for c in range(n)))
+
+
+def _coset_table(n: int) -> dict[tuple[int, int], tuple[int, int, int, int]]:
     # The closure runs on (a, b, c, d) rows under right multiplication by
-    # S = [0 -1; 1 0], T and T^-1; only the stored representatives become
-    # matrices, so each of them is still checked for determinant one.
+    # S = [0 -1; 1 0], T and T^-1, labelled through the residue table; each
+    # stored row is checked for determinant one.
+    res = _residue_table(n)
     start = (1, 0, 0, 1)
     rows = {_coset_key(0, 1, n): start}
     queue = deque([start])
     while queue:
         a, b, c, d = queue.popleft()
         for nxt in ((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c)):
-            key = _coset_key(nxt[2], nxt[3], n)
+            g, n1, t = res[nxt[2] % n]
+            key = (g, nxt[3] * t % n1)
             if key not in rows:
+                if nxt[0] * nxt[3] - nxt[1] * nxt[2] != 1:
+                    raise ArithmeticError(f"coset representative {nxt} has determinant != 1")
                 rows[key] = nxt
                 queue.append(nxt)
-    return {key: UnimodularMatrix(*row) for key, row in rows.items()}
+    return rows
 
 
 def enumerate_cosets(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[UnimodularMatrix, ...]:
     """Coset representatives of the level-n group in SL2(Z), in discovery order."""
     _check_cutoff(n, cutoff)
-    return tuple(_coset_table(n).values())
+    return tuple(UnimodularMatrix(*row) for row in _coset_table(n).values())
 
 
 def oracle_index(n: int, cutoff: int = ORACLE_CUTOFF) -> int:
     """Index of the level-n group, counted by explicit coset enumeration."""
-    return len(enumerate_cosets(n, cutoff))
+    _check_cutoff(n, cutoff)
+    return len(_coset_table(n))
 
 
 def _orbit_representative(sigma: UnimodularMatrix) -> tuple[int, int]:
@@ -128,12 +145,12 @@ def oracle_cusps(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[OrbitCusp, ...]:
     stabilizer search and must match the cycle length (ArithmeticError).
     """
     _check_cutoff(n, cutoff)
+    res = _residue_table(n)
     table = _coset_table(n)
-    order = list(table)
 
     seen: set[tuple[int, int]] = set()
     out = []
-    for key in order:
+    for key in table:
         if key in seen:
             continue
         cycle = 0
@@ -141,11 +158,12 @@ def oracle_cusps(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[OrbitCusp, ...]:
         while cur not in seen:
             seen.add(cur)
             cycle += 1
-            rep = table[cur]
-            cur = _coset_key(rep.c, rep.c + rep.d, n)
+            _, _, c, d = table[cur]
+            g, n1, t = res[c % n]
+            cur = (g, (c + d) * t % n1)
         if cur != key:
             raise ArithmeticError(f"translation walk left its own orbit at {n}")
-        sigma = table[key]
+        sigma = UnimodularMatrix(*table[key])
         width = _orbit_width(sigma, n)
         if width != cycle:
             raise ArithmeticError(f"stabilizer width {width} != orbit length {cycle} at {n}")

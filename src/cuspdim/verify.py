@@ -183,6 +183,19 @@ def _skip_pair_draws(rng: random.Random, k: int) -> None:
     rng.getrandbits(128 * k)
 
 
+def _pair_failures(rows: list[tuple[int, int, int, int]], m: int) -> list[bool]:
+    # Whether c1*d1 + c2*d2 - c3*d3 != 0 mod m for each ordered pair of rows,
+    # left row outer, where (c3, d3) = (c1*a2 + d1*c2, c1*b2 + d1*d2) is the
+    # product's bottom row.  As polynomials in the eight entries,
+    #   c1*d1 + c2*d2 - c3*d3 = x*alpha + u*beta + w*gamma,
+    # with (x, u, w) = (c1*d1, c1^2, 1 - d1^2) from the left row and
+    # (alpha, beta, gamma) = (1 - a2*d2 - b2*c2, -a2*b2, c2*d2) from the right,
+    # so each triple is reduced mod m once, for any integer rows.
+    left = [(c * d % m, c * c % m, (1 - d * d) % m) for _, _, c, d in rows]
+    right = [((1 - a * d - b * c) % m, -a * b % m, c * d % m) for a, b, c, d in rows]
+    return [(x * al + u * be + w * ga) % m != 0 for x, u, w in left for al, be, ga in right]
+
+
 def character_suite(
     n_max: int = 60,
     pairs_per_level: int = 10_000,
@@ -234,11 +247,7 @@ def character_suite(
                 int_ok = (g1.c * g1.d + g2.c * g2.d - prod.c * prod.d) % m == 0
                 if not api_ok or api_ok != int_ok:
                     bad += 1
-            pair_bad = [
-                (c1 * d1 + c2 * d2 - (c1 * a2 + d1 * c2) * (c1 * b2 + d1 * d2)) % m != 0
-                for _, _, c1, d1 in rows
-                for a2, b2, c2, d2 in rows
-            ]
+            pair_bad = _pair_failures(rows, m)
             if any(pair_bad):
                 drawn = zip(rng.choices(slots, k=pairs_per_level),
                             rng.choices(slots, k=pairs_per_level))

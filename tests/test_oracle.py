@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 
 import pytest
@@ -66,7 +67,29 @@ def _matrix_coset_table(n):
 def test_integer_closure_matches_matrix_products():
     # same keys, in the same discovery order, with the same representatives
     for n in range(1, ORACLE_CUTOFF + 1):
-        assert list(oracle._coset_table(n).items()) == list(_matrix_coset_table(n).items()), n
+        expected = [(key, (m.a, m.b, m.c, m.d)) for key, m in _matrix_coset_table(n).items()]
+        assert list(oracle._coset_table(n).items()) == expected, n
+
+
+def test_residue_table_reproduces_coset_key():
+    for n in list(range(1, 61)) + [120, 210, 288]:
+        res = oracle._residue_table(n)
+        assert len(res) == n
+        for c, (g, n1, t) in enumerate(res):
+            for d in range(n):
+                assert (g, d * t % n1) == oracle._coset_key(c, d, n), (n, c, d)
+
+
+def _digest(lines):
+    return hashlib.sha256("".join(f"{' '.join(map(str, x))}\n" for x in lines).encode()).hexdigest()
+
+
+def test_oracle_output_frozen():
+    # The CLI prints only AGREE; these pin every orbit and representative.
+    orbits = [(n, o.numerator, o.denominator, o.width) for n in range(1, 301) for o in oracle_cusps(n)]
+    assert _digest(orbits) == "3040998f98aada644020433a4706e07d9333488103192ce23fe4c6791ae649e0"
+    reps = [(n, m.a, m.b, m.c, m.d) for n in range(1, 61) for m in enumerate_cosets(n)]
+    assert _digest(reps) == "63d313ff183af396b30ed8ef5807b10e235fb98b0950fd293f0e2889bce727d4"
 
 
 def test_cosets_pairwise_inequivalent():

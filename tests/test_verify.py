@@ -257,6 +257,25 @@ def test_suites_refuse_vacuous_input():
             verify_transformation(eta_expansion(64), ctx, UnimodularMatrix.inversion(), 1j, tolerance)
 
 
+def test_pair_check_triples_match_the_product_form():
+    # Integer rows of any determinant, most of them not 1: the reduced
+    # triples give the same boolean as the bottom-row product, pair by pair.
+    rng = random.Random(7)
+    dets = set()
+    for m in (1, 2, 5, 12, 36, 720):
+        rows = [tuple(rng.randint(-30, 30) for _ in range(4)) for _ in range(40)]
+        dets.update(a * d - b * c for a, b, c, d in rows)
+        direct = [
+            (c1 * d1 + c2 * d2 - (c1 * a2 + d1 * c2) * (c1 * b2 + d1 * d2)) % m != 0
+            for _, _, c1, d1 in rows
+            for a2, b2, c2, d2 in rows
+        ]
+        assert verify._pair_failures(rows, m) == direct, m
+        if m > 2:
+            assert 0 < sum(direct) < len(direct), m
+    assert len(dets) > 2
+
+
 def _per_draw_character_failures(n_max, pairs_per_level, kernel_samples, seed):
     # The bulk homomorphism check one draw at a time, consuming the generator
     # as character_suite does; returns the failure count and the failing draws.
