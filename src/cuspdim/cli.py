@@ -249,16 +249,16 @@ def _cmd_classify(args) -> int:
     elif args.format == "tsv":
         _emit_tsv(_tsv_rows(c for c, _ in window()))
     else:
-        # The column widths need the whole range: keep one line per level.
+        # The column widths need the whole range: keep one row per level.
         header = "level index cusps mu2 mu3 genus divdeg bound verdict rule".split()
-        widths, table = list(map(len, header)), ["\t".join(header)]
+        widths, table = list(map(len, header)), [header]
         for c, p in window():
             row = (*map(str, (c.level, p.index, p.cusp_count, p.mu2, p.mu3, p.genus,
                               c.divisor_degree, c.bound)), _VERDICT_TEXT[c.verdict], c.rule)
             widths = list(map(max, widths, map(len, row)))
-            table.append("\t".join(row))
-        for line in table:
-            print("  ".join(cell.rjust(w) for cell, w in zip(line.split("\t"), widths)))
+            table.append(row)
+        for row in table:
+            print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
         print()
         print(f"dim-one levels: {dim_one}")
         if undecided:
@@ -270,10 +270,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cusps(args) -> int:
-    """The cusp table of one level, written as ``_cusp_blocks`` resolves it:
-    one write of one f-string per class, with d and the width formatted once
-    per divisor block.  The table's size, the oracle's cutoff and the
-    table's widths are all checked before anything is printed."""
+    """The cusp table of one level, streamed as ``_cusp_blocks`` resolves it:
+    one write per class, d and the width formatted once per divisor block.
+    The table's size, the oracle's cutoff and the table's widths are checked
+    before anything is printed; the oracle's widths are compared with the
+    profile's width multiset, the one ``_cusp_blocks`` checked the table by."""
     n = args.level
     profile = group_profile(n)
     if profile.cusp_count > MAX_CUSP_CLASSES:
@@ -286,8 +287,7 @@ def _cmd_cusps(args) -> int:
     blocks = _cusp_blocks(n)
     oracle_verdict = None
     if args.oracle:
-        blocks = list(blocks)
-        formula_widths = sorted([w for _, w, numerators in blocks for _ in numerators])
+        formula_widths = [w for w, count in profile.widths for _ in range(count)]
         orbit_widths = sorted(o.width for o in orbits)
         oracle_verdict = "AGREE" if formula_widths == orbit_widths else "DISAGREE"
 
@@ -395,7 +395,7 @@ def _cmd_verify(args) -> int:
         _emit_json(result.to_json_obj())
     elif args.format == "tsv":
         rows = [("check", "status")]
-        rows += [(line.rsplit(" ", 1)[0], line.rsplit(" ", 1)[1]) for line in result.lines]
+        rows += [tuple(line.rsplit(" ", 1)) for line in result.lines]
         _emit_tsv(rows)
     else:
         for line in result.lines:

@@ -107,9 +107,7 @@ class AutomorphyContext:
             _check_character(self.level, self.character_h)
 
     def psi(self, gamma: UnimodularMatrix) -> UnitPhase:
-        phase = PHASE_ONE
-        if self.eta_power:
-            phase = phase * eta_multiplier(gamma) ** self.eta_power
+        phase = eta_multiplier(gamma) ** self.eta_power if self.eta_power else PHASE_ONE
         if self.character_h is not None:
             phase = phase * gamma0_character(self.level, self.character_h, gamma)
         return phase

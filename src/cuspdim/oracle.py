@@ -5,9 +5,10 @@ closure under the standard generators, with coset identity decided by the
 canonical bottom-row label ``_coset_key``, which
 ``test_cosets_pairwise_inequivalent`` checks against the membership test.
 Boundary orbits then fall out as cycles of the right translation action on
-cosets, and each width is found by a direct stabilizer search.  Nothing
-here touches the closed-form width or count formulas, so the two routes can
-be compared in tests.
+cosets, and each width is found by a direct stabilizer search over the
+conjugates sigma T^h sigma^{-1}, which are linear in h.  Nothing here
+touches the closed-form width or count formulas, so the two routes can be
+compared in tests.
 """
 
 from __future__ import annotations
@@ -111,29 +112,15 @@ def oracle_index(n: int, cutoff: int = ORACLE_CUTOFF) -> int:
     return len(_coset_table(n))
 
 
-def _orbit_representative(sigma: UnimodularMatrix) -> tuple[int, int]:
-    num, den = sigma.a, sigma.c
-    if den == 0:
-        return (1, 0)
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    if den < 0:
-        num, den = -num, -den
-    return (num, den)
-
-
-def _orbit_width(sigma: UnimodularMatrix, n: int) -> int:
-    # Least h >= 1 with sigma T^h sigma^{-1} in the group; the conjugates are
-    # powers of a fixed matrix, searched directly with a hard cap at n.  Each
-    # power whose lower-left entry n divides is confirmed as a group member.
-    a, c = sigma.a, sigma.c
-    # sigma T sigma^{-1} = [1 - ac, a^2; -c^2, 1 + ac], as det(sigma) = 1.
-    p1, q1, r1, s1 = 1 - a * c, a * a, -c * c, 1 + a * c
-    p, q, r, s = p1, q1, r1, s1
+def _orbit_width(a: int, c: int, n: int) -> int:
+    # Least h >= 1, capped at n, with sigma T^h sigma^{-1} in the group for the
+    # sigma of first column (a, c).  As det(sigma) = 1 that conjugate is
+    # [1 - ach, a^2 h; -c^2 h, 1 + ach]; each with n | c^2 h is confirmed a member.
     for h in range(1, n + 1):
-        if r % n == 0 and is_member(UnimodularMatrix(p, q, r, s), n):
+        if c * c * h % n == 0 and is_member(
+            UnimodularMatrix(1 - a * c * h, a * a * h, -c * c * h, 1 + a * c * h), n
+        ):
             return h
-        p, q, r, s = p * p1 + q * r1, p * q1 + q * s1, r * p1 + s * r1, r * q1 + s * s1
     raise ArithmeticError(f"stabilizer search exceeded the cap h <= {n} at level {n}")
 
 
@@ -163,11 +150,13 @@ def oracle_cusps(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[OrbitCusp, ...]:
             cur = (g, (c + d) * t % n1)
         if cur != key:
             raise ArithmeticError(f"translation walk left its own orbit at {n}")
-        sigma = UnimodularMatrix(*table[key])
-        width = _orbit_width(sigma, n)
+        a, _, c, _ = table[key]
+        width = _orbit_width(a, c, n)
         if width != cycle:
             raise ArithmeticError(f"stabilizer width {width} != orbit length {cycle} at {n}")
-        num, den = _orbit_representative(sigma)
+        # The orbit's cusp is a/c: the row has determinant one, so gcd(a, c) = 1
+        # and a/c is already reduced, and c = 0 forces a = +-1, the point at infinity.
+        num, den = (1, 0) if c == 0 else (a, c) if c > 0 else (-a, -c)
         out.append(OrbitCusp(num, den, width))
     if sum(x.width for x in out) != len(table):
         raise ArithmeticError(f"orbit widths do not sum to the coset count at {n}")

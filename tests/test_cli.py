@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -95,6 +96,30 @@ def test_cusps_text_with_oracle(capsys):
     assert "oracle cross-check: AGREE" in out
     assert "width=28" in out
     assert "representative" in out
+
+
+def test_cusps_oracle_disagreement(capsys, monkeypatch):
+    # One orbit width off: exit 1 with the marker, after every table row.
+    real = cli.oracle_cusps
+
+    def skewed(n, cutoff):
+        first, *rest = real(n, cutoff)
+        return (dataclasses.replace(first, width=first.width + 1), *rest)
+
+    monkeypatch.setattr(cli, "oracle_cusps", skewed)
+    for fmt, marker in (
+        ("text", "oracle cross-check: DISAGREE\n"),
+        ("tsv", "oracle\tDISAGREE\t\t\n"),
+        ("json", '"oracle": "DISAGREE"'),
+    ):
+        _, table, _ = run(capsys, ["cusps", "28", "--format", fmt])
+        code, out, _ = run(capsys, ["cusps", "28", "--oracle", "--format", fmt])
+        assert code == 1, fmt
+        assert marker in out, fmt
+        if fmt == "json":
+            assert json.loads(out)["cusps"] == json.loads(table)["cusps"]
+        else:
+            assert out == table + marker, fmt
 
 
 def test_cusps_oracle_refuses_above_cutoff(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import deque
 
 import pytest
@@ -137,6 +138,27 @@ def test_infinity_orbit_width_one():
                 assert o.width == 1
 
 
+def _matrix_power_width(sigma, n):
+    # The stabilizer search by matrix products, as a reference for the
+    # closed-form conjugates of _orbit_width.
+    step = sigma * UnimodularMatrix.translation(1) * sigma.inverse()
+    power = step
+    for h in range(1, n + 1):
+        if is_member(power, n):
+            return h
+        power = power * step
+    raise AssertionError(f"no stabilizer power up to {n} at level {n}")
+
+
+def test_orbit_width_matches_matrix_powers():
+    # every coset row, so every orbit's sigma among them
+    for n in range(1, 121):
+        for a, b, c, d in oracle._coset_table(n).values():
+            assert math.gcd(a, c) == 1, (n, a, c)
+            sigma = UnimodularMatrix(a, b, c, d)
+            assert oracle._orbit_width(a, c, n) == _matrix_power_width(sigma, n), (n, sigma)
+
+
 def test_orbit_walk_checked(monkeypatch):
     # two cosets sharing one representative: translation is no longer a
     # permutation of the table, so some walk ends in another orbit
@@ -150,7 +172,7 @@ def test_orbit_walk_checked(monkeypatch):
 
 def test_orbit_width_checked(monkeypatch):
     real = oracle._orbit_width
-    monkeypatch.setattr(oracle, "_orbit_width", lambda sigma, n: real(sigma, n) + 1)
+    monkeypatch.setattr(oracle, "_orbit_width", lambda *args: real(*args) + 1)
     with pytest.raises(ArithmeticError, match="orbit length"):
         oracle_cusps(12)
 
