@@ -46,9 +46,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import _check_int, _factor_window, factorize
+from .exact import _check_int, factorize
 from .gamma0 import (
-    CuspClass, GroupProfile, _cusp_blocks, _profile, _representative_text, cusps, group_profile
+    CuspClass, GroupProfile, _cusp_blocks, _factored_profiles, _profile_window,
+    _representative_text, cusps, group_profile,
 )
 from .qseries import EtaQuotient, eta_quotient_cusp_order
 
@@ -124,11 +125,12 @@ def pole_divisor(n: int) -> CuspDivisor:
     return CuspDivisor(n, tuple(rows))
 
 
-def _invariants(p: GroupProfile) -> tuple[int, int]:
-    """(strong bound, pole-divisor degree); the divisor's ceil(w/8) - 1 per
-    cusp sums to sum ceil(w/8) less the cusp count."""
-    deg = p.ceil_eighths_sum - p.cusp_count
-    return deg + 1 - p.genus, deg
+def _invariants(p) -> tuple[int, int]:
+    """(strong bound, pole-divisor degree) of a profile row; the divisor's
+    ceil(w/8) - 1 per cusp sums to sum ceil(w/8) less the cusp count."""
+    _, _, count, _, _, genus, ceil_eighths_sum = p
+    deg = ceil_eighths_sum - count
+    return deg + 1 - genus, deg
 
 
 # The benchmark's per-layer metric classify._level_invariants.hit_ratio reads
@@ -144,10 +146,11 @@ def bound_strong(n: int) -> Fraction:
     return Fraction(_level_invariants(n)[0])
 
 
-def _bound_24ths(p: GroupProfile) -> tuple[int, int, int]:
-    """24 times the crude, weak and strong bounds of one level, as integers."""
-    c12 = 12 * p.cusp_count
-    return p.index - c12, 24 * p.ceil_eighths_sum - 2 * p.index - c12, 24 * _invariants(p)[0]
+def _bound_24ths(p) -> tuple[int, int, int]:
+    """24 times the crude, weak and strong bounds of a profile row, as integers."""
+    _, idx, count, _, _, _, ceil_eighths_sum = p
+    c12 = 12 * count
+    return idx - c12, 24 * ceil_eighths_sum - 2 * idx - c12, 24 * _invariants(p)[0]
 
 
 def bound_weak(n: int) -> Fraction:
@@ -242,25 +245,30 @@ def classify(n: int) -> Certificate:
     and the genus-two exclusion settles level 23.  Anything else is
     Undecided.  Only the last two rules look at individual cusp classes.
     """
-    return _decide(group_profile(n))
+    return Certificate._make(_decide(group_profile(n)))
 
 
-def _decide(p: GroupProfile) -> Certificate:
+def _decide(p) -> tuple:
+    """The rules of ``classify`` on a profile row.  Where the strong bound
+    decides, which by the proof it does at every level above 576, the
+    ``Certificate`` fields come as a plain tuple; a ``Certificate`` is built
+    only where a later rule runs."""
     strong, deg = _invariants(p)
-    verdict, witness = Verdict.DIM_ONE, None
+    n, _, _, _, _, genus, _ = p
     if strong > 1:
-        verdict, rule = Verdict.DIM_AT_LEAST_TWO, RULE_STRONG_BOUND
-    elif deg == 0:
+        return n, Verdict.DIM_AT_LEAST_TWO, RULE_STRONG_BOUND, strong, genus, deg, None
+    verdict, witness = Verdict.DIM_ONE, None
+    if deg == 0:
         rule = RULE_EMPTY_DIVISOR
-    elif deg == 1 and p.genus >= 1:
-        a, d, width, _ = pole_divisor(p.level).rows[0]
+    elif deg == 1 and genus >= 1:
+        a, d, width, _ = pole_divisor(n).rows[0]
         rule = RULE_SIMPLE_POLE
         witness = {"support_cusp": _representative_text(a, d), "width": width}
-    elif (witness := _weight_two_exclusion(p)) is not None:
+    elif (witness := _weight_two_exclusion(GroupProfile._make(p))) is not None:
         rule = RULE_CANONICAL_EXCLUSION
     else:
         verdict, rule = Verdict.UNDECIDED, RULE_UNDECIDED
-    return Certificate(p.level, verdict, rule, strong, p.genus, deg, witness)
+    return Certificate(n, verdict, rule, strong, genus, deg, witness)
 
 
 def m23_element_orders() -> frozenset[int]:
@@ -324,29 +332,38 @@ def _summary(lo: int, hi: int, dim_one_levels, undecided_levels) -> dict:
     }
 
 
-def _tsv_rows(certificates: Iterable[Certificate]) -> Iterator[tuple[str, ...]]:
-    """The header and one row per certificate.  The witness_level column is
-    always empty: no rule names a divisor level, and the column stays so
+def _certificate_texts(c) -> tuple[str, ...]:
+    """The fields of a certificate row before its witness, as text: the one
+    formatter that the JSON, TSV and text writers read."""
+    n, verdict, rule, bound, genus, deg, _ = c
+    return str(n), _VERDICT_TEXT[verdict], rule, str(bound), str(genus), str(deg)
+
+
+def _tsv_rows(certificates: Iterable) -> Iterator[tuple[str, ...]]:
+    """The header and one row per certificate row.  The witness_level column
+    is always empty: no rule names a divisor level, and the column stays so
     that rows keep their shape."""
     yield "level", "verdict", "rule", "strong_bound", "genus", "divisor_degree", "witness_level"
     for c in certificates:
-        yield (str(c.level), _VERDICT_TEXT[c.verdict], c.rule, str(c.bound), str(c.genus),
-               str(c.divisor_degree), "")
+        yield *_certificate_texts(c), ""
 
 
-def _classify_window(lo: int, hi: int) -> Iterator[tuple[Certificate, GroupProfile]]:
-    """An iterator of (certificate, profile) for the levels lo..hi in turn,
-    each through the uncached kernels.  A window of at least isqrt(hi)
-    levels is factored by one sieve as it is read; a narrower one by
-    ``factorize``, level by level, before this returns, so a level it
-    refuses raises at the call."""
+def _classify_window(lo: int, hi: int) -> Iterator[tuple[tuple, tuple]]:
+    """An iterator of (certificate row, profile row) for the levels lo..hi
+    in turn, plain tuples in the fields of ``Certificate`` and
+    ``GroupProfile``, each from the uncached kernels.  A window of at least
+    isqrt(hi) levels is read from the profile sieve as it is read; a
+    narrower one is factored by ``factorize``, level by level, and combined
+    as one block before this returns, so a level it refuses raises at the
+    call."""
     if math.isqrt(hi) > hi - lo + 1:
-        factored = [(n, factorize(n).factors) for n in range(lo, hi + 1)]
+        profiles = _factored_profiles([(n, factorize(n).factors) for n in range(lo, hi + 1)])
     else:
-        factored = _factor_window(lo, hi)
-    return ((_decide(p), p) for p in (_profile(n, f) for n, f in factored))
+        profiles = _profile_window(lo, hi)
+    return ((_decide(p), p) for p in profiles)
 
 
 def classify_range(n_max: int) -> ClassificationReport:
     _check_int(n_max, "n_max")
-    return ClassificationReport(n_max, tuple(c for c, _ in _classify_window(1, n_max)))
+    certificates = tuple(Certificate._make(c) for c, _ in _classify_window(1, n_max))
+    return ClassificationReport(n_max, certificates)

@@ -33,7 +33,7 @@ import math
 import os
 import sys
 
-from .classify import _VERDICT_TEXT, Verdict, _classify_window, _summary, _tsv_rows
+from .classify import Verdict, _certificate_texts, _classify_window, _summary, _tsv_rows
 from .gamma0 import _cusp_blocks, _denominator_text, group_profile
 from .oracle import ORACLE_CUTOFF, oracle_cusps
 from .qseries import EtaQuotient, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta
@@ -49,8 +49,9 @@ __all__ = ["main"]
 
 ENV_PREFIX = "CUSPDIM_"
 
-# A million levels take about 8.5 s (``classify 1..1000000 --format tsv``, 8.3 and 8.7 s in two
-# runs); larger ranges are refused, not left to run for hours.
+# A million levels take about 7 s (``classify 1..1000000 --format tsv``: 6.2, 6.5 and 7.6 s in
+# three runs on a shared 2-core host, which took 10.0 to 12.0 s before the profile sieve); larger
+# ranges are refused, not left to run for hours.
 MAX_RANGE_LEVELS = 10**6
 # Likewise a table of more cusp classes than this is refused before it is built.
 MAX_CUSP_CLASSES = 10**6
@@ -197,22 +198,25 @@ def _emit_cusps_json(blocks, envelope) -> None:
 
 
 def _certificate_json(c) -> str:
-    """One certificate as an item of ``_emit_rows_json``; only the witness
-    may need escaping, and JSON text holds no raw newline to indent wrongly."""
-    witness = "null" if c.witness is None else json.dumps(
-        c.witness, indent=2, sort_keys=True
+    """One certificate row as an item of ``_emit_rows_json``, from
+    ``_certificate_texts``; only the witness may need escaping, and JSON
+    text holds no raw newline to indent wrongly."""
+    n, verdict, rule, bound, genus, deg = _certificate_texts(c)
+    witness = "null" if c[6] is None else json.dumps(
+        c[6], indent=2, sort_keys=True
     ).replace("\n", "\n      ")
     return (
-        f'    {{\n      "divisor_degree": {c.divisor_degree},\n      "genus": {c.genus},\n'
-        f'      "level": {c.level},\n      "rule": "{c.rule}",\n'
-        f'      "strong_bound": "{c.bound}",\n      "verdict": "{_VERDICT_TEXT[c.verdict]}",\n'
+        f'    {{\n      "divisor_degree": {deg},\n      "genus": {genus},\n'
+        f'      "level": {n},\n      "rule": "{rule}",\n'
+        f'      "strong_bound": "{bound}",\n      "verdict": "{verdict}",\n'
         f'      "witness": {witness}\n    }}'
     )
 
 
 def _emit_tsv(rows) -> None:
+    write = sys.stdout.write
     for row in rows:
-        print("\t".join(row))
+        write("\t".join(row) + "\n")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -237,8 +241,8 @@ def _cmd_classify(args) -> int:
     def window():
         # The one pass: each level is tallied as it is decided, then printed.
         for c, p in levels:
-            if c.verdict is not Verdict.DIM_AT_LEAST_TWO:
-                (dim_one if c.verdict is Verdict.DIM_ONE else undecided).append(c.level)
+            if c[1] is not Verdict.DIM_AT_LEAST_TWO:
+                (dim_one if c[1] is Verdict.DIM_ONE else undecided).append(c[0])
             yield c, p
 
     if args.format == "json":
@@ -253,8 +257,8 @@ def _cmd_classify(args) -> int:
         header = "level index cusps mu2 mu3 genus divdeg bound verdict rule".split()
         widths, table = list(map(len, header)), [header]
         for c, p in window():
-            row = (*map(str, (c.level, p.index, p.cusp_count, p.mu2, p.mu3, p.genus,
-                              c.divisor_degree, c.bound)), _VERDICT_TEXT[c.verdict], c.rule)
+            n, verdict, rule, bound, genus, deg = _certificate_texts(c)
+            row = (n, *map(str, p[1:6]), deg, bound, verdict, rule)
             widths = list(map(max, widths, map(len, row)))
             table.append(row)
         for row in table:

@@ -9,13 +9,15 @@ from local data per prime power.  The brute-force counterparts live in
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .exact import _check_int, divisors, factorize
+from .exact import _TRIAL_BOUND, _check_int, _sieve_window, divisors, factorize
 
 __all__ = [
     "CuspClass",
@@ -238,7 +240,7 @@ def genus(n: int) -> int:
 
 class GroupProfile(NamedTuple):
     """The level-n invariants, a plain tuple of seven integers; the fields
-    are checked where they are computed, in ``_profile``.  ``ceil_eighths_sum``
+    are checked where they are computed, in ``_combine``.  ``ceil_eighths_sum``
     is the sum of ceil(w/8) over the cusp widths w, the one number the
     dimension bounds read from the widths; the (width, count) pairs
     ``widths`` and the cusp classes themselves are built only when read.
@@ -272,7 +274,7 @@ def _local(p: int, e: int) -> tuple:
     and p mod 3: -1 is a square modulo an odd prime p exactly when
     p = 1 (mod 4), and -3 exactly when p = 1 (mod 3).
 
-    The residue data is what ``_profile`` needs of the widths mod 8: at
+    The residue data is what ``_combine`` needs of the widths mod 8: at
     p = 2 the counts (n1, n2, n4) of local widths 1, 2 and 4 (a width of 8
     or more adds nothing), and at odd p the signed sums of count * chi(w)
     for chi_-4 (+1 on u = 1 mod 4) and chi_-8 (+1 on u = 1, 3 mod 8), where
@@ -306,47 +308,124 @@ def _width_counts(n: int) -> dict[int, int]:
     return counts
 
 
-def _profile(n: int, factors: dict[int, int]) -> GroupProfile:
-    """All level-n invariants from the local data of its prime powers: by
-    the Chinese remainder theorem the index, cusp count and elliptic factors
-    multiply.  A genus that is not a nonnegative integer is an internal error.
+# The columns of a block of levels, each a multiplicative function: index, cusp count, mu2, mu3,
+# and the three terms t, a, b of the pad (see ``_combine``), which start at 4, 1 and 2.
+_UNIT = (1, 1, 1, 1, 4, 1, 2)
+
+
+def _factors(p: int, local: tuple) -> tuple:
+    """The factors at p of the ``_UNIT`` columns, from ``_local`` data."""
+    idx, count, m2, m3, residues, _ = local
+    if p == 2:
+        n1, n2, n4 = residues
+        return idx, count, m2, m3, n1 + n2 + n4, n1 + 2 * n2, n1
+    return idx, count, m2, m3, count, *residues
+
+
+def _prime_factors(q: int) -> tuple:
+    """``_factors(q, _local(q, 1))`` for a prime q, in closed form and
+    uncached: over d = 1 and d = q lie one class each, of widths q and 1.
+    So the signed sums at odd q are chi(q) + 1, which is 2 or 0; the one for
+    chi_-4 is also the mu2 factor."""
+    if q == 2:
+        return 3, 2, 1, 0, 2, 3, 1
+    m2 = 2 * (q % 4 == 1)
+    return q + 1, 2, m2, 1 if q == 3 else 2 * (q % 3 == 1), 2, m2, 2 * (q % 8 in (1, 3))
+
+
+def _local_factors(p: int, e: int) -> tuple:
+    """The ``_UNIT`` factors at p^e.  A prime above the trial bound of
+    ``factorize`` recurs in few levels, so at p^1 it is read from the
+    closed form and not left to evict the small prime powers from the
+    ``_local`` cache."""
+    if e == 1 and p > _TRIAL_BOUND:
+        return _prime_factors(p)
+    return _factors(p, _local(p, e))
+
+
+def _combine(levels, idx, count, m2, m3, t, a, b):
+    """An iterator of the profile rows, ``GroupProfile`` fields as a plain
+    tuple, of a block of levels from its ``_UNIT`` columns: by the Chinese
+    remainder theorem each of them multiplies over the prime powers of a
+    level.  A genus that is not a nonnegative integer is an internal error.
 
     Sum ceil(w/8) = (index + pad)/8 with pad = sum((-w) mod 8), and pad
     depends only on w mod 8.  Write w = 2^j u with u odd: (-u) mod 8 is
     4 + chi_-4(u) + 2 chi_-8(u), (-2u) mod 8 is 4 + 2 chi_-4(u), (-4u) mod 8
     is 4, and 0 from j = 3 on.  Both characters multiply over the odd
-    primes, so with T the number of odd-part classes and A, B the products
-    of the local signed sums, pad = n1 (4T + A + 2B) + n2 (4T + 2A) + 4 n4 T.
-    A sum index + pad that 8 does not divide is an internal error too."""
-    idx = count = m2 = m3 = 1
-    odd_count = sum4 = sum8 = 1
-    n1, n2, n4 = 1, 0, 0
-    for p, e in factors.items():
-        local_idx, local_count, local_m2, local_m3, residues, _ = _local(p, e)
-        idx *= local_idx
-        count *= local_count
-        m2 *= local_m2
-        m3 *= local_m3
-        if p == 2:
-            n1, n2, n4 = residues
-        else:
-            odd_count *= local_count
-            sum4 *= residues[0]
-            sum8 *= residues[1]
-    four_t = 4 * odd_count
-    pad = n1 * (four_t + sum4 + 2 * sum8) + n2 * (four_t + 2 * sum4) + n4 * four_t
-    ceil_sum, rest = divmod(idx + pad, 8)
-    if rest:
-        raise ArithmeticError(f"cusp widths mod 8 gave a pad of {pad} at level {n}, index {idx}")
-    twelve_g = 12 + idx - 3 * m2 - 4 * m3 - 6 * count
-    if twelve_g % 12 or twelve_g < 0:
-        raise ArithmeticError(f"genus formula gave {Fraction(twelve_g, 12)} at level {n}")
-    return GroupProfile(n, idx, count, m2, m3, twelve_g // 12, ceil_sum)
+    primes: with T the number of odd-part classes and A, B the products of
+    the local signed sums, and n1, n2, n4 the numbers of 2-adic classes of
+    width 1, 2 and 4, pad = n1 (4T + A + 2B) + n2 (4T + 2A) + 4 n4 T.  That
+    is t + a + b with t = 4 T (n1 + n2 + n4), a = A (n1 + 2 n2) and
+    b = 2 B n1, three products of local factors.  A sum index + pad that 8
+    does not divide is an internal error too.  Both checks run once per
+    block, before any row of it is handed out."""
+    sums = [i + x + y + z for i, x, y, z in zip(idx, t, a, b)]
+    twelve_g = [12 + i - 3 * x - 4 * y - 6 * c for i, x, y, c in zip(idx, m2, m3, count)]
+    if any(s & 7 for s in sums):
+        n, i, s = next((n, i, s) for n, i, s in zip(levels, idx, sums) if s & 7)
+        raise ArithmeticError(f"cusp widths mod 8 gave a pad of {s - i} at level {n}, index {i}")
+    if any(g % 12 or g < 0 for g in twelve_g):
+        n, g = next((n, g) for n, g in zip(levels, twelve_g) if g % 12 or g < 0)
+        raise ArithmeticError(f"genus formula gave {Fraction(g, 12)} at level {n}")
+    return zip(levels, idx, count, m2, m3, [g // 12 for g in twelve_g], [s >> 3 for s in sums])
+
+
+def _factored_profiles(factored) -> Iterator[tuple]:
+    """The profile rows of the levels of (n, factors) pairs, as one block."""
+    levels, rows = [], []
+    for n, factors in factored:
+        row = _UNIT
+        for p, e in factors.items():
+            row = tuple(map(operator.mul, row, _local_factors(p, e)))
+        levels.append(n)
+        rows.append(row)
+    return _combine(levels, *zip(*rows))
+
+
+def _profile_window(lo: int, hi: int) -> Iterator[tuple]:
+    """The profile rows of the levels lo..hi in turn, block by block from
+    ``_sieve_window``."""
+    return itertools.chain.from_iterable(itertools.starmap(_block_profiles, _sieve_window(lo, hi)))
+
+
+def _block_profiles(start: int, rest: list[int], powers: list) -> Iterator[tuple]:
+    """The profile rows of one block of ``_sieve_window``.  Each column is
+    multiplied by its factor at p^1 over the multiples of each sieved prime
+    p, except that the multiples of p^2 take their factor at p^e instead;
+    the prime q left of a level adds the factors of ``_prime_factors(q)``."""
+    columns = [[v] * len(rest) for v in _UNIT]
+    for p, first, deep, exponents in powers:
+        table = [_local_factors(p, e) for e in range(1, max(exponents, default=1) + 1)]
+        square = p * p
+        # values[e] is the column's factor at p^e; values[0] is not read.
+        for column, values in zip(columns, zip(_UNIT, *table)):
+            higher = [x * values[e] for x, e in zip(column[deep::square], exponents)]
+            if (v := values[1]) != 1:
+                column[first::p] = [x * v for x in column[first::p]]
+            column[deep::square] = higher
+    idx, count, m2, m3, t, a, b = columns
+    for i, q in enumerate(rest):
+        if q > 1:
+            f = _prime_factors(q)
+            idx[i] *= f[0]
+            count[i] *= f[1]
+            m2[i] *= f[2]
+            m3[i] *= f[3]
+            t[i] *= f[4]
+            a[i] *= f[5]
+            b[i] *= f[6]
+    return _combine(range(start, start + len(rest)), *columns)
+
+
+def _profile(n: int, factors: dict[int, int]) -> GroupProfile:
+    """The profile of one level from its factorization, a block of one."""
+    return GroupProfile._make(next(_factored_profiles([(n, factors)])))
 
 
 @lru_cache(maxsize=4096, typed=True)
 def group_profile(n: int) -> GroupProfile:
-    """All level-n invariants, from ``factorize`` and the one kernel that
+    """All level-n invariants, from ``factorize`` and the combine that
     range scans feed from their sieve."""
     _check_int(n, "level")
     return _profile(n, factorize(n).factors)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .classify import _bound_24ths
 from .exact import _check_int, _check_tolerance, _divisors_of, _factor_window, divisors
-from .gamma0 import UnimodularMatrix, _divisor_classes, _profile
+from .gamma0 import UnimodularMatrix, _divisor_classes, _profile_window
 from .multiplier import (
     AutomorphyContext,
     gamma0_character,
@@ -308,22 +308,24 @@ def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:
     up to n_max: the strong bound equals divisor degree + 1 - genus, and the
     three bounds are correctly ordered.
 
-    One sieve factors the levels.  The strong bound the classifier decides on,
-    in 24ths (``_bound_24ths`` of ``_profile``), folds sum ceil(w/8) from the
-    local widths mod 8; the identity recounts the degree as ceil(w/8) - 1 per class
-    of ``_divisor_classes``, the enumeration ``_cusp_blocks`` reads.  So a wrong
-    residue of a local width, or a class of width above 8 lost from or added to
-    the enumeration, fails it.  The genus and the elliptic counts are shared
+    The profiles come from the profile sieve of range scans and the
+    factorizations from the same prime sieve.  The strong bound the
+    classifier decides on, in 24ths (``_bound_24ths`` of the profile row),
+    folds sum ceil(w/8) from the local widths mod 8; the identity recounts
+    the degree as ceil(w/8) - 1 per class of ``_divisor_classes``, the
+    enumeration ``_cusp_blocks`` reads.  So a wrong residue of a local
+    width, or a class of width above 8 lost from or added to the
+    enumeration, fails it.  The genus and the elliptic counts are shared
     with the profile, which checks them.
     """
     _check_int(n_max, "largest level")
     identity_bad = order_bad = 0
-    for n, factors in _factor_window(1, n_max):
-        p = _profile(n, factors)
+    for p, (n, factors) in zip(_profile_window(1, n_max), _factor_window(1, n_max)):
         classes = _divisor_classes(n, _divisors_of(factors))
         deg = sum(len(residues) * (-(-w // 8) - 1) for _, _, w, residues in classes if w > 8)
         crude, weak, strong = _bound_24ths(p)
-        identity_bad += strong != 24 * (deg + 1 - p.genus)
+        _, _, _, _, _, genus, _ = p
+        identity_bad += strong != 24 * (deg + 1 - genus)
         order_bad += not crude <= weak <= strong
     lines = (
         f"strong-bound-identity n<={n_max} failures={identity_bad} "

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import sys
 import textwrap
 from fractions import Fraction
@@ -25,7 +26,7 @@ from cuspdim import (
     m24_prime_divisors,
     pole_divisor,
 )
-from cuspdim.classify import _classify_window
+from cuspdim.classify import Certificate, _classify_window
 from cuspdim.gamma0 import group_profile
 from helpers import primes
 
@@ -169,17 +170,17 @@ def test_matches_reference_needs_coverage():
 
 
 def test_window_matches_point_queries(monkeypatch):
-    # A window of at least isqrt(hi) levels is factored by the sieve, a
-    # narrower one by factorize; both must give what classify(n) and
-    # group_profile(n) give.
+    # A window of at least isqrt(hi) levels is read from the profile sieve, a
+    # narrower one is factored by factorize; both must give what classify(n)
+    # and group_profile(n) give.
     sieved = []
-    real = classify_module._factor_window
+    real = classify_module._profile_window
 
     def spy(lo, hi):
         sieved.append((lo, hi))
         return real(lo, hi)
 
-    monkeypatch.setattr(classify_module, "_factor_window", spy)
+    monkeypatch.setattr(classify_module, "_profile_window", spy)
     windows = {
         (1, 3000): True,
         (10**7, 10**7 + 3200): True,
@@ -197,13 +198,29 @@ def test_window_matches_point_queries(monkeypatch):
     assert report.certificates == tuple(classify(n) for n in range(1, 3001))
 
 
+@pytest.mark.parametrize("block", [97, 1 << 14])
+def test_sieve_matches_point_queries_at_its_edges(monkeypatch, block):
+    # Below 9 the prime left of a level can be 2 or 3; with a small block the
+    # windows cross block edges, and near 10^6 and 10^9 the sieved primes
+    # reach 1000 and 31622, above the trial bound of factorize.
+    monkeypatch.setattr(importlib.import_module("cuspdim.exact"), "_SIEVE_BLOCK", block)
+    windows = [(1, 3), (2, 8), (4, 8), (1, 1200), (999_000, 1_001_000)]
+    if block == 1 << 14:
+        windows.append((10**9 - 16_000, 10**9 + 15_623))
+    for lo, hi in windows:
+        assert math.isqrt(hi) <= hi - lo + 1
+        window = list(_classify_window(lo, hi))
+        assert [p for _, p in window] == [group_profile(n) for n in range(lo, hi + 1)], (lo, hi)
+        assert [c for c, _ in window] == [classify(n) for n in range(lo, hi + 1)], (lo, hi)
+
+
 def test_certificates_carry_the_integer_bound():
     # The strong bound is one integer from the sieve (classify_range) and
     # from the point queries (a narrow window) to the certificate; only
     # bound_strong hands it out as a Fraction.
     for certificates in (
         classify_range(3000).certificates,
-        [c for c, _ in _classify_window(999_000, 999_100)],
+        [Certificate._make(c) for c, _ in _classify_window(999_000, 999_100)],
     ):
         for c in certificates:
             assert type(c.bound) is int, c.level

@@ -20,6 +20,7 @@ from cuspdim import (
     mu2,
     mu3,
 )
+from cuspdim.classify import _classify_window
 from helpers import primes
 
 
@@ -285,6 +286,37 @@ def test_width_residues_checked(monkeypatch):
     monkeypatch.setattr(gamma0, "_local", width_two_read_as_four)
     with pytest.raises(ArithmeticError, match="pad"):
         gamma0.group_profile.__wrapped__(2)
+
+
+def test_prime_closed_form_matches_local_data():
+    # The factors of a prime q^1, read by range scans for the prime left of
+    # a level and by point queries for a prime above the trial bound; every
+    # prime below 10^5, 2 and 3 included.
+    for q in primes(10**5):
+        assert gamma0._prime_factors(q) == gamma0._factors(q, gamma0._local(q, 1)), q
+    # A point query leaves no cache entry for a prime above the trial bound.
+    gamma0._local.cache_clear()
+    gamma0.group_profile.__wrapped__(4 * 999_983 * 1_000_003)
+    assert gamma0._local.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("change, message", [
+    # chi_-8(3) read as chi_-4(3), as in test_width_residues_checked.
+    (lambda p, i, c, m2, m3, r, w: (i, c, m2, m3, (r[0], r[0]) if p == 3 else r, w), "pad"),
+    # One 2-adic class moved from width 2 to width 4, likewise.
+    (lambda p, i, c, m2, m3, r, w: (i, c, m2, m3, (r[0], r[1] - 1, r[2] + 1) if p == 2 else r, w),
+     "pad"),
+    # An mu3 factor one too large: the genus of level 2 becomes -1/3.
+    (lambda p, i, c, m2, m3, r, w: (i, c, m2, m3 + 1, r, w), "genus"),
+])
+def test_sieve_checks_local_data(monkeypatch, change, message):
+    # The pad and genus checks of the combine run on every sieved block, so
+    # a corrupted _local is refused by a range scan as by a point query.
+    real = gamma0._local
+    monkeypatch.setattr(gamma0, "_local", lambda p, e: change(p, *real(p, e)))
+    assert math.isqrt(3000) <= 3000
+    with pytest.raises(ArithmeticError, match=message):
+        list(_classify_window(1, 3000))
 
 
 def _cusp_rows_direct(n):
