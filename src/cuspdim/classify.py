@@ -81,6 +81,8 @@ class Verdict(str, Enum):
 
 
 _VERDICT_TEXT = {v: v.value for v in Verdict}
+# Read once per level on range scans: a global is read several times faster than an Enum member.
+_STRONG_VERDICT = Verdict.DIM_AT_LEAST_TWO
 
 RULE_STRONG_BOUND = "strong-bound-exceeds-one"
 RULE_EMPTY_DIVISOR = "empty-pole-divisor"
@@ -256,7 +258,7 @@ def _decide(p) -> tuple:
     strong, deg = _invariants(p)
     n, _, _, _, _, genus, _ = p
     if strong > 1:
-        return n, Verdict.DIM_AT_LEAST_TWO, RULE_STRONG_BOUND, strong, genus, deg, None
+        return n, _STRONG_VERDICT, RULE_STRONG_BOUND, strong, genus, deg, None
     verdict, witness = Verdict.DIM_ONE, None
     if deg == 0:
         rule = RULE_EMPTY_DIVISOR

@@ -237,12 +237,14 @@ def _cmd_classify(args) -> int:
         raise ValueError(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
     dim_one, undecided = [], []
     levels = _classify_window(lo, hi)
+    # Read once, not per level: an Enum member is read several times slower than a local.
+    at_least_two, one = Verdict.DIM_AT_LEAST_TWO, Verdict.DIM_ONE
 
     def window():
         # The one pass: each level is tallied as it is decided, then printed.
         for c, p in levels:
-            if c[1] is not Verdict.DIM_AT_LEAST_TWO:
-                (dim_one if c[1] is Verdict.DIM_ONE else undecided).append(c[0])
+            if c[1] is not at_least_two:
+                (dim_one if c[1] is one else undecided).append(c[0])
             yield c, p
 
     if args.format == "json":
