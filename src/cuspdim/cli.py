@@ -49,8 +49,8 @@ __all__ = ["main"]
 
 ENV_PREFIX = "CUSPDIM_"
 
-# A million levels take about 7 s (``classify 1..1000000 --format tsv``: 6.2, 6.5 and 7.6 s in
-# three runs on a shared 2-core host, which took 10.0 to 12.0 s before the profile sieve); larger
+# A million levels take 4 to 7 s (``classify 1..1000000 --format tsv``: 6.9, 5.0 and 4.0 s in
+# three runs on a shared 2-core host, which took 9.4 to 12.5 s before the profile sieve); larger
 # ranges are refused, not left to run for hours.
 MAX_RANGE_LEVELS = 10**6
 # Likewise a table of more cusp classes than this is refused before it is built.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -375,11 +374,9 @@ def _factored_profiles(factored) -> Iterator[tuple]:
     """The profile rows of the levels of (n, factors) pairs, as one block."""
     levels, rows = [], []
     for n, factors in factored:
-        row = _UNIT
-        for p, e in factors.items():
-            row = tuple(map(operator.mul, row, _local_factors(p, e)))
+        local = [_local_factors(p, e) for p, e in factors.items()]
         levels.append(n)
-        rows.append(row)
+        rows.append(tuple(map(math.prod, zip(_UNIT, *local))))
     return _combine(levels, *zip(*rows))
 
 
