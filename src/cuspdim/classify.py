@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .exact import _check_int, factorize
 from .gamma0 import (
-    CuspClass, GroupProfile, _cusp_blocks, _factored_profiles, _profile_window,
+    CuspClass, GroupProfile, _cusp_blocks, _profile, _profile_window,
     _representative_text, cusps, group_profile,
 )
 from .qseries import EtaQuotient, eta_quotient_cusp_order
@@ -355,11 +355,11 @@ def _classify_window(lo: int, hi: int) -> Iterator[tuple[tuple, tuple]]:
     in turn, plain tuples in the fields of ``Certificate`` and
     ``GroupProfile``, each from the uncached kernels.  A window of at least
     isqrt(hi) levels is read from the profile sieve as it is read; a
-    narrower one is factored by ``factorize``, level by level, and combined
-    as one block before this returns, so a level it refuses raises at the
-    call."""
+    narrower one is factored by ``factorize``, level by level, and every
+    row is built and checked before this returns, so a level it refuses
+    raises at the call."""
     if math.isqrt(hi) > hi - lo + 1:
-        profiles = _factored_profiles([(n, factorize(n).factors) for n in range(lo, hi + 1)])
+        profiles = [_profile(n, factorize(n).factors) for n in range(lo, hi + 1)]
     else:
         profiles = _profile_window(lo, hi)
     return ((_decide(p), p) for p in profiles)

@@ -379,10 +379,10 @@ class UnitPhase:
         turns = self.turns
         if type(turns) is not Fraction:
             turns = Fraction(turns)
+        elif 0 <= turns.numerator < turns.denominator:
+            return
         num, den = turns.numerator, turns.denominator
-        if not 0 <= num < den:
-            turns = Fraction(num % den, den)
-        object.__setattr__(self, "turns", turns)
+        object.__setattr__(self, "turns", Fraction(num % den, den))
 
     @property
     def order(self) -> int:

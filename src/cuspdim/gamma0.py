@@ -239,7 +239,7 @@ def genus(n: int) -> int:
 
 class GroupProfile(NamedTuple):
     """The level-n invariants, a plain tuple of seven integers; the fields
-    are checked where they are computed, in ``_combine``.  ``ceil_eighths_sum``
+    are checked where they are computed, in ``_profile_row``.  ``ceil_eighths_sum``
     is the sum of ceil(w/8) over the cusp widths w, the one number the
     dimension bounds read from the widths; the (width, count) pairs
     ``widths`` and the cusp classes themselves are built only when read.
@@ -273,7 +273,7 @@ def _local(p: int, e: int) -> tuple:
     and p mod 3: -1 is a square modulo an odd prime p exactly when
     p = 1 (mod 4), and -3 exactly when p = 1 (mod 3).
 
-    The residue data is what ``_combine`` needs of the widths mod 8: at
+    The residue data is what ``_profile_row`` needs of the widths mod 8: at
     p = 2 the counts (n1, n2, n4) of local widths 1, 2 and 4 (a width of 8
     or more adds nothing), and at odd p the signed sums of count * chi(w)
     for chi_-4 (+1 on u = 1 mod 4) and chi_-8 (+1 on u = 1, 3 mod 8), where
@@ -298,17 +298,19 @@ def _local(p: int, e: int) -> tuple:
 def _width_counts(n: int) -> dict[int, int]:
     """The cusp widths of level n with their counts: by the Chinese remainder
     theorem a cusp class is a tuple of local classes, and its width the
-    product of their widths."""
+    product of their widths.  At p^1 the local pairs are read in closed
+    form, one class each of widths p and 1 as in ``_prime_factors``, so a
+    large prime leaves no ``_local`` entry."""
     counts = {1: 1}
     for p, e in factorize(n).factors.items():
-        local = _local(p, e)[5]
+        local = ((p, 1), (1, 1)) if e == 1 else _local(p, e)[5]
         # Widths of distinct primes multiply to distinct products.
         counts = {w * v: c * k for w, c in counts.items() for v, k in local}
     return counts
 
 
 # The columns of a block of levels, each a multiplicative function: index, cusp count, mu2, mu3,
-# and the three terms t, a, b of the pad (see ``_combine``), which start at 4, 1 and 2.
+# and the three terms t, a, b of the pad (see ``_profile_row``), which start at 4, 1 and 2.
 _UNIT = (1, 1, 1, 1, 4, 1, 2)
 
 
@@ -342,11 +344,11 @@ def _local_factors(p: int, e: int) -> tuple:
     return _factors(p, _local(p, e))
 
 
-def _combine(levels, idx, count, m2, m3, t, a, b):
-    """An iterator of the profile rows, ``GroupProfile`` fields as a plain
-    tuple, of a block of levels from its ``_UNIT`` columns: by the Chinese
-    remainder theorem each of them multiplies over the prime powers of a
-    level.  A genus that is not a nonnegative integer is an internal error.
+def _profile_row(n, idx, count, m2, m3, t, a, b) -> tuple:
+    """The profile row of level n, ``GroupProfile`` fields as a plain tuple,
+    from its ``_UNIT`` products: by the Chinese remainder theorem each of
+    them multiplies over the prime powers of the level.  A genus that is not
+    a nonnegative integer is an internal error.
 
     Sum ceil(w/8) = (index + pad)/8 with pad = sum((-w) mod 8), and pad
     depends only on w mod 8.  Write w = 2^j u with u odd: (-u) mod 8 is
@@ -357,27 +359,21 @@ def _combine(levels, idx, count, m2, m3, t, a, b):
     width 1, 2 and 4, pad = n1 (4T + A + 2B) + n2 (4T + 2A) + 4 n4 T.  That
     is t + a + b with t = 4 T (n1 + n2 + n4), a = A (n1 + 2 n2) and
     b = 2 B n1, three products of local factors.  A sum index + pad that 8
-    does not divide is an internal error too.  Both checks run once per
-    block, before any row of it is handed out."""
-    sums = [i + x + y + z for i, x, y, z in zip(idx, t, a, b)]
-    twelve_g = [12 + i - 3 * x - 4 * y - 6 * c for i, x, y, c in zip(idx, m2, m3, count)]
-    if any(s & 7 for s in sums):
-        n, i, s = next((n, i, s) for n, i, s in zip(levels, idx, sums) if s & 7)
-        raise ArithmeticError(f"cusp widths mod 8 gave a pad of {s - i} at level {n}, index {i}")
-    if any(g % 12 or g < 0 for g in twelve_g):
-        n, g = next((n, g) for n, g in zip(levels, twelve_g) if g % 12 or g < 0)
-        raise ArithmeticError(f"genus formula gave {Fraction(g, 12)} at level {n}")
-    return zip(levels, idx, count, m2, m3, [g // 12 for g in twelve_g], [s >> 3 for s in sums])
+    does not divide is an internal error too.  Point queries and blocks
+    alike run both checks here."""
+    s = idx + t + a + b
+    if s & 7:
+        raise ArithmeticError(f"cusp widths mod 8 gave a pad of {s - idx} at level {n}, index {idx}")
+    twelve_g = 12 + idx - 3 * m2 - 4 * m3 - 6 * count
+    if twelve_g % 12 or twelve_g < 0:
+        raise ArithmeticError(f"genus formula gave {Fraction(twelve_g, 12)} at level {n}")
+    return n, idx, count, m2, m3, twelve_g // 12, s >> 3
 
 
-def _factored_profiles(factored) -> Iterator[tuple]:
-    """The profile rows of the levels of (n, factors) pairs, as one block."""
-    levels, rows = [], []
-    for n, factors in factored:
-        local = [_local_factors(p, e) for p, e in factors.items()]
-        levels.append(n)
-        rows.append(tuple(map(math.prod, zip(_UNIT, *local))))
-    return _combine(levels, *zip(*rows))
+def _profile(n: int, factors: dict[int, int]) -> tuple:
+    """The profile row of one level from its factorization."""
+    local = [_local_factors(p, e) for p, e in factors.items()]
+    return _profile_row(n, *map(math.prod, zip(_UNIT, *local)))
 
 
 def _profile_window(lo: int, hi: int) -> Iterator[tuple]:
@@ -412,17 +408,13 @@ def _block_profiles(start: int, rest: list[int], powers: list) -> Iterator[tuple
             t[i] *= f[4]
             a[i] *= f[5]
             b[i] *= f[6]
-    return _combine(range(start, start + len(rest)), *columns)
-
-
-def _profile(n: int, factors: dict[int, int]) -> GroupProfile:
-    """The profile of one level from its factorization, a block of one."""
-    return GroupProfile._make(next(_factored_profiles([(n, factors)])))
+    # Each row is checked as it is read.
+    return map(_profile_row, range(start, start + len(rest)), *columns)
 
 
 @lru_cache(maxsize=4096, typed=True)
 def group_profile(n: int) -> GroupProfile:
-    """All level-n invariants, from ``factorize`` and the combine that
-    range scans feed from their sieve."""
+    """All level-n invariants, from ``factorize`` and the row checks that
+    range scans run on their sieve."""
     _check_int(n, "level")
-    return _profile(n, factorize(n).factors)
+    return GroupProfile._make(_profile(n, factorize(n).factors))

@@ -79,12 +79,18 @@ def gamma0_character(n: int, h: int, gamma: UnimodularMatrix) -> UnitPhase:
     """Character e(-c*d / (n*h)) on the level-n group, defined for h dividing
     gcd(n, 12).  It is a homomorphism and is trivial on the level-(n*h)
     subgroup.
+
+    The value is pinned to the reduced turns -c*d/(n*h) mod 1
+    (``test_character_matches_fraction_formula``).  A trivial value, such
+    as every value on the kernel, is the shared ``PHASE_ONE``
+    (``test_trivial_character_value_is_the_shared_identity``).
     """
     _check_character(n, h)
     if gamma.c % n:
         raise ValueError(f"{gamma} is not in the level-{n} group")
     m = n * h
-    return UnitPhase(Fraction(-gamma.c * gamma.d % m, m))
+    residue = -gamma.c * gamma.d % m
+    return UnitPhase(Fraction(residue, m)) if residue else PHASE_ONE
 
 
 @dataclass(frozen=True)

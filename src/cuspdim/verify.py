@@ -92,16 +92,36 @@ def random_level_element(
     rng: random.Random, n: int, multiple_bound: int = 3, entry_bound: int = 50
 ) -> UnimodularMatrix:
     """Random element of the level-n group: bottom-left entry a small
-    multiple of n, bottom-right bounded by entry_bound."""
+    multiple of n, bottom-right bounded by entry_bound.
+
+    The stream is pinned: each entry is drawn as ``rng.randint(-b, b)``
+    would draw it, so a seed selects the same matrices on every supported
+    Python (``test_random_draws_follow_the_randint_stream``)."""
     _check_int(n, "level")
     _check_int(multiple_bound, "multiple bound", 0)
     _check_int(entry_bound, "entry bound")
-    # randrange(2b + 1) - b makes the one _randbelow call of randint(-b, b).
+    # randint(-b, b) is -b + randrange(2b + 1), and randrange(s) reads
+    # getrandbits(s.bit_length()) until the value is below s.
+    getrandbits = rng.getrandbits
+    c_span = 2 * multiple_bound + 1
+    d_span = 2 * entry_bound + 1
+    c_bits = c_span.bit_length()
+    d_bits = d_span.bit_length()
     while True:
-        c = n * (rng.randrange(2 * multiple_bound + 1) - multiple_bound)
-        d = rng.randrange(2 * entry_bound + 1) - entry_bound
+        c = getrandbits(c_bits)
+        if c >= c_span:
+            # Redrawing c first is exactly randrange's rejection loop.
+            continue
+        d = getrandbits(d_bits)
+        while d >= d_span:
+            d = getrandbits(d_bits)
+        c = n * (c - multiple_bound)
+        d -= entry_bound
         if math.gcd(c, d) == 1:
-            return _build_row(c, d, rng.randrange(2 * entry_bound + 1) - entry_bound)
+            b = getrandbits(d_bits)
+            while b >= d_span:
+                b = getrandbits(d_bits)
+            return _build_row(c, d, b - entry_bound)
 
 
 def _fmt_tau(tau: complex) -> str:

@@ -1,6 +1,12 @@
 """Brute-force oracles shared across the test suite.  Each one deliberately
 avoids the shortcut the library uses for the same quantity."""
 
+import cmath
+import math
+from fractions import Fraction
+
+from cuspdim.qseries import _series_tail_bound
+
 
 def primes(limit):
     """All primes <= limit, by sieve."""
@@ -47,3 +53,31 @@ def is_nonzero_square_mod(a, p):
     if a == 0:
         return False
     return any(x * x % p == a for x in range(1, p))
+
+
+def reference_evaluate(series, tau):
+    """``evaluate``'s term loop as first written, every float expression
+    inline, with the same tail bound: (value, bound, terms summed).  The
+    library loop hoists its invariants and must round exactly as this does."""
+    v = tau.imag
+    u, off, step = Fraction(tau.real), series.offset, series.step
+    den = u.denominator * off.denominator * step.denominator
+    a = u.numerator * off.numerator * step.denominator % den
+    b = u.numerator * step.numerator * off.denominator % den
+    off_f = float(series.offset)
+    step_f = float(series.step)
+    two_pi = 2.0 * math.pi
+    total = 0j
+    absmass = 0.0
+    terms = 0
+    for k, _, cf in series.support():
+        decay = math.exp(-two_pi * v * (off_f + k * step_f))
+        if decay == 0.0:
+            break
+        phase = (a + k * b) % den / den
+        total += cf * decay * cmath.exp(2j * math.pi * phase)
+        absmass += abs(cf) * decay
+        terms += 1
+    bound = _series_tail_bound(series, v, series.precision)
+    bound += 64.0 * 2.220446049250313e-16 * (absmass + abs(total))
+    return total, bound, terms

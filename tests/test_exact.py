@@ -292,6 +292,8 @@ def test_unit_phase_arithmetic():
     assert UnitPhase(Fraction(48, 24)).turns == 0
     for whole in (2, -1, 0):
         assert type(UnitPhase(whole).turns) is Fraction and UnitPhase(whole).is_one
+    # Floats are converted, then reduced.
+    assert UnitPhase(0.75).turns == Fraction(3, 4) and UnitPhase(-2.5).turns == Fraction(1, 2)
     assert (third**3).is_one
     assert third.inverse() == third.conjugate()
     assert (third * third.inverse()).is_one

@@ -21,6 +21,7 @@ from cuspdim import (
     mu3,
 )
 from cuspdim.classify import _classify_window
+from cuspdim.cli import main
 from helpers import primes
 
 
@@ -310,13 +311,35 @@ def test_prime_closed_form_matches_local_data():
     (lambda p, i, c, m2, m3, r, w: (i, c, m2, m3 + 1, r, w), "genus"),
 ])
 def test_sieve_checks_local_data(monkeypatch, change, message):
-    # The pad and genus checks of the combine run on every sieved block, so
-    # a corrupted _local is refused by a range scan as by a point query.
+    # The pad and genus checks of _profile_row run on every sieved row and
+    # on every point query, so a corrupted _local is refused by a range scan
+    # as by a point query of the level the scan names.
     real = gamma0._local
     monkeypatch.setattr(gamma0, "_local", lambda p, e: change(p, *real(p, e)))
     assert math.isqrt(3000) <= 3000
-    with pytest.raises(ArithmeticError, match=message):
+    with pytest.raises(ArithmeticError, match=message) as scan:
         list(_classify_window(1, 3000))
+    level = int(str(scan.value).split("at level ")[1].split(",")[0])
+    with pytest.raises(ArithmeticError, match=message) as point:
+        gamma0.group_profile.__wrapped__(level)
+    assert str(point.value) == str(scan.value)
+
+
+def test_cusp_table_leaves_no_local_entry_for_large_primes(capsys):
+    # The width multiset reads p^1 in closed form, as the profile does for a
+    # prime above the trial bound; only the p = 2 factor of the profile is
+    # left in the _local cache.
+    n = 2 * 999_983 * 1_000_003
+    for cached in (gamma0._local, gamma0.cusps, gamma0.group_profile):
+        cached.cache_clear()
+    assert main(["cusps", str(n), "--format", "json"]) == 0
+    assert capsys.readouterr().out.count('"representative"') == 8
+    assert gamma0._local.cache_info().currsize == 1
+    for q in (999_983, 1_000_003):
+        misses = gamma0._local.cache_info().misses
+        gamma0._local(q, 1)
+        assert gamma0._local.cache_info().misses == misses + 1, q
+    gamma0._local.cache_clear()
 
 
 def _cusp_rows_direct(n):

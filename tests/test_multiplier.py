@@ -27,6 +27,7 @@ from cuspdim import (
     verify_cocycle,
     verify_transformation,
 )
+from cuspdim.exact import PHASE_ONE
 from cuspdim.verify import _build_row
 
 M = UnimodularMatrix
@@ -143,6 +144,18 @@ def test_character_values():
     assert gamma0_character(6, 2, M(1, 0, 12, 1)).is_one
     assert gamma0_character(4, 1, M(1, 0, 4, 1)).is_one
     assert gamma0_character(1, 1, M.inversion()).is_one
+
+
+def test_trivial_character_value_is_the_shared_identity():
+    # Every kernel element, and every element with c*d = 0 mod n*h, gets the
+    # shared identity phase; the others are built and reduced.
+    rng = random.Random(28)
+    for n, h in ((1, 1), (6, 2), (12, 12), (23, 1)):
+        for _ in range(50):
+            assert gamma0_character(n, h, random_level_element(rng, n * h)) is PHASE_ONE
+    assert gamma0_character(6, 2, M(1, 0, 6, 1)) is not PHASE_ONE
+    assert gamma0_character(6, 2, M(1, 0, 6, 1)) * UnitPhase(HALF) == PHASE_ONE
+    assert gamma0_character(4, 1, M(1, 1, 4, 5)) is PHASE_ONE
 
 
 def test_character_validation():

@@ -20,7 +20,7 @@ from cuspdim import (
     unary_theta,
 )
 from cuspdim import qseries
-from helpers import convolve, eta_product_coefficients
+from helpers import convolve, eta_product_coefficients, reference_evaluate
 
 ETA_AT_I = 0.7682254223260567  # Gamma(1/4) / (2 pi^(3/4))
 
@@ -606,6 +606,27 @@ def test_evaluate_translation_phase():
     b = evaluate(eta_expansion(200), tau + 1)
     phase = cmath.exp(2j * math.pi / 24)
     assert abs(b.value - phase * a.value) < 1e-13
+
+
+def test_evaluate_is_bit_identical_to_the_inline_loop():
+    # The term loop hoists -2 pi Im(tau) and 2j pi with the grouping the
+    # products had inline, so value and bound keep every bit.  Im(tau) is
+    # small enough that more than 300 terms are summed: the eta and eta-cube
+    # supports are sparse, and eta(2 tau) eta(3 tau)^2 has offset 1/3.
+    rng = random.Random(41)
+    cases = (
+        eta_expansion(40_000),
+        eta_cubed(50_000),
+        eta_quotient_expansion(EtaQuotient(6, {2: 1, 3: 2}), 1200),
+    )
+    points = [0.0015j, 0.375 + 0.002j, -0.4375 + 0.001j]
+    points += [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.001, 0.002)) for _ in range(4)]
+    for series in cases:
+        for tau in points:
+            value, bound, terms = reference_evaluate(series, tau)
+            assert terms > 300, (series.offset, tau)
+            res = evaluate(series, tau)
+            assert (res.value, res.bound) == (value, bound), (series.offset, tau)
 
 
 def test_evaluate_rejects_lower_half_plane():

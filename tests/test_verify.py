@@ -222,6 +222,22 @@ def test_random_draws_follow_the_randint_stream(seed):
         edge = random_level_element(ours, level, 0, 1)
         assert edge == _randint_level_element(reference, level, 0, 1)
         assert ours.getstate() == reference.getstate(), (seed, level)
+    # The rejection edges: a span of 1 (multiple bound 0), spans of
+    # 2^7 - 1 and 2^7 + 1 (entry bounds 63 and 64, rejecting 1 in 128 and
+    # nearly half of the draws), and a span above 2^32, which getrandbits
+    # reads from two words.
+    for level in (1, 7, 60):
+        for bounds in ((0, 50), (3, 63), (3, 64), (0, 63), (2, 2**33 + 5)):
+            ours, reference = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                got = random_level_element(ours, level, *bounds)
+                assert got == _randint_level_element(reference, level, *bounds), (level, bounds)
+            assert ours.getstate() == reference.getstate(), (seed, level, bounds)
+    for entry_bound in (1, 63, 64, 2**33 + 5):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert random_unimodular(ours, entry_bound) == _randint_unimodular(reference, entry_bound)
+        assert ours.getstate() == reference.getstate(), (seed, entry_bound)
 
 
 def test_suites_refuse_vacuous_input():
