@@ -69,7 +69,6 @@ __all__ = [
     "classify",
     "classify_range",
     "m23_element_orders",
-    "m24_prime_divisors",
     "pole_divisor",
 ]
 
@@ -97,8 +96,8 @@ class CuspDivisor:
     stored, in the deterministic cusp order of the level.
 
     Each entry is stored as an integer row (a, d, width, multiplicity);
-    ``entries``, ``support()`` and ``coefficient()`` build the CuspClass
-    objects when they are read, and ``degree()`` sums the integers."""
+    ``entries`` builds the CuspClass objects when it is read, and
+    ``degree()`` sums the integers."""
 
     level: int
     rows: tuple[tuple[int, int, int, int], ...]
@@ -109,15 +108,6 @@ class CuspDivisor:
 
     def degree(self) -> int:
         return sum(m for _, _, _, m in self.rows)
-
-    def support(self) -> tuple[CuspClass, ...]:
-        return tuple(c for c, _ in self.entries)
-
-    def coefficient(self, cusp: CuspClass) -> int:
-        for c, m in self.entries:
-            if c == cusp:
-                return m
-        return 0
 
 
 def pole_divisor(n: int) -> CuspDivisor:
@@ -276,12 +266,6 @@ def _decide(p) -> tuple:
 def m23_element_orders() -> frozenset[int]:
     """Element orders of the Mathieu group M23."""
     return frozenset((1, 2, 3, 4, 5, 6, 7, 8, 11, 14, 15, 23))
-
-
-def m24_prime_divisors() -> frozenset[int]:
-    """Primes dividing the order of the Mathieu group M24; equivalently the
-    primes p with p + 1 dividing 24."""
-    return frozenset((2, 3, 5, 7, 11, 23))
 
 
 @dataclass(frozen=True)

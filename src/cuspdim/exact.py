@@ -1,8 +1,8 @@
 """Exact arithmetic primitives.
 
-Factorization, the totient, the Kronecker symbol, the sawtooth function,
-Dedekind sums, and exact phases on the unit circle.  Everything here is
-pure and exact; floating point never enters.
+Factorization, divisors, the Kronecker symbol, Dedekind sums, and exact
+phases on the unit circle.  Everything here is pure and exact; floating
+point never enters.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ __all__ = [
     "PHASE_ONE",
     "dedekind_sum",
     "divisors",
-    "euler_phi",
     "factorize",
     "kronecker",
-    "sawtooth",
 ]
 
 
@@ -38,13 +36,6 @@ class Factorization:
 
     value: int
     factors: dict[int, int]
-
-    def nu(self, p: int) -> int:
-        """Exponent of p in the factorization (0 when p does not divide)."""
-        return self.factors.get(p, 0)
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(self.factors)
 
 
 def _trial_divisors():
@@ -80,8 +71,11 @@ def _check_int(value, what: str, minimum: int | None = 1, *, divides: int | None
 
 
 def _check_tolerance(tolerance) -> None:
-    """Raise ValueError unless tolerance is a real number, finite and above 0."""
-    if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
+    """Raise ValueError unless tolerance is a real number, and not a bool,
+    finite and above 0."""
+    if isinstance(tolerance, bool) or not (
+        isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0
+    ):
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
 
 
@@ -280,14 +274,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(_divisors_of(factorize(n).factors)))
 
 
-def euler_phi(n: int) -> int:
-    """Count of 1 <= k <= n coprime to n; n is checked by ``factorize``."""
-    phi = 1
-    for p, e in factorize(n).factors.items():
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-
-
 def _kronecker_prime(a: int, p: int) -> int:
     if p == 2:
         if a % 2 == 0:
@@ -322,14 +308,6 @@ def kronecker(a: int, n: int) -> int:
         if s == -1 and e % 2 == 1:
             result = -result
     return result
-
-
-def sawtooth(x: Fraction | int) -> Fraction:
-    """((x)): zero at integers, x - floor(x) - 1/2 elsewhere.  Odd, period 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
 def _dedekind_12c(d: int, c: int) -> int:
@@ -385,11 +363,6 @@ class UnitPhase:
         object.__setattr__(self, "turns", Fraction(num % den, den))
 
     @property
-    def order(self) -> int:
-        """Least k >= 1 with self**k equal to the identity phase."""
-        return self.turns.denominator
-
-    @property
     def is_one(self) -> bool:
         return self.turns == 0
 
@@ -403,9 +376,6 @@ class UnitPhase:
 
     def inverse(self) -> "UnitPhase":
         return UnitPhase(-self.turns)
-
-    def conjugate(self) -> "UnitPhase":
-        return self.inverse()
 
     def to_complex(self) -> complex:
         return cmath.exp(2j * math.pi * float(self.turns))

@@ -242,7 +242,7 @@ class GroupProfile(NamedTuple):
     are checked where they are computed, in ``_profile_row``.  ``ceil_eighths_sum``
     is the sum of ceil(w/8) over the cusp widths w, the one number the
     dimension bounds read from the widths; the (width, count) pairs
-    ``widths`` and the cusp classes themselves are built only when read.
+    ``widths`` are built only when read, and the cusp classes by ``cusps(n)``.
     The field ``index`` shadows ``tuple.index``."""
 
     level: int
@@ -256,10 +256,6 @@ class GroupProfile(NamedTuple):
     @property
     def widths(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(_width_counts(self.level).items()))
-
-    @property
-    def cusps(self) -> tuple[CuspClass, ...]:
-        return cusps(self.level)
 
 
 # Bounded: the small prime powers, which most levels share, stay cached.

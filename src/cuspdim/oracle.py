@@ -21,7 +21,7 @@ from functools import lru_cache
 from .exact import _check_int
 from .gamma0 import UnimodularMatrix, is_member
 
-__all__ = ["ORACLE_CUTOFF", "OrbitCusp", "enumerate_cosets", "oracle_cusps", "oracle_index"]
+__all__ = ["ORACLE_CUTOFF", "OrbitCusp", "enumerate_cosets", "oracle_cusps"]
 
 # Cost guard: the coset count grows superlinearly, and the oracle exists to
 # spot-check small levels, not to scale.
@@ -104,12 +104,6 @@ def enumerate_cosets(n: int, cutoff: int = ORACLE_CUTOFF) -> tuple[UnimodularMat
     """Coset representatives of the level-n group in SL2(Z), in discovery order."""
     _check_cutoff(n, cutoff)
     return tuple(UnimodularMatrix(*row) for row in _coset_table(n).values())
-
-
-def oracle_index(n: int, cutoff: int = ORACLE_CUTOFF) -> int:
-    """Index of the level-n group, counted by explicit coset enumeration."""
-    _check_cutoff(n, cutoff)
-    return len(_coset_table(n))
 
 
 def _orbit_width(a: int, c: int, n: int) -> int:

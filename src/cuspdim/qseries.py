@@ -117,11 +117,6 @@ class FracQSeries:
             self._support = tuple((k, c, float(c)) for k, c in self._nonzero())
         return self._support
 
-    def leading(self) -> tuple[int, int | Fraction] | None:
-        """Index and value of the first nonzero coefficient, if any."""
-        terms = self._nonzero()
-        return terms[0] if terms else None
-
     def coefficient(self, exponent) -> int | Fraction:
         """Exact coefficient of q^exponent.
 

@@ -527,7 +527,8 @@ def test_checks_survive_python_O():
 
 def test_one_input_gate():
     # Bad input is refused in one place per layer: only cli.main calls
-    # parser.error, and only exact._check_int tests for bool.
+    # parser.error, and only the two number checks of exact, _check_int and
+    # _check_tolerance, test for bool.
     package = Path(__file__).resolve().parents[1] / "src" / "cuspdim"
 
     def sites(path, match):
@@ -569,7 +570,7 @@ def test_one_input_gate():
     bool_checks = [
         site for path in sorted(package.glob("*.py")) for site in sites(path, is_bool_check)
     ]
-    assert bool_checks == [("exact.py", "_check_int")]
+    assert bool_checks == [("exact.py", "_check_int"), ("exact.py", "_check_tolerance")]
 
 
 def test_classify_refuses_oversized_range(capsys, monkeypatch):

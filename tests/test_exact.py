@@ -9,10 +9,8 @@ from cuspdim import (
     UnitPhase,
     dedekind_sum,
     divisors,
-    euler_phi,
     factorize,
     kronecker,
-    sawtooth,
 )
 from cuspdim import exact
 from cuspdim.exact import (
@@ -27,14 +25,6 @@ def test_factorize_small():
     assert factorize(360).factors == {2: 3, 3: 2, 5: 1}
     assert factorize(97).factors == {97: 1}
     assert factorize(2**20).factors == {2: 20}
-
-
-def test_factorize_accessors():
-    f = factorize(720)
-    assert f.nu(2) == 4
-    assert f.nu(3) == 2
-    assert f.nu(7) == 0
-    assert f.primes() == (2, 3, 5)
 
 
 def test_factorize_roundtrip_random():
@@ -125,8 +115,6 @@ def test_factorize_rejects_nonpositive():
     for bad in (0, -12, True, 12.0, 12.5, "12"):
         with pytest.raises(ValueError):
             factorize(bad)
-        with pytest.raises(ValueError):
-            euler_phi(bad)
 
 
 def test_divisors():
@@ -145,16 +133,6 @@ def test_divisor_count_matches_factorization():
         for e in factorize(n).factors.values():
             expected *= e + 1
         assert len(divisors(n)) == expected
-
-
-def test_euler_phi():
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(23) == 22
-    assert euler_phi(2**10) == 512
-    # sum of phi(d) over divisors of n recovers n
-    for n in range(1, 200):
-        assert sum(euler_phi(d) for d in divisors(n)) == n
 
 
 def test_kronecker_fixed_values():
@@ -192,23 +170,6 @@ def test_kronecker_multiplicative():
         m = rng.randint(1, 60)
         assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
         assert kronecker(a, n * m) == kronecker(a, n) * kronecker(a, m)
-
-
-def test_sawtooth_values():
-    assert sawtooth(0) == 0
-    assert sawtooth(5) == 0
-    assert sawtooth(Fraction(1, 2)) == 0
-    assert sawtooth(Fraction(1, 4)) == Fraction(-1, 4)
-    assert sawtooth(Fraction(3, 4)) == Fraction(1, 4)
-    assert sawtooth(Fraction(7, 3)) == Fraction(-1, 6)
-
-
-def test_sawtooth_odd_and_periodic():
-    rng = random.Random(3)
-    for _ in range(200):
-        x = Fraction(rng.randint(-100, 100), rng.randint(1, 30))
-        assert sawtooth(-x) == -sawtooth(x)
-        assert sawtooth(x + 1) == sawtooth(x)
 
 
 def _dedekind_sum_direct(d, c):
@@ -295,7 +256,6 @@ def test_unit_phase_arithmetic():
     # Floats are converted, then reduced.
     assert UnitPhase(0.75).turns == Fraction(3, 4) and UnitPhase(-2.5).turns == Fraction(1, 2)
     assert (third**3).is_one
-    assert third.inverse() == third.conjugate()
     assert (third * third.inverse()).is_one
     assert str(UnitPhase(Fraction(3, 8))) == "e(3/8)"
 
@@ -304,7 +264,7 @@ def test_unit_phase_order():
     rng = random.Random(5)
     for _ in range(100):
         p = UnitPhase(Fraction(rng.randint(-40, 40), rng.randint(1, 24)))
-        k = p.order
+        k = p.turns.denominator
         assert k >= 1
         assert (p**k).is_one
         # no smaller positive power is trivial

@@ -14,7 +14,6 @@ from cuspdim import (
     index,
     is_member,
     oracle_cusps,
-    oracle_index,
 )
 
 
@@ -25,7 +24,7 @@ def test_cutoff_refusal():
     with pytest.raises(ValueError):
         enumerate_cosets(500)
     with pytest.raises(ValueError):
-        oracle_index(10**6)
+        enumerate_cosets(10**6)
     oracle_cusps(1)
     for bad in (0, -4, True, False):
         with pytest.raises(ValueError):
@@ -36,12 +35,12 @@ def test_cutoff_refusal():
         with pytest.raises(ValueError):
             oracle_cusps(5, bad)
     # an explicit cutoff lifts the default refusal
-    assert oracle_index(310, cutoff=310) == index(310)
+    assert len(enumerate_cosets(310, cutoff=310)) == index(310)
 
 
 def test_oracle_index_matches_formula():
     for n in list(range(1, 40)) + [60, 97, 120, 128, 180, 210, 243, 300]:
-        assert oracle_index(n) == index(n)
+        assert len(enumerate_cosets(n)) == index(n)
 
 
 def _matrix_coset_table(n):

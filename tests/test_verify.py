@@ -252,6 +252,10 @@ def test_suites_refuse_vacuous_input():
         lambda: cocycle_suite(samples=2, tolerance=0.0),
         lambda: cocycle_suite(samples=2, tolerance=-1e-9),
         lambda: cocycle_suite(samples=2, tolerance="1e-9"),
+        # A bool is refused as a tolerance, as it is as a count.
+        lambda: eta_law_suite(samples=2, tolerance=True),
+        lambda: eta_law_suite(samples=2, tolerance=False),
+        lambda: cocycle_suite(samples=2, tolerance=True),
         lambda: character_suite(n_max=0),
         lambda: character_suite(n_max=2, pool_size=0),
         lambda: character_suite(n_max=2, pairs_per_level=0),
@@ -268,7 +272,7 @@ def test_suites_refuse_vacuous_input():
         with pytest.raises(ValueError):
             bad()
     ctx = AutomorphyContext(weight=Fraction(1, 2), eta_power=1)
-    for tolerance in (float("inf"), float("nan"), 0.0, -1.0):
+    for tolerance in (float("inf"), float("nan"), 0.0, -1.0, True, False):
         with pytest.raises(ValueError):
             verify_transformation(eta_expansion(64), ctx, UnimodularMatrix.inversion(), 1j, tolerance)
 
