@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .exact import _check_int, factorize
 from .gamma0 import (
-    CuspClass, GroupProfile, _cusp_blocks, _profile, _profile_window,
+    CuspClass, _cusp_blocks, _profile, _profile_window,
     _representative_text, cusps, group_profile,
 )
 from .qseries import EtaQuotient, eta_quotient_cusp_order
@@ -186,7 +186,7 @@ class Certificate(NamedTuple):
         }
 
 
-def _weight_two_exclusion(p: GroupProfile) -> dict | None:
+def _weight_two_exclusion(p) -> dict | None:
     """Genus-two endgame: exhibit a holomorphic weight-2 form whose divisor,
     read as a differential, is a sum of two distinct simple points, one of
     them the divisor's support cusp.
@@ -195,25 +195,27 @@ def _weight_two_exclusion(p: GroupProfile) -> dict | None:
     canonical divisor would be equivalent to 2x; ours is x + y with y
     distinct, forcing y ~ x, which a positive-genus curve cannot afford.
     So the Riemann-Roch correction term vanishes and the dimension is
-    exactly deg + 1 - genus = 1.  Returns the witness data, or None when
-    any precondition fails.
+    exactly deg + 1 - genus = 1.  The support is the one cusp class of
+    width w > 8, where ceil(w/8) - 1 must be 2.  Returns the witness data,
+    or None when any precondition fails.
     """
-    n = p.level
-    if p.genus != 2 or p.mu2 != 0 or p.mu3 != 0:
+    n, idx, _, m2, m3, genus, _ = p
+    if genus != 2 or m2 != 0 or m3 != 0:
         return None
-    divisor = pole_divisor(n)
-    if len(divisor.rows) != 1:
+    classes = cusps(n)
+    poles = [c for c in classes if c.width > 8]
+    if len(poles) != 1:
         return None
-    support, mult = divisor.entries[0]
-    if mult != 2:
+    support = poles[0]
+    if -(-support.width // 8) - 1 != 2:
         return None
     quotient = EtaQuotient(n, {1: 2, n: 2})
-    orders = [(c, eta_quotient_cusp_order(quotient, c)) for c in cusps(n)]
+    orders = [(c, eta_quotient_cusp_order(quotient, c)) for c in classes]
     # Holomorphic cusp form: integral positive order at every cusp.  Eta is
     # zero-free away from cusps, so these orders are the whole divisor.
     if any(o.denominator != 1 or o < 1 for _, o in orders):
         return None
-    if sum(o for _, o in orders) != Fraction(p.index, 6):
+    if sum(o for _, o in orders) != Fraction(idx, 6):
         return None
     # As a differential the order drops by one at each cusp (mu2 = mu3 = 0),
     # leaving degree index/6 - c = 2g - 2 = 2: order 2 at the support cusp
@@ -256,7 +258,7 @@ def _decide(p) -> tuple:
         a, d, width, _ = pole_divisor(n).rows[0]
         rule = RULE_SIMPLE_POLE
         witness = {"support_cusp": _representative_text(a, d), "width": width}
-    elif (witness := _weight_two_exclusion(GroupProfile._make(p))) is not None:
+    elif (witness := _weight_two_exclusion(p)) is not None:
         rule = RULE_CANONICAL_EXCLUSION
     else:
         verdict, rule = Verdict.UNDECIDED, RULE_UNDECIDED

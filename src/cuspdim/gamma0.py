@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .exact import _TRIAL_BOUND, _check_int, _sieve_window, divisors, factorize
+from .exact import _check_int, _sieve_window, divisors, factorize
 
 __all__ = [
     "CuspClass",
@@ -261,17 +261,19 @@ class GroupProfile(NamedTuple):
 # Bounded: the small prime powers, which most levels share, stay cached.
 @lru_cache(maxsize=4096)
 def _local(p: int, e: int) -> tuple:
-    """Index, cusp count, mu2 and mu3 factors, residue data and (width,
-    count) pairs at p^e: over d = p^k lie phi(p^min(k, e-k)) classes of
-    width p^max(e-2k, 0).
+    """The ``_UNIT`` factors and the (width, count) pairs at p^e: over
+    d = p^k lie phi(p^min(k, e-k)) classes of width p^max(e-2k, 0).  The
+    profile reads it only at e >= 2; ``_prime_factors`` is its closed form
+    at e = 1.
 
     The elliptic factors 1 + (-4|p) and 1 + (-3|p) are read from p mod 4
     and p mod 3: -1 is a square modulo an odd prime p exactly when
     p = 1 (mod 4), and -3 exactly when p = 1 (mod 3).
 
-    The residue data is what ``_profile_row`` needs of the widths mod 8: at
-    p = 2 the counts (n1, n2, n4) of local widths 1, 2 and 4 (a width of 8
-    or more adds nothing), and at odd p the signed sums of count * chi(w)
+    The pad factors t, a, b are what ``_profile_row`` needs of the widths
+    mod 8: at p = 2, with n1, n2, n4 the counts of local widths 1, 2 and 4
+    (a width of 8 or more adds nothing), they are n1 + n2 + n4, n1 + 2 n2
+    and n1; at odd p, the class count and the signed sums of count * chi(w)
     for chi_-4 (+1 on u = 1 mod 4) and chi_-8 (+1 on u = 1, 3 mod 8), where
     chi(p^j) = chi(p)^j."""
     widths: dict[int, int] = {}
@@ -285,21 +287,25 @@ def _local(p: int, e: int) -> tuple:
         widths[p**t] = widths.get(p**t, 0) + count
         sum4 += count * chi4**t
         sum8 += count * chi8**t
-    residues = (widths.get(1, 0), widths.get(2, 0), widths.get(4, 0)) if p == 2 else (sum4, sum8)
+    total = sum(widths.values())
+    if p == 2:
+        n1, n2 = widths.get(1, 0), widths.get(2, 0)
+        pad = n1 + n2 + widths.get(4, 0), n1 + 2 * n2, n1
+    else:
+        pad = total, sum4, sum8
     m2 = int(e == 1) if p == 2 else 2 * (p % 4 == 1)
     m3 = int(e == 1) if p == 3 else 2 * (p % 3 == 1)
-    return p**e + p ** (e - 1), sum(widths.values()), m2, m3, residues, tuple(widths.items())
+    return (p**e + p ** (e - 1), total, m2, m3, *pad), tuple(widths.items())
 
 
 def _width_counts(n: int) -> dict[int, int]:
     """The cusp widths of level n with their counts: by the Chinese remainder
     theorem a cusp class is a tuple of local classes, and its width the
     product of their widths.  At p^1 the local pairs are read in closed
-    form, one class each of widths p and 1 as in ``_prime_factors``, so a
-    large prime leaves no ``_local`` entry."""
+    form, one class each of widths p and 1 as in ``_prime_factors``."""
     counts = {1: 1}
     for p, e in factorize(n).factors.items():
-        local = ((p, 1), (1, 1)) if e == 1 else _local(p, e)[5]
+        local = ((p, 1), (1, 1)) if e == 1 else _local(p, e)[1]
         # Widths of distinct primes multiply to distinct products.
         counts = {w * v: c * k for w, c in counts.items() for v, k in local}
     return counts
@@ -310,20 +316,11 @@ def _width_counts(n: int) -> dict[int, int]:
 _UNIT = (1, 1, 1, 1, 4, 1, 2)
 
 
-def _factors(p: int, local: tuple) -> tuple:
-    """The factors at p of the ``_UNIT`` columns, from ``_local`` data."""
-    idx, count, m2, m3, residues, _ = local
-    if p == 2:
-        n1, n2, n4 = residues
-        return idx, count, m2, m3, n1 + n2 + n4, n1 + 2 * n2, n1
-    return idx, count, m2, m3, count, *residues
-
-
 def _prime_factors(q: int) -> tuple:
-    """``_factors(q, _local(q, 1))`` for a prime q, in closed form and
-    uncached: over d = 1 and d = q lie one class each, of widths q and 1.
-    So the signed sums at odd q are chi(q) + 1, which is 2 or 0; the one for
-    chi_-4 is also the mu2 factor."""
+    """``_local(q, 1)[0]`` for a prime q, in closed form and uncached: over
+    d = 1 and d = q lie one class each, of widths q and 1.  So the signed
+    sums at odd q are chi(q) + 1, which is 2 or 0; the one for chi_-4 is
+    also the mu2 factor."""
     if q == 2:
         return 3, 2, 1, 0, 2, 3, 1
     m2 = 2 * (q % 4 == 1)
@@ -331,13 +328,8 @@ def _prime_factors(q: int) -> tuple:
 
 
 def _local_factors(p: int, e: int) -> tuple:
-    """The ``_UNIT`` factors at p^e.  A prime above the trial bound of
-    ``factorize`` recurs in few levels, so at p^1 it is read from the
-    closed form and not left to evict the small prime powers from the
-    ``_local`` cache."""
-    if e == 1 and p > _TRIAL_BOUND:
-        return _prime_factors(p)
-    return _factors(p, _local(p, e))
+    """The ``_UNIT`` factors at p^e."""
+    return _prime_factors(p) if e == 1 else _local(p, e)[0]
 
 
 def _profile_row(n, idx, count, m2, m3, t, a, b) -> tuple:

@@ -1,11 +1,26 @@
 """Brute-force oracles shared across the test suite.  Each one deliberately
-avoids the shortcut the library uses for the same quantity."""
+avoids the shortcut the library uses for the same quantity.  Also the one
+way the tests corrupt the local factors of a level."""
 
 import cmath
 import math
 from fractions import Fraction
 
+from cuspdim import gamma0
 from cuspdim.qseries import _series_tail_bound
+
+
+def corrupt_local_factors(monkeypatch, change, routes=("_local", "_prime_factors")):
+    """Pass the ``_UNIT`` factors of ``gamma0`` at every prime power p^e
+    through change(p, factors): at e >= 2 from ``_local``, at e = 1 from
+    ``_prime_factors``, or from one of the two routes alone."""
+    real_local, real_prime = gamma0._local, gamma0._prime_factors
+    if "_local" in routes:
+        monkeypatch.setattr(
+            gamma0, "_local", lambda p, e: (change(p, real_local(p, e)[0]), real_local(p, e)[1])
+        )
+    if "_prime_factors" in routes:
+        monkeypatch.setattr(gamma0, "_prime_factors", lambda q: change(q, real_prime(q)))
 
 
 def primes(limit):

@@ -22,7 +22,7 @@ from cuspdim import (
 )
 from cuspdim.classify import _classify_window
 from cuspdim.cli import main
-from helpers import primes
+from helpers import corrupt_local_factors, primes
 
 
 def test_matrix_determinant_enforced():
@@ -266,75 +266,87 @@ def test_ceil_eighths_sum_from_residues_mod_8():
 
 def test_width_residues_checked(monkeypatch):
     # chi_-8(3) read as -1: the pad of level 3 moves by 4, so index + pad is
-    # no longer a multiple of 8.
-    real = gamma0._local
-
-    def wrong_chi8_at_3(p, e):
-        idx, count, m2, m3, residues, widths = real(p, e)
-        if p == 3:
-            residues = (residues[0], residues[0])
-        return idx, count, m2, m3, residues, widths
-
-    monkeypatch.setattr(gamma0, "_local", wrong_chi8_at_3)
+    # no longer a multiple of 8.  The b factor, the chi_-8 sum, takes the
+    # value of a, the chi_-4 sum.
+    corrupt_local_factors(monkeypatch, lambda p, f: (*f[:6], f[5]) if p == 3 else f)
     with pytest.raises(ArithmeticError, match="pad"):
         gamma0.group_profile.__wrapped__(3)
 
-    # One class of level 2 moved from width 2 to width 4: the pad moves by 2.
-    def width_two_read_as_four(p, e):
-        idx, count, m2, m3, (n1, n2, n4), widths = real(p, e)
-        return idx, count, m2, m3, (n1, n2 - 1, n4 + 1), widths
-
-    monkeypatch.setattr(gamma0, "_local", width_two_read_as_four)
+    # One class of level 2 moved from width 2 to width 4: the pad moves by 2,
+    # as a = n1 + 2 n2 falls by 2 while t = n1 + n2 + n4 and b = n1 stay.
+    monkeypatch.undo()
+    corrupt_local_factors(monkeypatch, lambda p, f: (*f[:5], f[5] - 2, f[6]) if p == 2 else f)
     with pytest.raises(ArithmeticError, match="pad"):
         gamma0.group_profile.__wrapped__(2)
 
 
 def test_prime_closed_form_matches_local_data():
-    # The factors of a prime q^1, read by range scans for the prime left of
-    # a level and by point queries for a prime above the trial bound; every
-    # prime below 10^5, 2 and 3 included.
+    # The factors of a prime q^1, read by range scans and point queries
+    # alike, against the local data they stand for; every prime below 10^5,
+    # 2 and 3 included.
     for q in primes(10**5):
-        assert gamma0._prime_factors(q) == gamma0._factors(q, gamma0._local(q, 1)), q
-    # A point query leaves no cache entry for a prime above the trial bound.
+        assert gamma0._prime_factors(q) == gamma0._local(q, 1)[0], q
+    # A point query leaves a cache entry only for a prime power p^e, e >= 2.
     gamma0._local.cache_clear()
     gamma0.group_profile.__wrapped__(4 * 999_983 * 1_000_003)
     assert gamma0._local.cache_info().currsize == 1
 
 
+def test_local_data_read_only_at_squares(monkeypatch):
+    # Every prime p^1 comes from the closed form _prime_factors, on range
+    # scans and point queries alike; _local is read only at p^e, e >= 2.
+    real = gamma0._local
+    calls = []
+
+    def record(p, e):
+        calls.append((p, e))
+        return real(p, e)
+
+    monkeypatch.setattr(gamma0, "_local", record)
+    list(_classify_window(1, 3000))
+    for n in (2 * 3 * 5 * 7 * 11 * 13, 4 * 999_983 * 1_000_003):
+        gamma0.group_profile.__wrapped__(n)
+    assert (2, 2) in calls and (3, 7) in calls
+    assert all(e >= 2 for _, e in calls), sorted(set(calls))
+
+
 @pytest.mark.parametrize("change, message", [
     # chi_-8(3) read as chi_-4(3), as in test_width_residues_checked.
-    (lambda p, i, c, m2, m3, r, w: (i, c, m2, m3, (r[0], r[0]) if p == 3 else r, w), "pad"),
+    (lambda p, f: (*f[:6], f[5]) if p == 3 else f, "pad"),
     # One 2-adic class moved from width 2 to width 4, likewise.
-    (lambda p, i, c, m2, m3, r, w: (i, c, m2, m3, (r[0], r[1] - 1, r[2] + 1) if p == 2 else r, w),
-     "pad"),
+    (lambda p, f: (*f[:5], f[5] - 2, f[6]) if p == 2 else f, "pad"),
     # An mu3 factor one too large: the genus of level 2 becomes -1/3.
-    (lambda p, i, c, m2, m3, r, w: (i, c, m2, m3 + 1, r, w), "genus"),
+    (lambda p, f: (*f[:3], f[3] + 1, *f[4:]), "genus"),
 ])
 def test_sieve_checks_local_data(monkeypatch, change, message):
     # The pad and genus checks of _profile_row run on every sieved row and
-    # on every point query, so a corrupted _local is refused by a range scan
-    # as by a point query of the level the scan names.
-    real = gamma0._local
-    monkeypatch.setattr(gamma0, "_local", lambda p, e: change(p, *real(p, e)))
+    # on every point query, so corrupted local factors are refused by a
+    # range scan as by a point query of the level the scan names: from
+    # _prime_factors at a prime (levels 3, 2 and 2), and from _local at a
+    # prime power p^e, e >= 2 (levels 27, 4 and 4; at 9 the chi_-4 and
+    # chi_-8 sums agree).
     assert math.isqrt(3000) <= 3000
-    with pytest.raises(ArithmeticError, match=message) as scan:
-        list(_classify_window(1, 3000))
-    level = int(str(scan.value).split("at level ")[1].split(",")[0])
-    with pytest.raises(ArithmeticError, match=message) as point:
-        gamma0.group_profile.__wrapped__(level)
-    assert str(point.value) == str(scan.value)
+    for route, first in (("_prime_factors", (3, 2, 2)), ("_local", (27, 4, 4))):
+        with monkeypatch.context() as patch:
+            corrupt_local_factors(patch, change, (route,))
+            with pytest.raises(ArithmeticError, match=message) as scan:
+                list(_classify_window(1, 3000))
+            level = int(str(scan.value).split("at level ")[1].split(",")[0])
+            with pytest.raises(ArithmeticError, match=message) as point:
+                gamma0.group_profile.__wrapped__(level)
+        assert str(point.value) == str(scan.value)
+        assert level in first, route
 
 
 def test_cusp_table_leaves_no_local_entry_for_large_primes(capsys):
-    # The width multiset reads p^1 in closed form, as the profile does for a
-    # prime above the trial bound; only the p = 2 factor of the profile is
-    # left in the _local cache.
+    # The width multiset and the profile read every p^1 in closed form, so a
+    # squarefree level leaves nothing in the _local cache.
     n = 2 * 999_983 * 1_000_003
     for cached in (gamma0._local, gamma0.cusps, gamma0.group_profile):
         cached.cache_clear()
     assert main(["cusps", str(n), "--format", "json"]) == 0
     assert capsys.readouterr().out.count('"representative"') == 8
-    assert gamma0._local.cache_info().currsize == 1
+    assert gamma0._local.cache_info().currsize == 0
     for q in (999_983, 1_000_003):
         misses = gamma0._local.cache_info().misses
         gamma0._local(q, 1)
@@ -383,15 +395,12 @@ def test_cusp_enumeration_checked_against_profile(monkeypatch):
 
 
 def test_genus_formula_checked(monkeypatch):
-    real = gamma0._local
-
-    def one_more_elliptic_point(p, e):
-        idx, count, m2, m3, residues, widths = real(p, e)
-        return idx, count, m2 + 1, m3, residues, widths
-
-    monkeypatch.setattr(gamma0, "_local", one_more_elliptic_point)
-    with pytest.raises(ArithmeticError, match="genus"):
-        gamma0.group_profile.__wrapped__(13)
+    # One more order-2 elliptic point at 13 (from _prime_factors) and at
+    # 13^2 (from _local): 12 genus falls by 3.
+    corrupt_local_factors(monkeypatch, lambda p, f: (*f[:2], f[2] + 1, *f[3:]))
+    for n in (13, 169):
+        with pytest.raises(ArithmeticError, match="genus"):
+            gamma0.group_profile.__wrapped__(n)
 
 
 def test_cusp_width_matches_per_prime_exponents():

@@ -30,6 +30,8 @@ from cuspdim import (
     verify_transformation,
 )
 
+from helpers import corrupt_local_factors
+
 classify_module = importlib.import_module("cuspdim.classify")
 
 
@@ -112,8 +114,8 @@ def test_rr_suite_counts():
 
 @pytest.fixture
 def cold_profiles():
-    """Clear the caches that hold profiles and bounds before and after, so a
-    corrupted ``_local`` is read afresh and leaves nothing behind."""
+    """Clear the caches that hold profiles and bounds before and after, so
+    corrupted local factors are read afresh and leave nothing behind."""
     caches = (gamma0.group_profile, classify_module._level_invariants, classify_module.classify)
 
     def clear():
@@ -125,29 +127,22 @@ def cold_profiles():
     clear()
 
 
-def _corrupt_residues(change):
-    real = gamma0._local
-
-    def corrupted(p, e):
-        idx, count, m2, m3, residues, widths = real(p, e)
-        return idx, count, m2, m3, change(p, residues), widths
-
-    return corrupted
-
-
 @pytest.mark.parametrize("change", [
     # The chi_-8 sum negated at primes 3 mod 8.
-    lambda p, r: (r[0], -r[1]) if p % 8 == 3 else r,
-    # The chi_-4 sum negated at primes 3 mod 4 (it is 0 at p^1).
-    lambda p, r: (-r[0], r[1]) if p % 4 == 3 else r,
-    # Two 2-adic classes of width 8 or more counted as width 4.
-    lambda p, r: (r[0], r[1], r[2] + 2) if p == 2 else r,
+    lambda p, r: (r[0], r[1], -r[2]) if p % 8 == 3 else r,
+    # The chi_-4 sum negated at primes 3 mod 4 (it is 0 at p^1, so only
+    # _local at p^e, e >= 2, changes).
+    lambda p, r: (r[0], -r[1], r[2]) if p % 4 == 3 else r,
+    # Two 2-adic classes of width 8 or more counted as width 4: t = n1 + n2 + n4
+    # grows by 2.
+    lambda p, r: (r[0] + 2, r[1], r[2]) if p == 2 else r,
 ])
 def test_rr_identity_is_a_second_route(monkeypatch, cold_profiles, change):
     # Each corruption keeps index + pad a multiple of 8, so the check in
     # _profile cannot see it; the bounds then read a wrong sum of ceil(w/8)
     # while the divisor degree still comes from the enumerated cusp rows.
-    monkeypatch.setattr(gamma0, "_local", _corrupt_residues(change))
+    # The pad factors (t, a, b) are corrupted at every prime power.
+    corrupt_local_factors(monkeypatch, lambda p, f: (*f[:4], *change(p, f[4:])))
     result = rr_identity_suite(600)
     assert result.failures > 0
     assert "strong-bound-identity" in result.lines[0] and result.lines[0].endswith(" FAIL")
