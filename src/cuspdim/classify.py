@@ -39,16 +39,15 @@ decided by the bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import _check_int, factorize
+from .exact import _check_int
 from .gamma0 import (
-    CuspClass, _cusp_blocks, _profile, _profile_window,
+    CuspClass, _cusp_blocks, _profile_window,
     _representative_text, cusps, group_profile,
 )
 from .qseries import EtaQuotient, eta_quotient_cusp_order
@@ -339,16 +338,11 @@ def _tsv_rows(certificates: Iterable) -> Iterator[tuple[str, ...]]:
 def _classify_window(lo: int, hi: int) -> Iterator[tuple[tuple, tuple]]:
     """An iterator of (certificate row, profile row) for the levels lo..hi
     in turn, plain tuples in the fields of ``Certificate`` and
-    ``GroupProfile``, each from the uncached kernels.  A window of at least
-    isqrt(hi) levels is read from the profile sieve as it is read; a
-    narrower one is factored by ``factorize``, level by level, and every
-    row is built and checked before this returns, so a level it refuses
-    raises at the call."""
-    if math.isqrt(hi) > hi - lo + 1:
-        profiles = [_profile(n, factorize(n).factors) for n in range(lo, hi + 1)]
-    else:
-        profiles = _profile_window(lo, hi)
-    return ((_decide(p), p) for p in profiles)
+    ``GroupProfile``, each from the uncached kernels.  The profile rows
+    come from ``gamma0._profile_window``, which sieves a wide window as it
+    is read and factors a narrow one before this returns, so a level it
+    refuses raises at the call."""
+    return ((_decide(p), p) for p in _profile_window(lo, hi))
 
 
 def classify_range(n_max: int) -> ClassificationReport:

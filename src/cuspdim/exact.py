@@ -2,13 +2,13 @@
 
 Factorization, divisors, the Kronecker symbol, Dedekind sums, and exact
 phases on the unit circle.  Everything here is pure and exact; floating
-point never enters.
+point never enters.  Numbers are factored one at a time; range scans read
+their windows from the prime sieve in ``gamma0`` instead.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -194,84 +194,16 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, factors)
 
 
-# Levels per block of the windowed sieve, so that its memory does not grow with the window.
-_SIEVE_BLOCK = 1 << 14
-
-
-def _sieve_window(lo: int, hi: int):
-    """Yield (start, rest, powers) for each block of at most _SIEVE_BLOCK
-    levels start, start + 1, ... of lo..hi: the one prime sieve of range
-    scans.  ``powers`` holds (p, first, deep, exponents) for each prime p up
-    to isqrt(hi) that divides a level of the block: p divides the levels
-    at offsets first, first + p, ...; p^2 those at deep, deep + p^2, ...,
-    whose p-adic exponents are listed in ``exponents`` (empty, with deep
-    past the block, when there are none); every other multiple of p has
-    exponent 1.  ``rest`` holds each level with those primes divided out,
-    which is 1 or one prime larger than all of them."""
-    root = math.isqrt(hi)
-    marks = bytearray([1]) * (root + 1)
-    marks[:2] = b"\0\0"
-    for p in range(2, math.isqrt(root) + 1):
-        if marks[p]:
-            marks[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-    primes = list(itertools.compress(range(root + 1), marks))
-    for start in range(lo, hi + 1, _SIEVE_BLOCK):
-        size = min(_SIEVE_BLOCK, hi + 1 - start)
-        rest = list(range(start, start + size))
-        powers = []
-        for p in primes:
-            first = -start % p
-            if first >= size:
-                continue
-            rest[first::p] = [m // p for m in rest[first::p]]
-            square = p * p
-            deep = -start % square
-            exponents = [2] * len(range(deep, size, square))
-            if exponents:
-                # Among the multiples of p^2, those of p^k sit every p^(k-2) places.
-                k, pk = 3, square * p
-                while (offset := -start % pk) < size:
-                    exponents[(offset - deep) // square :: pk // square] = [k] * len(
-                        range(offset, size, pk)
-                    )
-                    k, pk = k + 1, pk * p
-                scale = [p ** (e - 1) for e in range(k)]
-                rest[deep::square] = [m // scale[e] for m, e in zip(rest[deep::square], exponents)]
-            powers.append((p, first, deep, exponents))
-        yield start, rest, powers
-
-
-def _factor_window(lo: int, hi: int):
-    """Yield (n, factors) for lo <= n <= hi in turn, uncached, where factors
-    is ``factorize(n).factors``, read from ``_sieve_window``."""
-    for start, rest, powers in _sieve_window(lo, hi):
-        factors: list[dict[int, int]] = [{} for _ in rest]
-        for p, first, deep, exponents in powers:
-            for f in factors[first::p]:
-                f[p] = 1
-            for f, e in zip(factors[deep :: p * p], exponents):
-                f[p] = e
-        for n, m, f in zip(itertools.count(start), rest, factors):
-            if m > 1:
-                f[m] = 1
-            yield n, f
-
-
-def _divisors_of(factors: dict[int, int]) -> list[int]:
-    """All divisors of the number with these prime factors, unsorted."""
+@lru_cache(maxsize=65536, typed=True)
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, sorted ascending; n is checked by ``factorize``."""
     divs = [1]
-    for p, e in factors.items():
+    for p, e in factorize(n).factors.items():
         step = divs
         for _ in range(e):
             step = [d * p for d in step]
             divs += step
-    return divs
-
-
-@lru_cache(maxsize=65536, typed=True)
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, sorted ascending; n is checked by ``factorize``."""
-    return tuple(sorted(_divisors_of(factorize(n).factors)))
+    return tuple(sorted(divs))
 
 
 def _kronecker_prime(a: int, p: int) -> int:

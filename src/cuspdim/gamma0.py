@@ -3,8 +3,10 @@ lower-left entry is divisible by n.
 
 Closed-form routes for the index, cusp classes with widths, elliptic point
 counts, and the genus of the compactified quotient curve, all computed once
-from local data per prime power.  The brute-force counterparts live in
-``oracle`` so the two routes stay independent.
+from local data per prime power.  A point query factors its level; a range
+scan reads its window from the one prime sieve of ``_profile_window``.  The
+brute-force counterparts live in ``oracle`` so the two routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .exact import _check_int, _sieve_window, divisors, factorize
+from .exact import _check_int, divisors, factorize
 
 __all__ = [
     "CuspClass",
@@ -364,45 +366,85 @@ def _profile(n: int, factors: dict[int, int]) -> tuple:
     return _profile_row(n, *map(math.prod, zip(_UNIT, *local)))
 
 
-def _profile_window(lo: int, hi: int) -> Iterator[tuple]:
-    """The profile rows of the levels lo..hi in turn, block by block from
-    ``_sieve_window``."""
-    return itertools.chain.from_iterable(itertools.starmap(_block_profiles, _sieve_window(lo, hi)))
+# Levels per block of the range sieve, so that its memory does not grow with the window.
+_SIEVE_BLOCK = 1 << 14
 
 
-def _block_profiles(start: int, rest: list[int], powers: list) -> Iterator[tuple]:
-    """The profile rows of one block of ``_sieve_window``.  Each column is
-    multiplied by its factor at p^1 over the multiples of each sieved prime
-    p, except that the multiples of p^2 take their factor at p^e instead;
-    the prime q left of a level adds the factors of ``_prime_factors(q)``."""
-    columns = [[v] * len(rest) for v in _UNIT]
-    for p, first, deep, exponents in powers:
-        table = [_local_factors(p, e) for e in range(1, max(exponents, default=1) + 1)]
-        square = p * p
-        # values[e] is the column's factor at p^e; values[0] is not read.
-        for column, values in zip(columns, zip(_UNIT, *table)):
-            higher = [x * values[e] for x, e in zip(column[deep::square], exponents)]
-            if (v := values[1]) != 1:
-                column[first::p] = [x * v for x in column[first::p]]
-            column[deep::square] = higher
-    idx, count, m2, m3, t, a, b = columns
-    for i, q in enumerate(rest):
-        if q > 1:
-            f = _prime_factors(q)
-            idx[i] *= f[0]
-            count[i] *= f[1]
-            m2[i] *= f[2]
-            m3[i] *= f[3]
-            t[i] *= f[4]
-            a[i] *= f[5]
-            b[i] *= f[6]
-    # Each row is checked as it is read.
-    return map(_profile_row, range(start, start + len(rest)), *columns)
+def _profile_window(lo: int, hi: int) -> Iterable[tuple]:
+    """The profile rows of the levels lo..hi in turn, uncached: the one
+    range kernel.  A window narrower than isqrt(hi) levels is factored by
+    ``factorize``, level by level, into a list, so a level it refuses
+    raises at the call.  A wider one is sieved as it is read, block by
+    block of _SIEVE_BLOCK levels (``_sieve_blocks``)."""
+    if math.isqrt(hi) > hi - lo + 1:
+        return [_profile(n, factorize(n).factors) for n in range(lo, hi + 1)]
+    return itertools.chain.from_iterable(_sieve_blocks(lo, hi))
+
+
+def _sieve_blocks(lo: int, hi: int) -> Iterator[Iterator[tuple]]:
+    """Yield one map of checked profile rows per block of lo..hi.
+
+    One pass over the primes p up to isqrt(hi) divides each level of the
+    block by its power of p and multiplies each ``_UNIT`` column by the
+    factor at p^1 over the multiples of p, except that the multiples of
+    p^2 take their factor at p^e instead.  What is left of a level is 1 or
+    one prime q above all of those p, which adds the factors of
+    ``_prime_factors(q)``."""
+    root = math.isqrt(hi)
+    marks = bytearray([1]) * (root + 1)
+    marks[:2] = b"\0\0"
+    for p in range(2, math.isqrt(root) + 1):
+        if marks[p]:
+            marks[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    primes = list(itertools.compress(range(root + 1), marks))
+    for start in range(lo, hi + 1, _SIEVE_BLOCK):
+        size = min(_SIEVE_BLOCK, hi + 1 - start)
+        rest = list(range(start, start + size))
+        columns = [[v] * size for v in _UNIT]
+        for p in primes:
+            first = -start % p
+            if first >= size:
+                continue
+            rest[first::p] = [m // p for m in rest[first::p]]
+            square = p * p
+            deep = -start % square
+            # The p-adic exponents of the multiples of p^2, at deep, deep + p^2, ...
+            exponents = [2] * len(range(deep, size, square))
+            if exponents:
+                # Among the multiples of p^2, those of p^k sit every p^(k-2) places.
+                k, pk = 3, square * p
+                while (offset := -start % pk) < size:
+                    exponents[(offset - deep) // square :: pk // square] = [k] * len(
+                        range(offset, size, pk)
+                    )
+                    k, pk = k + 1, pk * p
+                scale = [p ** (e - 1) for e in range(k)]
+                rest[deep::square] = [m // scale[e] for m, e in zip(rest[deep::square], exponents)]
+            table = [_local_factors(p, e) for e in range(1, max(exponents, default=1) + 1)]
+            # values[e] is the column's factor at p^e; values[0] is not read.
+            for column, values in zip(columns, zip(_UNIT, *table)):
+                higher = [x * values[e] for x, e in zip(column[deep::square], exponents)]
+                if (v := values[1]) != 1:
+                    column[first::p] = [x * v for x in column[first::p]]
+                column[deep::square] = higher
+        idx, count, m2, m3, t, a, b = columns
+        for i, q in enumerate(rest):
+            if q > 1:
+                f = _prime_factors(q)
+                idx[i] *= f[0]
+                count[i] *= f[1]
+                m2[i] *= f[2]
+                m3[i] *= f[3]
+                t[i] *= f[4]
+                a[i] *= f[5]
+                b[i] *= f[6]
+        # Each row is checked as it is read.
+        yield map(_profile_row, range(start, start + size), *columns)
 
 
 @lru_cache(maxsize=4096, typed=True)
 def group_profile(n: int) -> GroupProfile:
     """All level-n invariants, from ``factorize`` and the row checks that
-    range scans run on their sieve."""
+    range scans run on their sieve (``_profile_window``)."""
     _check_int(n, "level")
     return GroupProfile._make(_profile(n, factorize(n).factors))

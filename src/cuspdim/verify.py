@@ -9,13 +9,15 @@ reports the full picture.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import _bound_24ths
-from .exact import _check_int, _check_tolerance, _divisors_of, _factor_window, divisors
+from . import gamma0
+from .exact import _check_int, _check_tolerance, divisors
 from .gamma0 import UnimodularMatrix, _divisor_classes, _profile_window
 from .multiplier import (
     AutomorphyContext,
@@ -323,30 +325,58 @@ def euler_identity_suite(depth: int = 200) -> SuiteResult:
     return SuiteResult("euler-identity", 3, failures, None, tuple(lines))
 
 
+def _divisor_window(lo: int, hi: int):
+    """Yield (n, divisors of n, unsorted) for lo <= n <= hi in turn, block
+    by block of ``gamma0._SIEVE_BLOCK`` levels: each d up to the isqrt of
+    the block's last level is paired with n // d at every multiple n >= d^2
+    of d in the block.  Nothing is factored."""
+    for start in range(lo, hi + 1, gamma0._SIEVE_BLOCK):
+        stop = min(start + gamma0._SIEVE_BLOCK, hi + 1)
+        divs = [[] for _ in range(start, stop)]
+        for d in range(1, math.isqrt(stop - 1) + 1):
+            first = start + -start % d
+            if first >= stop:
+                continue
+            if first <= d * d:
+                first = d * d
+                divs[first - start].append(d)
+                first += d
+            for ds, q in zip(divs[first - start :: d], itertools.count(first // d)):
+                ds += d, q
+        yield from zip(range(start, stop), divs)
+
+
 def rr_identity_suite(n_max: int = 10_000) -> SuiteResult:
     """Exact bookkeeping identities of the classifier bounds for every level
     up to n_max: the strong bound equals divisor degree + 1 - genus, and the
     three bounds are correctly ordered.
 
-    The profiles come from the profile sieve of range scans and the
-    factorizations from the same prime sieve.  The strong bound the
-    classifier decides on, in 24ths (``_bound_24ths`` of the profile row),
-    folds sum ceil(w/8) from the local widths mod 8; the identity recounts
-    the degree as ceil(w/8) - 1 per class of ``_divisor_classes``, the
-    enumeration ``_cusp_blocks`` reads.  So a wrong residue of a local
-    width, or a class of width above 8 lost from or added to the
-    enumeration, fails it.  The genus and the elliptic counts are shared
-    with the profile, which checks them.
+    The profiles come from the prime sieve of range scans
+    (``_profile_window``), the divisors from ``_divisor_window``, which
+    factors nothing.  The strong bound the classifier decides on, in 24ths
+    (``_bound_24ths`` of the profile row), folds sum ceil(w/8) from the
+    local widths mod 8; the identity recounts the degree as ceil(w/8) - 1
+    per class of ``_divisor_classes``, the enumeration ``_cusp_blocks``
+    reads.  So a wrong residue of a local width, or a class of width above
+    8 lost from or added to the enumeration, fails it.  The genus and the
+    elliptic counts are shared with the profile, which checks them.  A
+    profile row and a divisor list of different levels, or fewer than
+    n_max levels compared, are an internal error.
     """
     _check_int(n_max, "largest level")
-    identity_bad = order_bad = 0
-    for p, (n, factors) in zip(_profile_window(1, n_max), _factor_window(1, n_max)):
-        classes = _divisor_classes(n, _divisors_of(factors))
+    identity_bad = order_bad = compared = 0
+    for p, (n, divs) in zip(_profile_window(1, n_max), _divisor_window(1, n_max)):
+        if p[0] != n:
+            raise ArithmeticError(f"profile row of level {p[0]} met the divisors of level {n}")
+        compared += 1
+        classes = _divisor_classes(n, divs)
         deg = sum(len(residues) * (-(-w // 8) - 1) for _, _, w, residues in classes if w > 8)
         crude, weak, strong = _bound_24ths(p)
         _, _, _, _, _, genus, _ = p
         identity_bad += strong != 24 * (deg + 1 - genus)
         order_bad += not crude <= weak <= strong
+    if compared != n_max:
+        raise ArithmeticError(f"compared {compared} of the {n_max} levels")
     lines = (
         f"strong-bound-identity n<={n_max} failures={identity_bad} "
         f"{'PASS' if identity_bad == 0 else 'FAIL'}",

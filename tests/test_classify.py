@@ -166,17 +166,18 @@ def test_matches_reference_needs_coverage():
 
 
 def test_window_matches_point_queries(monkeypatch):
-    # A window of at least isqrt(hi) levels is read from the profile sieve, a
-    # narrower one is factored by factorize; both must give what classify(n)
-    # and group_profile(n) give.
-    sieved = []
-    real = classify_module._profile_window
+    # A window of at least isqrt(hi) levels is read from the profile sieve;
+    # a narrower one is factored by factorize and built by _profile, level
+    # by level; both must give what classify(n) and group_profile(n) give.
+    gamma0 = importlib.import_module("cuspdim.gamma0")
+    factored = []
+    real = gamma0._profile
 
-    def spy(lo, hi):
-        sieved.append((lo, hi))
-        return real(lo, hi)
+    def spy(n, factors):
+        factored.append(n)
+        return real(n, factors)
 
-    monkeypatch.setattr(classify_module, "_profile_window", spy)
+    monkeypatch.setattr(gamma0, "_profile", spy)
     windows = {
         (1, 3000): True,
         (10**7, 10**7 + 3200): True,
@@ -185,11 +186,12 @@ def test_window_matches_point_queries(monkeypatch):
         (10**18, 10**18 + 2): False,
     }
     for (lo, hi), uses_sieve in windows.items():
+        factored.clear()
         window = list(_classify_window(lo, hi))
         levels = range(lo, hi + 1)
+        assert factored == ([] if uses_sieve else list(levels)), (lo, hi)
         assert [c for c, _ in window] == [classify(n) for n in levels], (lo, hi)
         assert [p for _, p in window] == [group_profile(n) for n in levels], (lo, hi)
-        assert ((lo, hi) in sieved) is uses_sieve
     report = classify_range(3000)
     assert report.certificates == tuple(classify(n) for n in range(1, 3001))
 
@@ -199,7 +201,7 @@ def test_sieve_matches_point_queries_at_its_edges(monkeypatch, block):
     # Below 9 the prime left of a level can be 2 or 3; with a small block the
     # windows cross block edges, and near 10^6 and 10^9 the sieved primes
     # reach 1000 and 31622, above the trial bound of factorize.
-    monkeypatch.setattr(importlib.import_module("cuspdim.exact"), "_SIEVE_BLOCK", block)
+    monkeypatch.setattr(importlib.import_module("cuspdim.gamma0"), "_SIEVE_BLOCK", block)
     windows = [(1, 3), (2, 8), (4, 8), (1, 1200), (999_000, 1_001_000)]
     if block == 1 << 14:
         windows.append((10**9 - 16_000, 10**9 + 15_623))

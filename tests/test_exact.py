@@ -12,10 +12,7 @@ from cuspdim import (
     factorize,
     kronecker,
 )
-from cuspdim import exact
-from cuspdim.exact import (
-    _MR_LIMIT, _TRIAL_BUDGET, FactorizationBudgetError, _factor_window, _is_prime
-)
+from cuspdim.exact import _MR_LIMIT, _TRIAL_BUDGET, FactorizationBudgetError, _is_prime
 from helpers import is_nonzero_square_mod, primes
 
 
@@ -86,21 +83,6 @@ def test_factorize_refuses_beyond_trial_budget():
     for n in (6 * _MR_LIMIT, 1000003 * _MR_LIMIT):
         with pytest.raises(FactorizationBudgetError, match=f"cannot factor {n}"):
             factorize(n)
-
-
-@pytest.mark.parametrize("block", [exact._SIEVE_BLOCK, 97])
-def test_factor_window_matches_factorize(monkeypatch, block):
-    # The windowed sieve against the point route: from 1, around 10^6, and
-    # at 10^12, where the primes up to 10^6 serve 301 levels; with a small
-    # block, windows also cross block edges.
-    monkeypatch.setattr(exact, "_SIEVE_BLOCK", block)
-    for lo, hi in ((1, 5000), (999_000, 1_001_000), (10**12, 10**12 + 300)):
-        window = list(_factor_window(lo, hi))
-        assert [n for n, _ in window] == list(range(lo, hi + 1))
-        for n, factors in window:
-            expected = factorize(n).factors
-            assert factors == expected
-            assert list(factors) == list(expected), n
 
 
 def test_is_prime_matches_sieve():

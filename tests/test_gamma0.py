@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspdim import gamma0
+from cuspdim import gamma0, verify
 from cuspdim import (
     UnimodularMatrix,
     cusp_count,
@@ -290,6 +290,23 @@ def test_prime_closed_form_matches_local_data():
     gamma0._local.cache_clear()
     gamma0.group_profile.__wrapped__(4 * 999_983 * 1_000_003)
     assert gamma0._local.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("block", [gamma0._SIEVE_BLOCK, 97])
+def test_range_windows_match_point_queries(monkeypatch, block):
+    # The profile window and the divisor window of verify rr-identity
+    # against the point routes: from 1, around 10^6, and at 10^12, where a
+    # window of 301 levels is narrower than isqrt(hi) and is factored level
+    # by level, while the divisor window pairs every d up to 10^6; with a
+    # small block, both windows also cross block edges.
+    monkeypatch.setattr(gamma0, "_SIEVE_BLOCK", block)
+    for lo, hi in ((1, 5000), (999_000, 1_001_000), (10**12, 10**12 + 300)):
+        levels = range(lo, hi + 1)
+        assert list(gamma0._profile_window(lo, hi)) == [group_profile(n) for n in levels]
+        window = list(verify._divisor_window(lo, hi))
+        assert [n for n, _ in window] == list(levels)
+        for n, divs in window:
+            assert len(divs) == len(set(divs)) and set(divs) == set(divisors(n)), n
 
 
 def test_local_data_read_only_at_squares(monkeypatch):

@@ -63,9 +63,11 @@ def _read_names():
 
 
 def test_every_public_name_has_a_user():
-    # A public name stays only if the package reads it, README or a CI step
-    # shows it, or an open ROADMAP item keeps it (UNCALLED).
-    shown = (ROOT / "README.md").read_text() + (ROOT / ".github/workflows/tests.yml").read_text()
+    # A public name stays only if the package reads it, a README example (a
+    # python block, which test_readme runs) or a CI step shows it, or an
+    # open ROADMAP item keeps it (UNCALLED).  README prose is not a use.
+    examples = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    shown = "\n".join(examples) + (ROOT / ".github/workflows/tests.yml").read_text()
     read = _read_names()
     assert set(UNCALLED) <= set(cuspdim.__all__), "an UNCALLED entry is no longer public"
     unused = [

@@ -173,14 +173,41 @@ def test_rr_identity_counts_the_shared_class_enumeration(monkeypatch):
 def test_rr_identity_24ths_are_the_public_bounds():
     # The suite compares the bounds as integers and never calls the public
     # Fraction functions; they must be the same numbers.
-    for n, factors in exact._factor_window(1, 2000):
-        profile = gamma0._profile(n, factors)
+    for n in range(1, 2001):
+        profile = gamma0._profile(n, exact.factorize(n).factors)
         public = tuple(24 * bound(n) for bound in (bound_crude, bound_weak, bound_strong))
         assert classify_module._bound_24ths(profile) == public, n
 
 
+def test_rr_suite_crosses_block_edges(monkeypatch):
+    # With 97-level blocks, the profile sieve and the divisor window both
+    # cross block edges, 20 times over 2000 levels.
+    whole = rr_identity_suite(2000)
+    monkeypatch.setattr(gamma0, "_SIEVE_BLOCK", 97)
+    assert rr_identity_suite(2000) == whole
+    assert (whole.checks, whole.failures) == (4000, 0)
+
+
+@pytest.mark.parametrize("lost", ["last", "first"])
+def test_rr_suite_refuses_a_short_or_shifted_window(monkeypatch, lost):
+    # A divisor window that lacks its last level would leave the last
+    # profile row unread, and one that lacks its first would pair each
+    # profile row with the next level's divisors: both are refused, not
+    # counted as 2 * n_max checks.
+    real = verify._divisor_window
+
+    def short(lo, hi):
+        window = list(real(lo, hi))
+        return window[:-1] if lost == "last" else window[1:]
+
+    monkeypatch.setattr(verify, "_divisor_window", short)
+    message = "compared 599 of the 600 levels" if lost == "last" else "level 1 met the divisors of level 2"
+    with pytest.raises(ArithmeticError, match=message):
+        rr_identity_suite(600)
+
+
 def test_rr_identity_needs_no_point_factorization(monkeypatch):
-    # One sieve factors every level of the suite.
+    # The profile sieve and the divisor window factor nothing.
     def refuse(n):
         raise AssertionError(f"factorize({n}) called")
 
