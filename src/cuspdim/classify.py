@@ -242,10 +242,9 @@ def classify(n: int) -> Certificate:
 
 
 def _decide(p) -> tuple:
-    """The rules of ``classify`` on a profile row.  Where the strong bound
-    decides, which by the proof it does at every level above 576, the
-    ``Certificate`` fields come as a plain tuple; a ``Certificate`` is built
-    only where a later rule runs."""
+    """The rules of ``classify`` on a profile row, as a plain tuple in the
+    fields of ``Certificate``: a range scan prints it as it is, and
+    ``classify`` and ``classify_range`` make the ``Certificate``."""
     strong, deg = _invariants(p)
     n, _, _, _, _, genus, _ = p
     if strong > 1:
@@ -261,7 +260,7 @@ def _decide(p) -> tuple:
         rule = RULE_CANONICAL_EXCLUSION
     else:
         verdict, rule = Verdict.UNDECIDED, RULE_UNDECIDED
-    return Certificate(n, verdict, rule, strong, genus, deg, witness)
+    return n, verdict, rule, strong, genus, deg, witness
 
 
 def m23_element_orders() -> frozenset[int]:

@@ -7,8 +7,8 @@ when all checks pass and all verdicts are decided, and 1 for a counted
 mathematical failure (an Undecided verdict, a residual above tolerance or
 uncertifiable, or an oracle disagreement).  Any ``ValueError`` a command
 raises, its own or the library's, is a refused input: ``main`` turns it
-into the command's ``parser.error``, which exits 2 with the message and
-that command's usage line on stderr, as argparse does for what it refuses.
+into the ``parser.error`` of the command or suite, which exits 2 with the
+message and its usage line on stderr, as argparse does for what it refuses.
 Data sources refuse when called; commands call them before their first
 write, so a refusal leaves stdout empty.  An ``ArithmeticError`` is an
 internal fault and is not caught.  Output is deterministic given the
@@ -17,12 +17,14 @@ certificates: TSV and JSON rows are printed as their levels are decided
 (so a fault part way leaves them on stdout); the text table keeps one
 line per level for its column widths.
 
-Each common option is converted and range-checked once, by its argparse
+Each command and verify suite accepts only the options ``READS`` lists for
+it.  An option is converted and range-checked once, by its argparse
 ``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
-which argparse passes through the same ``type=`` when the flag is absent;
-so a flag beats a bad variable, and either failure is a usage error.  The
-parser is built once per process, by the first ``main`` call, and every
-call reads the variables afresh into those defaults.
+which argparse passes through the same ``type=`` when the flag is absent; so
+a flag beats a bad variable, either failure is a usage error, and a command
+that does not read the option ignores its variable.  The parser is built
+once per process, by the first ``main`` call, and every call reads the
+variables afresh into those defaults.
 """
 
 from __future__ import annotations
@@ -66,11 +68,25 @@ REPRESENTATIVE_NOTE = (
 )
 
 
-def _add_common(parser, flag, cast, expected, ok=lambda value: True, fallback=None, **kwargs):
-    """Add ``flag``; return (action, variable, fallback) for ``main``, which
-    sets the default to the ``CUSPDIM_*`` variable, else ``fallback``, on
-    every call.  Both go through one ``type=`` that converts with ``cast``
-    and checks ``ok``."""
+# The options each command and each verify suite reads; it accepts no others.
+READS = {
+    "classify": ("--format",),
+    "cusps": ("--format", "--oracle-cutoff"),
+    "qexp": ("--format", "--precision"),
+    "eta-law": ("--format", "--tolerance", "--seed"),
+    "cocycle": ("--format", "--tolerance", "--seed"),
+    "character": ("--format", "--seed"),
+    "euler-identity": ("--format", "--precision"),
+    "rr-identity": ("--format",),
+}
+
+
+def _option(flag, cast, expected, ok=lambda value: True, fallback=None, **kwargs):
+    """A parent parser holding ``flag`` alone, for every parser that reads
+    it, and the spec (action, variable, fallback) for ``main``, which sets
+    the one action's default to the ``CUSPDIM_*`` variable, else
+    ``fallback``, on every call.  Both go through one ``type=`` that
+    converts with ``cast`` and checks ``ok``."""
     var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
 
     def parse(text: str):
@@ -82,12 +98,12 @@ def _add_common(parser, flag, cast, expected, ok=lambda value: True, fallback=No
             pass
         raise argparse.ArgumentTypeError(f"{text!r} is not {expected} (flag or {var})")
 
-    return parser.add_argument(flag, type=parse, **kwargs), var, fallback
+    parent = argparse.ArgumentParser(add_help=False)
+    return parent, (parent.add_argument(flag, type=parse, **kwargs), var, fallback)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict, list]:
-    """The parser, its subparsers by command name, and what ``_add_common``
-    returned for each common option."""
+    """The parser, the parser of each command and suite by name, and each option's spec."""
     parser = argparse.ArgumentParser(
         prog="cuspdim",
         description=(
@@ -96,70 +112,56 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict, list]:
             "eta multiplier."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
     # Not ``choices``: argparse never checks those against a default.
     formats = ("json", "tsv", "text")
-    env_defaults = [
-        _add_common(
-            common, "--format", str, f"one of {', '.join(formats)}", formats.__contains__, "text",
+    options = {
+        "--format": _option(
+            "--format", str, f"one of {', '.join(formats)}", formats.__contains__, "text",
             metavar="{" + ",".join(formats) + "}",
             help="output format (default: text)",
         ),
-        _add_common(
-            common, "--precision", int, "an integer >= 16", lambda p: p >= 16, "200",
+        "--precision": _option(
+            "--precision", int, "an integer >= 16", lambda p: p >= 16, "200",
             help="series precision for numeric work (default: 200, minimum 16)",
         ),
         # No single default: each suite picks its own (see _cmd_verify).
-        _add_common(
-            common, "--tolerance", float, "a finite number > 0",
-            lambda t: math.isfinite(t) and t > 0,
+        "--tolerance": _option(
+            "--tolerance", float, "a finite number > 0", lambda t: math.isfinite(t) and t > 0,
             help="numeric tolerance (default: each suite's own)",
         ),
-        _add_common(
-            common, "--seed", int, "an integer", fallback="0",
+        "--seed": _option(
+            "--seed", int, "an integer", fallback="0",
             help="seed for randomized suites (default: 0)",
         ),
-        _add_common(
-            common, "--oracle-cutoff", int, "an integer >= 1", lambda c: c >= 1,
-            str(ORACLE_CUTOFF),
+        "--oracle-cutoff": _option(
+            "--oracle-cutoff", int, "an integer >= 1", lambda c: c >= 1, str(ORACLE_CUTOFF),
             help=f"largest level the brute-force oracle accepts (default: {ORACLE_CUTOFF})",
         ),
-    ]
+    }
+    parsers = {}
+
+    def add(sub, name, **kw):
+        parsers[name] = sub.add_parser(name, parents=[options[f][0] for f in READS[name]], **kw)
+        return parsers[name]
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_classify = sub.add_parser(
-        "classify", parents=[common], help="dimension verdicts with certificates"
+    add(sub, "classify", help="dimension verdicts with certificates").add_argument(
+        "range", help="level n, or inclusive range a..b"
     )
-    p_classify.add_argument("range", help="level n, or inclusive range a..b")
-
-    p_cusps = sub.add_parser(
-        "cusps", parents=[common], help="cusp classes of one level, with widths"
-    )
+    p_cusps = add(sub, "cusps", help="cusp classes of one level, with widths")
     p_cusps.add_argument("level", type=int)
     p_cusps.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against brute-force orbit enumeration",
+        "--oracle", action="store_true", help="cross-check against brute-force orbit enumeration"
     )
-
-    p_qexp = sub.add_parser(
-        "qexp", parents=[common], help="exact q-expansion coefficients"
-    )
-    p_qexp.add_argument(
-        "series",
-        nargs="+",
+    add(sub, "qexp", help="exact q-expansion coefficients").add_argument(
+        "series", nargs="+",
         help="eta PREC | eta3 PREC | theta L R PREC | etaq N d:r[,d:r...] PREC",
     )
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a verification suite"
-    )
-    p_verify.add_argument(
-        "suite",
-        choices=("eta-law", "cocycle", "character", "euler-identity", "rr-identity"),
-    )
-    return parser, sub.choices, env_defaults
+    verify = sub.add_parser("verify", help="run a verification suite")
+    suites = verify.add_subparsers(dest="suite", required=True)
+    for name in ("eta-law", "cocycle", "character", "euler-identity", "rr-identity"):
+        add(suites, name)
+    return parser, parsers, [spec for _, spec in options.values()]
 
 
 def _emit_json(obj) -> None:
@@ -385,18 +387,15 @@ def _cmd_qexp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # Each numeric suite owns its default tolerance.
-    tol = {} if args.tolerance is None else {"tolerance": args.tolerance}
-    if args.suite == "eta-law":
-        result = eta_law_suite(seed=args.seed, **tol)
-    elif args.suite == "cocycle":
-        result = cocycle_suite(seed=args.seed, **tol)
-    elif args.suite == "character":
-        result = character_suite(seed=args.seed)
-    elif args.suite == "euler-identity":
-        result = euler_identity_suite(depth=_series_terms(args.precision))
-    else:
-        result = rr_identity_suite()
+    # The options READS lists for the suite are its arguments; a tolerance only when set, as each
+    # numeric suite owns its default.  The suite is looked up per call, so a test can replace it.
+    kwargs = {k: v for k, v in vars(args).items() if k in ("seed", "tolerance") and v is not None}
+    if "precision" in args:
+        kwargs["depth"] = _series_terms(args.precision)
+    result = {
+        "eta-law": eta_law_suite, "cocycle": cocycle_suite, "character": character_suite,
+        "euler-identity": euler_identity_suite, "rr-identity": rr_identity_suite,
+    }[args.suite](**kwargs)
     if args.format == "json":
         _emit_json(result.to_json_obj())
     elif args.format == "tsv":
@@ -415,22 +414,20 @@ _parser = None  # what _build_parser returns, once per process
 
 def main(argv=None) -> int:
     global _parser
-    parser, subparsers, env_defaults = _parser = _parser or _build_parser()
+    parser, parsers, env_defaults = _parser = _parser or _build_parser()
     for action, var, fallback in env_defaults:
         action.default = os.environ.get(var, fallback)
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
     command = {
-        "classify": _cmd_classify,
-        "cusps": _cmd_cusps,
-        "qexp": _cmd_qexp,
-        "verify": _cmd_verify,
+        "classify": _cmd_classify, "cusps": _cmd_cusps, "qexp": _cmd_qexp, "verify": _cmd_verify,
     }[args.command]
     try:
+        if unread:
+            raise ValueError(f"unrecognized arguments: {' '.join(unread)}")
         return command(args)
     except ValueError as exc:
-        # The command's own parser, so its usage line is the one argparse
-        # prints when it refuses an option of that command.
-        subparsers[args.command].error(str(exc))
+        # The usage line of the command or suite, as argparse prints it for a refused option.
+        parsers[getattr(args, "suite", args.command)].error(str(exc))
 
 
 if __name__ == "__main__":

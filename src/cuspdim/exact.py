@@ -20,7 +20,6 @@ __all__ = [
     "FactorizationBudgetError",
     "UnitPhase",
     "PHASE_ONE",
-    "dedekind_sum",
     "divisors",
     "factorize",
     "kronecker",
@@ -261,18 +260,6 @@ def _dedekind_12c(d: int, c: int) -> int:
         x, y = y, remainder
     alternating -= 3 if sign < 0 else 1
     return d + pow(d, -1, c) + c * alternating
-
-
-def dedekind_sum(d: int, c: int) -> Fraction:
-    """Classical Dedekind sum s(d, c) = sum_{m=1}^{c-1} ((m/c)) ((m d / c)).
-
-    Requires c >= 1 and gcd(d, c) = 1.  Depends on d only modulo c.
-    """
-    _check_int(d, "first argument", minimum=None)
-    _check_int(c, "modulus")
-    if math.gcd(d, c) != 1:
-        raise ValueError(f"arguments must be coprime, got gcd({d}, {c}) != 1")
-    return Fraction(_dedekind_12c(d, c), 12 * c)
 
 
 @dataclass(frozen=True)

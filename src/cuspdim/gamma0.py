@@ -26,7 +26,6 @@ __all__ = [
     "UnimodularMatrix",
     "cusp_count",
     "cusp_rows",
-    "cusp_width",
     "cusps",
     "genus",
     "group_profile",
@@ -98,17 +97,6 @@ def is_member(mat: UnimodularMatrix, n: int) -> bool:
 def index(n: int) -> int:
     """Index of the level-n group in SL2(Z): product of p^e + p^(e-1) over p^e || n."""
     return group_profile(n).index
-
-
-def cusp_width(n: int, d: int) -> int:
-    """Width of the cusp class with denominator d (a divisor of n).
-
-    The width is n / gcd(d^2, n); per prime p^e || n this is
-    p^max(e - 2 nu_p(d), 0).
-    """
-    _check_int(n, "level")
-    _check_int(d, "cusp denominator", divides=n)
-    return n // math.gcd(d * d, n)
 
 
 def cusp_count(n: int) -> int:

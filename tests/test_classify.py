@@ -262,7 +262,7 @@ def test_weight_two_exclusion_is_gated_by_its_preconditions(monkeypatch):
     relabelled = group_profile(23)._replace(level=47)
     witness = {"support_cusp": "0"}
     monkeypatch.setattr(classify_module, "_weight_two_exclusion", lambda p: witness)
-    cert = classify_module._decide(relabelled)
+    cert = Certificate._make(classify_module._decide(relabelled))
     assert (cert.level, cert.verdict, cert.witness) == (47, Verdict.DIM_ONE, witness)
     assert cert.rule == "weight-two-form-excludes-canonical-class"
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -313,7 +314,7 @@ def test_env_invalid_value_rejected(capsys, monkeypatch):
 
 def test_config_validation_rejects_bad_values(capsys, monkeypatch):
     assert_usage_error(capsys, ["qexp", "eta", "--precision", "8"], "'8'")
-    assert_usage_error(capsys, ["classify", "5", "--tolerance", "-1"], "'-1'")
+    assert_usage_error(capsys, ["verify", "eta-law", "--tolerance", "-1"], "'-1'")
     # An infinite tolerance would pass every residual check.
     assert_usage_error(capsys, ["verify", "cocycle", "--tolerance", "inf"], "'inf'")
     monkeypatch.setenv("CUSPDIM_TOLERANCE", "1e999")
@@ -326,7 +327,7 @@ def test_config_validation_rejects_bad_values(capsys, monkeypatch):
         ({}, ["cusps", "5", "--oracle", "--oracle-cutoff", "0"], "--oracle-cutoff"),
         ({"CUSPDIM_FORMAT": "xml"}, ["classify", "5"], "--format"),
         ({"CUSPDIM_TOLERANCE": "-1"}, ["verify", "cocycle"], "--tolerance"),
-        ({"CUSPDIM_SEED": "x"}, ["classify", "5"], "--seed"),
+        ({"CUSPDIM_SEED": "x"}, ["verify", "character"], "--seed"),
     ],
 )
 def test_bad_option_or_variable_is_usage_error(capsys, monkeypatch, env, argv, flag):
@@ -347,8 +348,72 @@ def test_valid_flag_beats_invalid_variable(capsys, monkeypatch):
     code, out, _ = run(capsys, ["qexp", "eta", "--format", "json", "--precision", "32"])
     assert code == 0
     assert len(json.loads(out)["coeffs"]) == 32
-    code, _, _ = run(capsys, ["classify", "5", "--precision", "32"])
-    assert code == 0
+
+
+# The options each command and each verify suite reads, and so accepts.
+READS = {
+    "classify": {"--format"},
+    "cusps": {"--format", "--oracle-cutoff"},
+    "qexp": {"--format", "--precision"},
+    "eta-law": {"--format", "--tolerance", "--seed"},
+    "cocycle": {"--format", "--tolerance", "--seed"},
+    "character": {"--format", "--seed"},
+    "euler-identity": {"--format", "--precision"},
+    "rr-identity": {"--format"},
+}
+COMMANDS = {"classify": ["classify", "5"], "cusps": ["cusps", "5"], "qexp": ["qexp", "eta"]}
+# A valid value of each option, and a variable value that is not.
+VALID = {"--format": "tsv", "--precision": "16", "--tolerance": "1", "--seed": "1",
+         "--oracle-cutoff": "10"}
+BAD = {"CUSPDIM_PRECISION": "abc", "CUSPDIM_TOLERANCE": "-1", "CUSPDIM_SEED": "x",
+       "CUSPDIM_ORACLE_CUTOFF": "0"}
+
+
+@pytest.mark.parametrize("flag", list(VALID))
+@pytest.mark.parametrize("name", list(READS))
+def test_an_option_is_accepted_exactly_where_it_is_read(capsys, monkeypatch, name, flag):
+    for var in [v for v in os.environ if v.startswith("CUSPDIM_")]:
+        monkeypatch.delenv(var)
+    # Small suites: this test is about the options, not the checks.
+    for suite, size in (("eta_law_suite", {"samples": 2}), ("cocycle_suite", {"samples": 2}),
+                        ("character_suite", {"n_max": 2}), ("rr_identity_suite", {"n_max": 30})):
+        monkeypatch.setattr(cli, suite, functools.partial(getattr(cli, suite), **size))
+    argv = [*COMMANDS.get(name, ["verify", name]), flag, VALID[flag]]
+    if flag in READS[name]:
+        assert run(capsys, argv)[0] == 0, argv
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2, argv
+    assert captured.out == "", argv
+    usage = name if name in COMMANDS else f"verify {name}"
+    assert captured.err.startswith(f"usage: cuspdim {usage} "), captured.err
+    assert f"error: unrecognized arguments: {flag} {VALID[flag]}" in captured.err
+
+
+def test_a_variable_is_read_only_by_the_commands_that_read_its_option(capsys, monkeypatch):
+    for var in [v for v in os.environ if v.startswith("CUSPDIM_")]:
+        monkeypatch.delenv(var)
+    commands = {
+        ("classify", "1..30", "--format", "tsv"): set(),
+        ("cusps", "12"): {"CUSPDIM_ORACLE_CUTOFF"},
+        ("qexp", "eta", "24"): {"CUSPDIM_PRECISION"},
+        ("verify", "rr-identity"): set(),
+    }
+    expected = {argv: run(capsys, list(argv)) for argv in commands}
+    for var, value in BAD.items():
+        monkeypatch.setenv(var, value)
+        for argv, reads in commands.items():
+            if var not in reads:
+                assert run(capsys, list(argv)) == expected[argv], (var, argv)
+        monkeypatch.delenv(var)
+    # All at once too, as in a stale shell.
+    for var, value in BAD.items():
+        monkeypatch.setenv(var, value)
+    argv = ("classify", "1..30", "--format", "tsv")
+    assert run(capsys, list(argv)) == expected[argv]
+    assert expected[argv][0] == 0
 
 
 def test_output_is_byte_deterministic(capsys):

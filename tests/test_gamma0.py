@@ -9,7 +9,6 @@ from cuspdim import (
     UnimodularMatrix,
     cusp_count,
     cusp_rows,
-    cusp_width,
     divisors,
     cusps,
     genus,
@@ -80,27 +79,6 @@ def test_index_multiplicative_on_coprime_parts():
         n = rng.randint(1, 400)
         if math.gcd(m, n) == 1:
             assert index(m * n) == index(m) * index(n)
-
-
-def test_cusp_width_values():
-    assert cusp_width(28, 1) == 28
-    assert cusp_width(28, 2) == 7
-    assert cusp_width(28, 4) == 7
-    assert cusp_width(28, 7) == 4
-    assert cusp_width(28, 14) == 1
-    assert cusp_width(28, 28) == 1
-    with pytest.raises(ValueError):
-        cusp_width(12, 5)
-
-
-def test_cusp_width_divides_level():
-    rng = random.Random(12)
-    for _ in range(300):
-        n = rng.randint(1, 2000)
-        assert cusp_width(n, 1) == n
-        assert cusp_width(n, n) == 1
-        d = rng.choice([x for x in range(1, n + 1) if n % x == 0])
-        assert n % cusp_width(n, d) == 0
 
 
 def test_cusp_classes_frozen():
@@ -238,8 +216,6 @@ def test_level_validation():
             with pytest.raises(ValueError):
                 fn(bad)
         with pytest.raises(ValueError):
-            cusp_width(bad, 1)
-        with pytest.raises(ValueError):
             is_member(UnimodularMatrix.identity(), bad)
 
 
@@ -374,7 +350,7 @@ def test_cusp_table_leaves_no_local_entry_for_large_primes(capsys):
 def _cusp_rows_direct(n):
     """The cusp table class by class: for each residue r coprime to
     g = gcd(d, n/d), the least a = r (mod g) coprime to all of d, with the
-    width from ``cusp_width``."""
+    width n / gcd(d^2, n)."""
     rows = []
     for d in divisors(n):
         g = math.gcd(d, n // d)
@@ -382,7 +358,7 @@ def _cusp_rows_direct(n):
             a = r
             while math.gcd(a, d) != 1:
                 a += g
-            rows.append((a, d, cusp_width(n, d)))
+            rows.append((a, d, n // math.gcd(d * d, n)))
     return tuple(rows)
 
 
@@ -431,9 +407,9 @@ def test_cusp_width_matches_per_prime_exponents():
 
     for n in range(1, 400):
         prime_divisors = [p for p in primes(n) if n % p == 0]
-        for d in (x for x in range(1, n + 1) if n % x == 0):
-            expected = math.prod(p ** max(nu(p, n) - 2 * nu(p, d), 0) for p in prime_divisors)
-            assert cusp_width(n, d) == expected, (n, d)
+        for c in cusps(n):
+            expected = math.prod(p ** max(nu(p, n) - 2 * nu(p, c.d), 0) for p in prime_divisors)
+            assert c.width == expected, (n, c.d)
 
 
 def test_canonical_representative_search_checked():

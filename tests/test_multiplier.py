@@ -12,7 +12,6 @@ from cuspdim import (
     PrecisionError,
     UnimodularMatrix,
     UnitPhase,
-    dedekind_sum,
     divisors,
     eta_cubed,
     eta_expansion,
@@ -27,7 +26,7 @@ from cuspdim import (
     verify_cocycle,
     verify_transformation,
 )
-from cuspdim.exact import PHASE_ONE
+from cuspdim.exact import PHASE_ONE, _dedekind_12c
 from cuspdim.verify import _build_row
 
 M = UnimodularMatrix
@@ -97,7 +96,7 @@ def _reference_eta_turns(g):
     if g.c == 0:
         return Fraction(-g.b, 24)
     c, d = g.c, g.d
-    return Fraction(-(g.a + d), 24 * c) + dedekind_sum(d % c, c) / 2 + Fraction(1, 8)
+    return Fraction(-(g.a + d), 24 * c) + Fraction(_dedekind_12c(d, c), 12 * c) / 2 + Fraction(1, 8)
 
 
 def test_eta_multiplier_matches_fraction_formula():

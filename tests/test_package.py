@@ -10,8 +10,6 @@ LIBRARY = ("classify", "exact", "gamma0", "multiplier", "oracle", "qseries", "ve
 ROOT = Path(__file__).resolve().parent.parent
 # Public names with no caller that stay, each for the open ROADMAP item that names it.
 UNCALLED = {
-    "dedekind_sum": "item 1: the benchmark's per-layer metrics time it",
-    "cusp_width": "item 1: the benchmark's per-layer metrics time it",
     "kronecker": "item 6: the route for the local characters",
 }
 
