@@ -39,10 +39,9 @@ decided by the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .exact import _check_int
@@ -89,8 +88,7 @@ RULE_CANONICAL_EXCLUSION = "weight-two-form-excludes-canonical-class"
 RULE_UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class CuspDivisor:
+class CuspDivisor(NamedTuple):
     """Effective divisor supported on cusp classes; only nonzero entries are
     stored, in the deterministic cusp order of the level.
 
@@ -268,22 +266,22 @@ def m23_element_orders() -> frozenset[int]:
     return frozenset((1, 2, 3, 4, 5, 6, 7, 8, 11, 14, 15, 23))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Certificates for every level from lo to n_max, with the headline
-    comparisons precomputed; ``classify_range`` starts at 1."""
+class ClassificationReport(NamedTuple):
+    """Certificates for every level from lo to n_max; ``classify_range``
+    starts at 1.  The headline level lists are read from the certificates
+    each time they are asked for."""
 
     n_max: int
     certificates: tuple[Certificate, ...]
     lo: int = 1
 
-    @cached_property
+    @property
     def dim_one_levels(self) -> tuple[int, ...]:
         return tuple(
             c.level for c in self.certificates if c.verdict is Verdict.DIM_ONE
         )
 
-    @cached_property
+    @property
     def undecided_levels(self) -> tuple[int, ...]:
         return tuple(
             c.level for c in self.certificates if c.verdict is Verdict.UNDECIDED

@@ -18,13 +18,18 @@ certificates: TSV and JSON rows are printed as their levels are decided
 line per level for its column widths.
 
 Each command and verify suite accepts only the options ``READS`` lists for
-it.  An option is converted and range-checked once, by its argparse
-``type=``.  Its default is the matching ``CUSPDIM_*`` variable as a string,
-which argparse passes through the same ``type=`` when the flag is absent; so
-a flag beats a bad variable, either failure is a usage error, and a command
-that does not read the option ignores its variable.  The parser is built
+it.  A flag is parsed with no default and converted and range-checked by its
+argparse ``type=``.  Only after parsing does ``main`` fill in an option the
+command reads and no flag set, from the matching ``CUSPDIM_*`` variable,
+else the fallback, through the same conversion; so a flag beats a bad
+variable, either failure is a usage error, and a command that does not read
+the option ignores its variable.  A command can thus tell a flag from a
+default, and a flag it cannot use in that call exits 2 like any refused
+input: ``cusps --oracle-cutoff`` without ``--oracle``, and ``qexp
+--precision`` beside a series that gives its own precision.  A variable is
+a default, not a flag, and is never refused for that.  The parser is built
 once per process, by the first ``main`` call, and every call reads the
-variables afresh into those defaults.
+variables afresh.
 """
 
 from __future__ import annotations
@@ -82,11 +87,11 @@ READS = {
 
 
 def _option(flag, cast, expected, ok=lambda value: True, fallback=None, **kwargs):
-    """A parent parser holding ``flag`` alone, for every parser that reads
-    it, and the spec (action, variable, fallback) for ``main``, which sets
-    the one action's default to the ``CUSPDIM_*`` variable, else
-    ``fallback``, on every call.  Both go through one ``type=`` that
-    converts with ``cast`` and checks ``ok``."""
+    """A parent parser holding ``flag`` alone, with no default, for every
+    parser that reads it, and (dest, default) for ``main``: ``default()``
+    reads the ``CUSPDIM_*`` variable, else ``fallback``, at the call and
+    gives its value, or None when neither is set.  Both convert with
+    ``cast`` and check ``ok``."""
     var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
 
     def parse(text: str):
@@ -98,12 +103,21 @@ def _option(flag, cast, expected, ok=lambda value: True, fallback=None, **kwargs
             pass
         raise argparse.ArgumentTypeError(f"{text!r} is not {expected} (flag or {var})")
 
+    def default():
+        text = os.environ.get(var, fallback)
+        try:
+            return None if text is None else parse(text)
+        except argparse.ArgumentTypeError as exc:
+            # The words argparse uses for a flag's bad value.
+            raise ValueError(f"argument {flag}: {exc}") from None
+
     parent = argparse.ArgumentParser(add_help=False)
-    return parent, (parent.add_argument(flag, type=parse, **kwargs), var, fallback)
+    return parent, (parent.add_argument(flag, type=parse, **kwargs).dest, default)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict, list]:
-    """The parser, the parser of each command and suite by name, and each option's spec."""
+    """The parser, the parser of each command and suite by name, and each
+    option's (dest, default)."""
     parser = argparse.ArgumentParser(
         prog="cuspdim",
         description=(
@@ -283,6 +297,8 @@ def _cmd_cusps(args) -> int:
     The table's size, the oracle's cutoff and the table's widths are checked
     before anything is printed; the oracle's widths are compared with the
     profile's width multiset, the one ``_cusp_blocks`` checked the table by."""
+    if "oracle_cutoff" in args.flags and not args.oracle:
+        raise ValueError(f"--oracle-cutoff {args.oracle_cutoff} changes nothing without --oracle")
     n = args.level
     profile = group_profile(n)
     if profile.cusp_count > MAX_CUSP_CLASSES:
@@ -338,7 +354,10 @@ def _series_terms(prec: int) -> int:
     return prec
 
 
-def _build_series(words: list[str], default_precision: int):
+def _build_series(words: list[str], precision: int, flagged: bool):
+    """The series ``words`` name, to their own precision when they give one,
+    else to ``precision``, which must then not come from a flag
+    (``flagged``): it would change nothing."""
     kind, params = words[0], words[1:]
     required = {"eta": 0, "eta3": 0, "theta": 2, "etaq": 2}.get(kind)
     if required is None:
@@ -348,8 +367,14 @@ def _build_series(words: list[str], default_precision: int):
             f"qexp {kind} takes {required} parameters and an optional precision, "
             f"got {' '.join(words)!r}"
         )
-    prec = _integer(params[required], "precision") if len(params) > required else default_precision
-    prec = _series_terms(prec)
+    if len(params) > required:
+        if flagged:
+            raise ValueError(
+                f"--precision {precision} changes nothing: the series gives its own precision "
+                f"{params[required]!r}"
+            )
+        precision = _integer(params[required], "precision")
+    prec = _series_terms(precision)
     if kind == "eta":
         return eta_expansion(prec)
     if kind == "eta3":
@@ -370,7 +395,7 @@ def _build_series(words: list[str], default_precision: int):
 
 
 def _cmd_qexp(args) -> int:
-    series = _build_series(args.series, args.precision)
+    series = _build_series(args.series, args.precision, "precision" in args.flags)
     if args.format == "json":
         _emit_json(series.to_json_obj())
     elif args.format == "tsv":
@@ -414,14 +439,18 @@ _parser = None  # what _build_parser returns, once per process
 
 def main(argv=None) -> int:
     global _parser
-    parser, parsers, env_defaults = _parser = _parser or _build_parser()
-    for action, var, fallback in env_defaults:
-        action.default = os.environ.get(var, fallback)
+    parser, parsers, defaults = _parser = _parser or _build_parser()
     args, unread = parser.parse_known_args(argv)
     command = {
         "classify": _cmd_classify, "cusps": _cmd_cusps, "qexp": _cmd_qexp, "verify": _cmd_verify,
     }[args.command]
     try:
+        # An option the command reads is in args: its flag's value, or None, which its
+        # default replaces.  args.flags names the options set by a flag.
+        args.flags = {dest for dest, _ in defaults if getattr(args, dest, None) is not None}
+        for dest, default in defaults:
+            if dest in args and dest not in args.flags:
+                setattr(args, dest, default())
         if unread:
             raise ValueError(f"unrecognized arguments: {' '.join(unread)}")
         return command(args)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "Factorization",
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization of a positive integer.
 
     ``factors`` maps each prime to its exponent; 1 gets an empty mapping.
@@ -262,24 +261,44 @@ def _dedekind_12c(d: int, c: int) -> int:
     return d + pow(d, -1, c) + c * alternating
 
 
-@dataclass(frozen=True)
-class UnitPhase:
+class _Checked:
+    """Mixin of the checked value types, each a subclass of a ``NamedTuple``
+    of its fields whose ``__new__`` checks the value: ``_make``, and so
+    ``_replace``, go through that check too, and the tuple's concatenation
+    and repetition are refused, so ``x + x`` and ``2 * x`` raise TypeError."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
+
+class _PhaseFields(NamedTuple):
+    turns: Fraction
+
+
+class UnitPhase(_Checked, _PhaseFields):
     """The exact unit-circle point e^(2 pi i turns), turns reduced mod 1.
 
     Multiplication adds turns; integer powers scale them.  Conversion to a
     complex float happens only at the numeric-verification boundary.
     """
 
-    turns: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        turns = self.turns
+    def __new__(cls, turns: Fraction):
         if type(turns) is not Fraction:
             turns = Fraction(turns)
         elif 0 <= turns.numerator < turns.denominator:
-            return
+            return tuple.__new__(cls, (turns,))
         num, den = turns.numerator, turns.denominator
-        object.__setattr__(self, "turns", Fraction(num % den, den))
+        return tuple.__new__(cls, (Fraction(num % den, den),))
 
     @property
     def is_one(self) -> bool:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import _check_int, divisors, factorize
+from .exact import _Checked, _check_int, divisors, factorize
 
 __all__ = [
     "CuspClass",
@@ -36,19 +35,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UnimodularMatrix:
-    """Integer 2x2 matrix with determinant one."""
-
+class _MatrixFields(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+
+class UnimodularMatrix(_Checked, _MatrixFields):
+    """Integer 2x2 matrix with determinant one."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        det = a * d - b * c
         if det != 1:
             raise ValueError(f"matrix determinant must be 1, got {det}")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @classmethod
     def identity(cls) -> "UnimodularMatrix":
@@ -104,8 +107,7 @@ def cusp_count(n: int) -> int:
     return group_profile(n).cusp_count
 
 
-@dataclass(frozen=True, slots=True)
-class CuspClass:
+class CuspClass(NamedTuple):
     """One cusp class of the level-n group.
 
     d divides n; two boundary points a/d and a'/d are in the same class

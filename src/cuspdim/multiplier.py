@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import PHASE_ONE, UnitPhase, _check_int, _check_tau, _check_tolerance, _dedekind_12c
+from .exact import (
+    PHASE_ONE, UnitPhase, _Checked, _check_int, _check_tau, _check_tolerance, _dedekind_12c,
+)
 from .gamma0 import UnimodularMatrix
 from .qseries import PrecisionError, _series_tail_bound, evaluate
 
@@ -93,24 +94,28 @@ def gamma0_character(n: int, h: int, gamma: UnimodularMatrix) -> UnitPhase:
     return UnitPhase(Fraction(residue, m)) if residue else PHASE_ONE
 
 
-@dataclass(frozen=True)
-class AutomorphyContext:
+class _AutomorphyFields(NamedTuple):
+    weight: Fraction
+    level: int
+    eta_power: int
+    character_h: int | None
+
+
+class AutomorphyContext(_Checked, _AutomorphyFields):
     """A weight together with a root-of-unity system: psi(gamma) is the eta
     multiplier raised to eta_power, times the level character when
     character_h is set.
     """
 
-    weight: Fraction
-    level: int = 1
-    eta_power: int = 0
-    character_h: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.character_h is None:
-            _check_int(self.level, "level")
+    def __new__(cls, weight, level: int = 1, eta_power: int = 0, character_h: int | None = None):
+        weight = Fraction(weight)
+        if character_h is None:
+            _check_int(level, "level")
         else:
-            _check_character(self.level, self.character_h)
+            _check_character(level, character_h)
+        return tuple.__new__(cls, (weight, level, eta_power, character_h))
 
     def psi(self, gamma: UnimodularMatrix) -> UnitPhase:
         phase = eta_multiplier(gamma) ** self.eta_power if self.eta_power else PHASE_ONE

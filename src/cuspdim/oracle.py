@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import _check_int
 from .gamma0 import UnimodularMatrix, is_member
@@ -28,8 +28,7 @@ __all__ = ["ORACLE_CUTOFF", "OrbitCusp", "enumerate_cosets", "oracle_cusps"]
 ORACLE_CUTOFF = 300
 
 
-@dataclass(frozen=True)
-class OrbitCusp:
+class OrbitCusp(NamedTuple):
     """One boundary orbit found by the oracle: a representative point
     numerator/denominator (denominator 0 encodes the point at infinity)
     and the orbit's width."""

@@ -14,12 +14,11 @@ import math
 import numbers
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import _check_int, _check_tau
+from .exact import _Checked, _check_int, _check_tau
 
 __all__ = [
     "EtaQuotient",
@@ -455,21 +454,25 @@ def eta_cubed(precision: int) -> FracQSeries:
     return series
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class _EtaQuotientFields(NamedTuple):
+    level: int
+    exponents: dict[int, int]
+
+
+class EtaQuotient(_Checked, _EtaQuotientFields):
     """Formal product of eta(delta * tau)^r over divisors delta of the level.
 
     ``exponents`` maps delta to the (possibly negative) integer r.
     """
 
-    level: int
-    exponents: dict[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_int(self.level, "level")
-        for delta, r in self.exponents.items():
-            _check_int(delta, "eta quotient scale", divides=self.level)
+    def __new__(cls, level: int, exponents: dict[int, int]):
+        _check_int(level, "level")
+        for delta, r in exponents.items():
+            _check_int(delta, "eta quotient scale", divides=level)
             _check_int(r, f"exponent of scale {delta}", minimum=None)
+        return tuple.__new__(cls, (level, exponents))
 
     def weight(self) -> Fraction:
         return Fraction(sum(self.exponents.values()), 2)

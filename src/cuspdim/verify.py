@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import _bound_24ths
 from . import gamma0
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     checks: int
     failures: int
@@ -102,9 +101,17 @@ def random_level_element(
     _check_int(n, "level")
     _check_int(multiple_bound, "multiple bound", 0)
     _check_int(entry_bound, "entry bound")
+    return _draw_level_element(rng.getrandbits, n, multiple_bound, entry_bound)
+
+
+def _draw_level_element(
+    getrandbits, n: int, multiple_bound: int = 3, entry_bound: int = 50
+) -> UnimodularMatrix:
+    """``random_level_element`` without its argument checks, for callers
+    that check their arguments once: the same draws from the generator's
+    ``getrandbits``."""
     # randint(-b, b) is -b + randrange(2b + 1), and randrange(s) reads
     # getrandbits(s.bit_length()) until the value is below s.
-    getrandbits = rng.getrandbits
     c_span = 2 * multiple_bound + 1
     d_span = 2 * entry_bound + 1
     c_bits = c_span.bit_length()
@@ -206,9 +213,10 @@ def _skip_pair_draws(rng: random.Random, k: int) -> None:
 
 
 def _pair_failures(rows: list[tuple[int, int, int, int]], m: int) -> list[bool]:
-    # Whether c1*d1 + c2*d2 - c3*d3 != 0 mod m for each ordered pair of rows,
-    # left row outer, where (c3, d3) = (c1*a2 + d1*c2, c1*b2 + d1*d2) is the
-    # product's bottom row.  As polynomials in the eight entries,
+    # Whether c1*d1 + c2*d2 - c3*d3 != 0 mod m for each ordered pair of rows
+    # (a, b, c, d), such as matrices, left row outer, where
+    # (c3, d3) = (c1*a2 + d1*c2, c1*b2 + d1*d2) is the product's bottom row.
+    # As polynomials in the eight entries,
     #   c1*d1 + c2*d2 - c3*d3 = x*alpha + u*beta + w*gamma,
     # with (x, u, w) = (c1*d1, c1^2, 1 - d1^2) from the left row and
     # (alpha, beta, gamma) = (1 - a2*d2 - b2*c2, -a2*b2, c2*d2) from the right,
@@ -247,6 +255,7 @@ def character_suite(
     _check_int(kernel_samples, "kernel samples")
     _check_int(pool_size, "pool size")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     lines = []
     failures = 0
     checks = 0
@@ -255,8 +264,7 @@ def character_suite(
     for n in range(1, n_max + 1):
         for h in divisors(math.gcd(n, 12)):
             m = n * h
-            pool = [random_level_element(rng, n) for _ in range(pool_size)]
-            rows = [(g.a, g.b, g.c, g.d) for g in pool]
+            pool = [_draw_level_element(getrandbits, n) for _ in range(pool_size)]
             bad = 0
             firsts = list(zip(rng.choices(pool, k=api_pairs), rng.choices(pool, k=api_pairs)))
             for g1, g2 in firsts:
@@ -269,7 +277,7 @@ def character_suite(
                 int_ok = (g1.c * g1.d + g2.c * g2.d - prod.c * prod.d) % m == 0
                 if not api_ok or api_ok != int_ok:
                     bad += 1
-            pair_bad = _pair_failures(rows, m)
+            pair_bad = _pair_failures(pool, m)
             if any(pair_bad):
                 drawn = zip(rng.choices(slots, k=pairs_per_level),
                             rng.choices(slots, k=pairs_per_level))
@@ -278,7 +286,7 @@ def character_suite(
                 _skip_pair_draws(rng, pairs_per_level)
             kernel_bad = 0
             for _ in range(kernel_samples):
-                g = random_level_element(rng, m)
+                g = _draw_level_element(getrandbits, m)
                 if g.c % m or not gamma0_character(n, h, g).is_one:
                     kernel_bad += 1
             checks += api_pairs + pairs_per_level + kernel_samples

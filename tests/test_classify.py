@@ -10,7 +10,11 @@ from fractions import Fraction
 import pytest
 
 from cuspdim import (
+    PHASE_ONE,
+    AutomorphyContext,
     ClassificationReport,
+    EtaQuotient,
+    UnimodularMatrix,
     Verdict,
     bound_crude,
     bound_strong,
@@ -20,9 +24,12 @@ from cuspdim import (
     cusp_count,
     cusps,
     divisors,
+    euler_identity_suite,
+    factorize,
     genus,
     index,
     m23_element_orders,
+    oracle_cusps,
     pole_divisor,
 )
 from cuspdim.classify import Certificate, _classify_window
@@ -226,9 +233,19 @@ def test_certificates_carry_the_integer_bound():
 
 
 def test_records_are_immutable():
-    for record, field in ((group_profile(23), "genus"), (classify(23), "bound")):
+    # One of each record of the package: no field can be assigned, and no
+    # other attribute set.
+    records = (
+        group_profile(23), classify(23), classify_range(3), pole_divisor(23), cusps(12)[1],
+        factorize(12), UnimodularMatrix.identity(), PHASE_ONE, EtaQuotient(4, {1: 2}),
+        AutomorphyContext(1), oracle_cusps(5, 300)[0], euler_identity_suite(16),
+    )
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
         with pytest.raises(AttributeError):
-            setattr(record, field, 0)
+            record.unknown = 0
 
 
 def test_divisor_monotonicity():

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import functools
 import hashlib
 import importlib
@@ -105,7 +104,7 @@ def test_cusps_oracle_disagreement(capsys, monkeypatch):
 
     def skewed(n, cutoff):
         first, *rest = real(n, cutoff)
-        return (dataclasses.replace(first, width=first.width + 1), *rest)
+        return (first._replace(width=first.width + 1), *rest)
 
     monkeypatch.setattr(cli, "oracle_cusps", skewed)
     for fmt, marker in (
@@ -361,7 +360,10 @@ READS = {
     "euler-identity": {"--format", "--precision"},
     "rr-identity": {"--format"},
 }
-COMMANDS = {"classify": ["classify", "5"], "cusps": ["cusps", "5"], "qexp": ["qexp", "eta"]}
+# cusps reads --oracle-cutoff only with --oracle.
+COMMANDS = {
+    "classify": ["classify", "5"], "cusps": ["cusps", "5", "--oracle"], "qexp": ["qexp", "eta"],
+}
 # A valid value of each option, and a variable value that is not.
 VALID = {"--format": "tsv", "--precision": "16", "--tolerance": "1", "--seed": "1",
          "--oracle-cutoff": "10"}
@@ -414,6 +416,43 @@ def test_a_variable_is_read_only_by_the_commands_that_read_its_option(capsys, mo
     argv = ("classify", "1..30", "--format", "tsv")
     assert run(capsys, list(argv)) == expected[argv]
     assert expected[argv][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cusps", "12", "--oracle-cutoff", "5"],
+        ["qexp", "eta", "24", "--precision", "16"],
+        ["qexp", "etaq", "4", "1:-8,2:16,4:-8", "12", "--format", "tsv", "--precision", "200"],
+    ],
+)
+def test_a_flag_that_changes_nothing_is_refused(capsys, argv):
+    # The cutoff is read only with --oracle, and a series that gives its
+    # own precision reads no --precision.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2, argv
+    assert captured.out == "", argv
+    assert captured.err.startswith(f"usage: cuspdim {argv[0]} "), captured.err
+    assert "changes nothing" in captured.err, captured.err
+
+
+def test_a_variable_is_a_default_not_a_flag(capsys, monkeypatch):
+    # Where the flag would be refused, its variable changes nothing; where
+    # the command reads the option, the variable is its default.
+    for var in [v for v in os.environ if v.startswith("CUSPDIM_")]:
+        monkeypatch.delenv(var)
+    for var, value, argv in (
+        ("CUSPDIM_ORACLE_CUTOFF", "5", ["cusps", "12"]),
+        ("CUSPDIM_PRECISION", "16", ["qexp", "eta", "24"]),
+    ):
+        expected = run(capsys, argv)
+        assert expected[0] == 0
+        monkeypatch.setenv(var, value)
+        assert run(capsys, argv) == expected, var
+    assert_usage_error(capsys, ["cusps", "12", "--oracle"], "exceeds cutoff 5")
+    assert run(capsys, ["qexp", "eta"])[1].startswith("offset 1/24, step 1, 16 terms\n")
 
 
 def test_output_is_byte_deterministic(capsys):

@@ -1,10 +1,23 @@
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import cuspdim
+from cuspdim import (
+    PHASE_ONE,
+    AutomorphyContext,
+    EtaQuotient,
+    UnimodularMatrix,
+    UnitPhase,
+)
 
 LIBRARY = ("classify", "exact", "gamma0", "multiplier", "oracle", "qseries", "verify")
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +88,52 @@ def test_every_public_name_has_a_user():
         if name not in read and name not in UNCALLED and not re.search(rf"\b{name}\b", shown)
     ]
     assert not unused, unused
+
+
+# A value of each checked type, its fields with one made bad, and that one
+# change as a _replace: a determinant of 2, a scale 5 that does not divide
+# the level 12, and a character scale 4 that does not divide gcd(10, 12).
+CHECKED = [
+    (UnimodularMatrix(1, 1, 0, 1), (2, 0, 0, 1), {"a": 5}),
+    (EtaQuotient(12, {1: 2, 12: -1}), (12, {5: 1}), {"exponents": {5: 1}}),
+    (AutomorphyContext(Fraction(1, 2), 10, 1, 2), (Fraction(1, 2), 10, 1, 4), {"character_h": 4}),
+]
+
+
+@pytest.mark.parametrize("good, bad, change", CHECKED, ids=["matrix", "eta-quotient", "context"])
+def test_a_checked_type_refuses_a_bad_value_by_every_constructor(good, bad, change):
+    cls = type(good)
+    assert cls(*good) == good == cls._make(good) == good._replace()
+    for build in (lambda: cls(*bad), lambda: cls._make(bad), lambda: good._replace(**change)):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_unit_phase_reduces_its_turns_by_every_constructor():
+    sixth = Fraction(1, 6)
+    assert UnitPhase(Fraction(7, 6)).turns == sixth
+    assert UnitPhase._make((Fraction(7, 6),)).turns == sixth
+    assert PHASE_ONE._replace(turns=Fraction(-5, 6)).turns == sixth
+    assert UnitPhase(-1).turns == 0 and type(UnitPhase(-1).turns) is Fraction
+
+
+def test_matrices_and_phases_refuse_tuple_arithmetic():
+    # A matrix and a phase multiply only by their own kind; a tuple's
+    # repetition and concatenation are not theirs.
+    g = UnimodularMatrix(2, 1, 1, 1)
+    phase = UnitPhase(Fraction(1, 3))
+    assert g * g == UnimodularMatrix(5, 3, 3, 2) and phase * phase == UnitPhase(Fraction(2, 3))
+    for operation in (lambda: 2 * g, lambda: g * 2, lambda: g + g, lambda: 2 * phase,
+                      lambda: phase * 2, lambda: phase + phase, lambda: g * phase):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_the_command_line_starts_without_dataclasses_or_inspect():
+    # A fresh interpreter without site, so that only the package's imports
+    # count: records are NamedTuples, and nothing loads these two modules.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, cuspdim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"

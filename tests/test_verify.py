@@ -344,18 +344,18 @@ def test_character_suite_counts_repeated_draws(monkeypatch):
     # Swap the second pool element of level 5 for a matrix outside the
     # level-5 group.  At seed 0 the API pairs never draw it, so only the
     # bulk check sees it, and several of its failing pairs are drawn twice.
-    real = verify.random_level_element
+    real = verify._draw_level_element
     level_five_calls = []
 
-    def corrupt(rng, n, *args):
-        g = real(rng, n, *args)
+    def corrupt(getrandbits, n, *args):
+        g = real(getrandbits, n, *args)
         if n == 5:
             level_five_calls.append(g)
             if len(level_five_calls) == 2:
                 return g * UnimodularMatrix(1, 0, 1, 1)
         return g
 
-    monkeypatch.setattr(verify, "random_level_element", corrupt)
+    monkeypatch.setattr(verify, "_draw_level_element", corrupt)
     result = character_suite(n_max=5, kernel_samples=5, seed=0)
     level_five_calls.clear()
     expected, failing = _per_draw_character_failures(5, 10_000, 5, seed=0)
@@ -364,21 +364,22 @@ def test_character_suite_counts_repeated_draws(monkeypatch):
 
 
 def _corrupt_nth_call(monkeypatch, level, nth):
-    """Make the nth level-``level`` call of random_level_element return a
-    matrix outside that group; returns the list of its level calls, which
+    """Make the nth level-``level`` draw of ``_draw_level_element``, the
+    draw kernel of character_suite and of random_level_element, return a
+    matrix outside that group; returns the list of its level draws, which
     the caller clears to replay the corruption."""
-    real = verify.random_level_element
+    real = verify._draw_level_element
     calls = []
 
-    def corrupt(rng, n, *args):
-        g = real(rng, n, *args)
+    def corrupt(getrandbits, n, *args):
+        g = real(getrandbits, n, *args)
         if n == level:
             calls.append(g)
             if len(calls) == nth:
                 return g * UnimodularMatrix(1, 0, 1, 1)
         return g
 
-    monkeypatch.setattr(verify, "random_level_element", corrupt)
+    monkeypatch.setattr(verify, "_draw_level_element", corrupt)
     return calls
 
 
