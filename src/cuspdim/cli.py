@@ -19,17 +19,19 @@ line per level for its column widths.
 
 Each command and verify suite accepts only the options ``READS`` lists for
 it.  A flag is parsed with no default and converted and range-checked by its
-argparse ``type=``.  Only after parsing does ``main`` fill in an option the
-command reads and no flag set, from the matching ``CUSPDIM_*`` variable,
-else the fallback, through the same conversion; so a flag beats a bad
-variable, either failure is a usage error, and a command that does not read
-the option ignores its variable.  A command can thus tell a flag from a
-default, and a flag it cannot use in that call exits 2 like any refused
-input: ``cusps --oracle-cutoff`` without ``--oracle``, and ``qexp
---precision`` beside a series that gives its own precision.  A variable is
-a default, not a flag, and is never refused for that.  The parser is built
-once per process, by the first ``main`` call, and every call reads the
-variables afresh.
+argparse ``type=``.  An option no flag set is read through ``_value`` where
+the command uses it, from the matching ``CUSPDIM_*`` variable, else the
+fallback, through the same conversion; so a flag beats a bad variable,
+either failure is a usage error, and a variable is read only in a call that
+uses its option: ``cusps`` reads ``CUSPDIM_ORACLE_CUTOFF`` only with
+``--oracle``, and ``qexp`` reads ``CUSPDIM_PRECISION`` only for a series
+that gives no precision.  A command can thus tell a flag from a default,
+and a flag it cannot use in that call exits 2 like any refused input:
+``cusps --oracle-cutoff`` without ``--oracle``, and ``qexp --precision``
+beside a series that gives its own precision.  A variable is a default, not
+a flag, and is never refused for that.  The parser is built once per
+process, by the first ``main`` call, and every call reads the variables
+afresh.
 """
 
 from __future__ import annotations
@@ -115,9 +117,9 @@ def _option(flag, cast, expected, ok=lambda value: True, fallback=None, **kwargs
     return parent, (parent.add_argument(flag, type=parse, **kwargs).dest, default)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict, list]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     """The parser, the parser of each command and suite by name, and each
-    option's (dest, default)."""
+    option's default by dest."""
     parser = argparse.ArgumentParser(
         prog="cuspdim",
         description=(
@@ -175,7 +177,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict, list]:
     suites = verify.add_subparsers(dest="suite", required=True)
     for name in ("eta-law", "cocycle", "character", "euler-identity", "rr-identity"):
         add(suites, name)
-    return parser, parsers, [spec for _, spec in options.values()]
+    return parser, parsers, dict(spec for _, spec in options.values())
+
+
+def _value(args, dest: str):
+    """An option the command reads, read where the command uses it: its
+    flag's value, else its default, which reads the ``CUSPDIM_*`` variable
+    now (None for ``--tolerance`` when neither is set)."""
+    value = getattr(args, dest)
+    return _parser[2][dest]() if value is None else value
 
 
 def _emit_json(obj) -> None:
@@ -248,6 +258,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_classify(args) -> int:
+    fmt = _value(args, "format")
     lo, hi = _parse_range(args.range)
     if hi - lo >= MAX_RANGE_LEVELS:
         raise ValueError(f"range {args.range!r} spans more than {MAX_RANGE_LEVELS} levels")
@@ -263,12 +274,12 @@ def _cmd_classify(args) -> int:
                 (dim_one if c[1] is one else undecided).append(c[0])
             yield c, p
 
-    if args.format == "json":
+    if fmt == "json":
         _emit_rows_json(
             "certificates", (_certificate_json(c) for c, _ in window()),
             lambda: _summary(lo, hi, dim_one, undecided),
         )
-    elif args.format == "tsv":
+    elif fmt == "tsv":
         _emit_tsv(_tsv_rows(c for c, _ in window()))
     else:
         # The column widths need the whole range: keep one row per level.
@@ -297,8 +308,9 @@ def _cmd_cusps(args) -> int:
     The table's size, the oracle's cutoff and the table's widths are checked
     before anything is printed; the oracle's widths are compared with the
     profile's width multiset, the one ``_cusp_blocks`` checked the table by."""
-    if "oracle_cutoff" in args.flags and not args.oracle:
+    if args.oracle_cutoff is not None and not args.oracle:
         raise ValueError(f"--oracle-cutoff {args.oracle_cutoff} changes nothing without --oracle")
+    fmt = _value(args, "format")
     n = args.level
     profile = group_profile(n)
     if profile.cusp_count > MAX_CUSP_CLASSES:
@@ -307,7 +319,7 @@ def _cmd_cusps(args) -> int:
         )
 
     # The oracle refuses a level above its cutoff before the table is built.
-    orbits = oracle_cusps(n, args.oracle_cutoff) if args.oracle else None
+    orbits = oracle_cusps(n, _value(args, "oracle_cutoff")) if args.oracle else None
     blocks = _cusp_blocks(n)
     oracle_verdict = None
     if args.oracle:
@@ -316,12 +328,12 @@ def _cmd_cusps(args) -> int:
         oracle_verdict = "AGREE" if formula_widths == orbit_widths else "DISAGREE"
 
     write = sys.stdout.write
-    if args.format == "json":
+    if fmt == "json":
         _emit_cusps_json(blocks, lambda: {
             "level": n, "index": profile.index, "oracle": oracle_verdict,
             "metadata": {"representative_convention": REPRESENTATIVE_NOTE},
         })
-    elif args.format == "tsv":
+    elif fmt == "tsv":
         write("a\td\trepresentative\twidth\n")
         for d, w, numerators in blocks:
             head, tail = f"\t{d}\t", f"{_denominator_text(d)}\t{w}\n"
@@ -354,10 +366,11 @@ def _series_terms(prec: int) -> int:
     return prec
 
 
-def _build_series(words: list[str], precision: int, flagged: bool):
-    """The series ``words`` name, to their own precision when they give one,
-    else to ``precision``, which must then not come from a flag
-    (``flagged``): it would change nothing."""
+def _build_series(args):
+    """The series ``args.series`` names, to its own precision when it gives
+    one, else to the ``--precision`` option, read only then.  A flag beside
+    a precision the series gives would change nothing and is refused."""
+    words = args.series
     kind, params = words[0], words[1:]
     required = {"eta": 0, "eta3": 0, "theta": 2, "etaq": 2}.get(kind)
     if required is None:
@@ -367,13 +380,15 @@ def _build_series(words: list[str], precision: int, flagged: bool):
             f"qexp {kind} takes {required} parameters and an optional precision, "
             f"got {' '.join(words)!r}"
         )
-    if len(params) > required:
-        if flagged:
-            raise ValueError(
-                f"--precision {precision} changes nothing: the series gives its own precision "
-                f"{params[required]!r}"
-            )
+    if len(params) == required:
+        precision = _value(args, "precision")
+    elif args.precision is None:
         precision = _integer(params[required], "precision")
+    else:
+        raise ValueError(
+            f"--precision {args.precision} changes nothing: the series gives its own precision "
+            f"{params[required]!r}"
+        )
     prec = _series_terms(precision)
     if kind == "eta":
         return eta_expansion(prec)
@@ -395,10 +410,11 @@ def _build_series(words: list[str], precision: int, flagged: bool):
 
 
 def _cmd_qexp(args) -> int:
-    series = _build_series(args.series, args.precision, "precision" in args.flags)
-    if args.format == "json":
+    fmt = _value(args, "format")
+    series = _build_series(args)
+    if fmt == "json":
         _emit_json(series.to_json_obj())
-    elif args.format == "tsv":
+    elif fmt == "tsv":
         rows = [("index", "exponent", "coefficient")]
         rows += [
             (str(k), str(series.exponent(k)), str(c))
@@ -414,16 +430,19 @@ def _cmd_qexp(args) -> int:
 def _cmd_verify(args) -> int:
     # The options READS lists for the suite are its arguments; a tolerance only when set, as each
     # numeric suite owns its default.  The suite is looked up per call, so a test can replace it.
-    kwargs = {k: v for k, v in vars(args).items() if k in ("seed", "tolerance") and v is not None}
+    fmt = _value(args, "format")
+    kwargs = {
+        k: v for k in ("seed", "tolerance") if k in args and (v := _value(args, k)) is not None
+    }
     if "precision" in args:
-        kwargs["depth"] = _series_terms(args.precision)
+        kwargs["depth"] = _series_terms(_value(args, "precision"))
     result = {
         "eta-law": eta_law_suite, "cocycle": cocycle_suite, "character": character_suite,
         "euler-identity": euler_identity_suite, "rr-identity": rr_identity_suite,
     }[args.suite](**kwargs)
-    if args.format == "json":
+    if fmt == "json":
         _emit_json(result.to_json_obj())
-    elif args.format == "tsv":
+    elif fmt == "tsv":
         rows = [("check", "status")]
         rows += [tuple(line.rsplit(" ", 1)) for line in result.lines]
         _emit_tsv(rows)
@@ -439,18 +458,12 @@ _parser = None  # what _build_parser returns, once per process
 
 def main(argv=None) -> int:
     global _parser
-    parser, parsers, defaults = _parser = _parser or _build_parser()
+    parser, parsers, _ = _parser = _parser or _build_parser()
     args, unread = parser.parse_known_args(argv)
     command = {
         "classify": _cmd_classify, "cusps": _cmd_cusps, "qexp": _cmd_qexp, "verify": _cmd_verify,
     }[args.command]
     try:
-        # An option the command reads is in args: its flag's value, or None, which its
-        # default replaces.  args.flags names the options set by a flag.
-        args.flags = {dest for dest, _ in defaults if getattr(args, dest, None) is not None}
-        for dest, default in defaults:
-            if dest in args and dest not in args.flags:
-                setattr(args, dest, default())
         if unread:
             raise ValueError(f"unrecognized arguments: {' '.join(unread)}")
         return command(args)

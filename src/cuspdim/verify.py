@@ -26,7 +26,7 @@ from .multiplier import (
     verify_transformation,
 )
 from .qseries import (
-    EtaQuotient, PrecisionError, eta_cubed, eta_expansion, eta_quotient_expansion, unary_theta,
+    EtaQuotient, PrecisionError, eta_expansion, eta_quotient_expansion, unary_theta,
 )
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "cocycle_suite",
     "eta_law_suite",
     "euler_identity_suite",
-    "random_level_element",
-    "random_unimodular",
     "rr_identity_suite",
 ]
 
@@ -79,37 +77,19 @@ def _build_row(c: int, d: int, b_for_zero_c: int) -> UnimodularMatrix:
     return UnimodularMatrix(a, (a * d - 1) // c, c, d)
 
 
-def random_unimodular(rng: random.Random, entry_bound: int = 50) -> UnimodularMatrix:
-    """Uniform-ish determinant-one matrix with all four entries bounded by
-    entry_bound (bottom row uniform over coprime pairs in the box; the top
-    row is the minimal completion, which stays inside the box)."""
-    # A coprime pair exists in the box only from entry_bound 1 on.
-    _check_int(entry_bound, "entry bound")
-    # Level 1 with bottom-left multiples up to entry_bound: the same draws.
-    return random_level_element(rng, 1, entry_bound, entry_bound)
-
-
-def random_level_element(
-    rng: random.Random, n: int, multiple_bound: int = 3, entry_bound: int = 50
+def _draw_level_element(
+    getrandbits, n: int, multiple_bound: int = 3, entry_bound: int = 50
 ) -> UnimodularMatrix:
-    """Random element of the level-n group: bottom-left entry a small
-    multiple of n, bottom-right bounded by entry_bound.
+    """Random element of the level-n group from the generator's
+    ``getrandbits``: bottom-left entry n times a multiple up to
+    multiple_bound, bottom-right up to entry_bound, the top row the minimal
+    completion.  At level 1 with multiple_bound = entry_bound all four
+    entries stay in the box.  Nothing is checked: each suite checks its
+    arguments once and draws with constant bounds.
 
     The stream is pinned: each entry is drawn as ``rng.randint(-b, b)``
     would draw it, so a seed selects the same matrices on every supported
     Python (``test_random_draws_follow_the_randint_stream``)."""
-    _check_int(n, "level")
-    _check_int(multiple_bound, "multiple bound", 0)
-    _check_int(entry_bound, "entry bound")
-    return _draw_level_element(rng.getrandbits, n, multiple_bound, entry_bound)
-
-
-def _draw_level_element(
-    getrandbits, n: int, multiple_bound: int = 3, entry_bound: int = 50
-) -> UnimodularMatrix:
-    """``random_level_element`` without its argument checks, for callers
-    that check their arguments once: the same draws from the generator's
-    ``getrandbits``."""
     # randint(-b, b) is -b + randrange(2b + 1), and randrange(s) reads
     # getrandbits(s.bit_length()) until the value is below s.
     c_span = 2 * multiple_bound + 1
@@ -137,25 +117,21 @@ def _fmt_tau(tau: complex) -> str:
     return f"{tau.real:+.6f}{tau.imag:+.6f}i"
 
 
-def eta_law_suite(
-    samples: int = 1000,
-    entry_bound: int = 50,
-    tolerance: float = 1e-9,
-    seed: int = 0,
-) -> SuiteResult:
+def eta_law_suite(samples: int = 1000, tolerance: float = 1e-9, seed: int = 0) -> SuiteResult:
     """Numeric check of eta(gamma tau) * eps(gamma) * j(gamma, tau)^(1/2)
-    = eta(tau) over random matrices and base points.  A sample no precision
-    certifies is a failure without a residual; worst_residual is None if all are."""
+    = eta(tau) over random matrices with entries up to 50 and random base
+    points.  A sample no precision certifies is a failure without a
+    residual; worst_residual is None if all are."""
     _check_int(samples, "samples")
-    _check_int(entry_bound, "entry bound")
     _check_tolerance(tolerance)
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     ctx = AutomorphyContext(weight=Fraction(1, 2), eta_power=1)
     lines = []
     failures = 0
     residuals = []
     for _ in range(samples):
-        gamma = random_unimodular(rng, entry_bound)
+        gamma = _draw_level_element(getrandbits, 1, 50, 50)
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
         try:
             check = verify_transformation(eta_expansion, ctx, gamma, tau, tolerance)
@@ -172,26 +148,20 @@ def eta_law_suite(
     return SuiteResult("eta-law", samples, failures, max(residuals, default=None), tuple(lines))
 
 
-def cocycle_suite(
-    samples: int = 1000,
-    entry_bound: int = 50,
-    tolerance: float = 1e-10,
-    seed: int = 0,
-    tau: complex = 1j,
-) -> SuiteResult:
+def cocycle_suite(samples: int = 1000, tolerance: float = 1e-10, seed: int = 0) -> SuiteResult:
     """Cocycle and minus-identity consistency of the weight-1/2 eta system
-    at random matrix pairs."""
+    at tau = i and random pairs of matrices with entries up to 50."""
     _check_int(samples, "samples")
-    _check_int(entry_bound, "entry bound")
     _check_tolerance(tolerance)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     ctx = AutomorphyContext(weight=Fraction(1, 2), eta_power=1)
+    tau = 1j
     lines = []
     failures = 0
     worst = 0.0
     for _ in range(samples):
-        g1 = random_unimodular(rng, entry_bound)
-        g2 = random_unimodular(rng, entry_bound)
+        g1 = _draw_level_element(getrandbits, 1, 50, 50)
+        g2 = _draw_level_element(getrandbits, 1, 50, 50)
         check = verify_cocycle(ctx, g1, g2, tau)
         residual = max(check.residual, check.consistency_residual)
         worst = max(worst, residual)
@@ -230,7 +200,6 @@ def character_suite(
     n_max: int = 60,
     pairs_per_level: int = 10_000,
     kernel_samples: int = 200,
-    pool_size: int = 64,
     seed: int = 0,
 ) -> SuiteResult:
     """Exact homomorphism and kernel checks for the level characters
@@ -240,10 +209,10 @@ def character_suite(
     character multiplies by adding exponent numerators, so the homomorphism
     statement for a pair is exactly c1*d1 + c2*d2 = c3*d3 mod n*h, where
     (c3, d3) is the product's bottom row.  It is evaluated once for each
-    ordered pair of the level's pool, and a failing pair counts once for each
-    time it is drawn.  The pairs_per_level draws are read only when some
-    pair fails; otherwise they would add nothing, and the generator is
-    advanced past them in one step (``_skip_pair_draws``), so every later
+    ordered pair of the level's pool of 64 draws, and a failing pair counts
+    once for each time it is drawn.  The pairs_per_level draws are read only
+    when some pair fails; otherwise they would add nothing, and the generator
+    is advanced past them in one step (``_skip_pair_draws``), so every later
     (n, h) sees the same pool and samples either way.  The first few pairs
     per (n, h) additionally run through the public phase API and must agree
     with the reduction.  An API pair with an element outside the level-n
@@ -253,13 +222,13 @@ def character_suite(
     _check_int(n_max, "largest level")
     _check_int(pairs_per_level, "pairs per level")
     _check_int(kernel_samples, "kernel samples")
-    _check_int(pool_size, "pool size")
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     lines = []
     failures = 0
     checks = 0
     api_pairs = 50
+    pool_size = 64
     slots = range(pool_size)
     for n in range(1, n_max + 1):
         for h in divisors(math.gcd(n, 12)):
@@ -301,36 +270,20 @@ def character_suite(
 
 def euler_identity_suite(depth: int = 200) -> SuiteResult:
     """Exact coefficient identities tying the theta route to the product
-    route: the cube of eta matches the signed-odd-square theta sum, the
-    (2,1) theta series is that same object, and the one-factor eta quotient
-    of exponent 3 expands to it as well.
-
-    Not every line is a separate check.  ``cube-vs-theta`` repeats the check
-    ``eta_cubed`` makes when it is built, which covers depths up to 1024.
-    ``eta_cubed-vs-theta`` compares ``unary_theta(2, 1, depth)`` with itself,
-    because ``eta_cubed`` returns that cached series; it can fail only by
-    raising, through ``eta_cubed``'s own check.  ``eta-quotient-1:3-vs-eta_cubed``
-    is the one line that reaches other code: the grid and precision
-    bookkeeping of ``eta_quotient_expansion``."""
+    routes, each line one route against ``unary_theta(2, 1, depth)``, the
+    signed-odd-square theta sum: ``cube-vs-theta`` cubes the pentagonal
+    product of ``eta_expansion``, and ``eta-quotient-1:3-vs-theta`` expands
+    the one-factor eta quotient of exponent 3 through the grid and precision
+    bookkeeping of ``eta_quotient_expansion``.  A line compares offset, grid
+    step and the first depth coefficients."""
     _check_int(depth, "depth")
-    lines = []
-    failures = 0
-    cube = eta_expansion(depth) ** 3
     theta = unary_theta(2, 1, depth)
-    same_cube = cube.offset == theta.offset and cube.coeffs[:depth] == theta.coeffs[:depth]
-    failures += 0 if same_cube else 1
-    lines.append(
-        f"cube-vs-theta depth={depth} {'PASS' if same_cube else 'FAIL'}"
-    )
-    built = eta_cubed(depth)
-    same_built = built == theta.truncate(depth)
-    failures += 0 if same_built else 1
-    lines.append(f"eta_cubed-vs-theta depth={depth} {'PASS' if same_built else 'FAIL'}")
-    quotient = eta_quotient_expansion(EtaQuotient(1, {1: 3}), depth)
-    same_quot = quotient.offset == built.offset and quotient.coeffs[:depth] == built.coeffs[:depth]
-    failures += 0 if same_quot else 1
-    lines.append(f"eta-quotient-1:3-vs-eta_cubed depth={depth} {'PASS' if same_quot else 'FAIL'}")
-    return SuiteResult("euler-identity", 3, failures, None, tuple(lines))
+    same = {
+        "cube-vs-theta": eta_expansion(depth) ** 3 == theta,
+        "eta-quotient-1:3-vs-theta": eta_quotient_expansion(EtaQuotient(1, {1: 3}), depth) == theta,
+    }
+    lines = tuple(f"{name} depth={depth} {'PASS' if ok else 'FAIL'}" for name, ok in same.items())
+    return SuiteResult("euler-identity", len(same), list(same.values()).count(False), None, lines)
 
 
 def _divisor_window(lo: int, hi: int):

@@ -152,10 +152,10 @@ def test_criterion_5_eta_cube_equals_theta_sum():
 
 
 def test_criterion_6_transformation_law_suites():
-    eta_law = eta_law_suite(samples=1000, entry_bound=50)
+    eta_law = eta_law_suite(samples=1000)
     assert eta_law.ok, eta_law.summary()
     assert eta_law.worst_residual < 1e-9
-    cocycle = cocycle_suite(samples=1000, entry_bound=50)
+    cocycle = cocycle_suite(samples=1000)
     assert cocycle.ok, cocycle.summary()
     assert cocycle.worst_residual < 1e-10
     character = character_suite()

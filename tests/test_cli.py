@@ -236,7 +236,8 @@ def test_verify_euler_identity(capsys):
     code, out, _ = run(capsys, ["verify", "euler-identity"])
     assert code == 0
     assert "cube-vs-theta depth=200 PASS" in out
-    assert "euler-identity: 3 checks, 0 failures PASS" in out
+    assert "eta-quotient-1:3-vs-theta depth=200 PASS" in out
+    assert "euler-identity: 2 checks, 0 failures PASS" in out
 
 
 def test_verify_euler_identity_depth_follows_precision(capsys):
@@ -397,25 +398,33 @@ def test_an_option_is_accepted_exactly_where_it_is_read(capsys, monkeypatch, nam
 def test_a_variable_is_read_only_by_the_commands_that_read_its_option(capsys, monkeypatch):
     for var in [v for v in os.environ if v.startswith("CUSPDIM_")]:
         monkeypatch.delenv(var)
+    # A command reads a variable only in a call that uses its option: cusps
+    # reads the cutoff only with --oracle, and qexp reads the precision only
+    # for a series that gives none.
     commands = {
         ("classify", "1..30", "--format", "tsv"): set(),
-        ("cusps", "12"): {"CUSPDIM_ORACLE_CUTOFF"},
-        ("qexp", "eta", "24"): {"CUSPDIM_PRECISION"},
+        ("cusps", "12"): set(),
+        ("cusps", "12", "--oracle"): {"CUSPDIM_ORACLE_CUTOFF"},
+        ("qexp", "eta", "24"): set(),
+        ("qexp", "eta"): {"CUSPDIM_PRECISION"},
         ("verify", "rr-identity"): set(),
     }
     expected = {argv: run(capsys, list(argv)) for argv in commands}
+    assert all(code == 0 for code, _, _ in expected.values())
     for var, value in BAD.items():
         monkeypatch.setenv(var, value)
         for argv, reads in commands.items():
-            if var not in reads:
+            if var in reads:
+                assert_usage_error(capsys, list(argv), f"{value!r}")
+            else:
                 assert run(capsys, list(argv)) == expected[argv], (var, argv)
         monkeypatch.delenv(var)
     # All at once too, as in a stale shell.
     for var, value in BAD.items():
         monkeypatch.setenv(var, value)
-    argv = ("classify", "1..30", "--format", "tsv")
-    assert run(capsys, list(argv)) == expected[argv]
-    assert expected[argv][0] == 0
+    for argv, reads in commands.items():
+        if not reads:
+            assert run(capsys, list(argv)) == expected[argv], argv
 
 
 @pytest.mark.parametrize(
@@ -496,7 +505,7 @@ FROZEN_STDOUT_SHA256 = {
     ("verify", "cocycle", "--seed", "2", "--tolerance", "1e-11"):
         "c5ee69c6393683474a0f6860cd36443a8fb1210ab94b30d3a04360e93667b7b4",
     ("verify", "euler-identity", "--precision", "64", "--format", "json"):
-        "dcd76918e1f9df00c090caeff13ec04585e3a529a264b82c306b0f59ce8f0098",
+        "f88c833a43efce2fe13a4460dd9cdc752846009da13b0ed06869c966f1d4c6c4",
     ("classify", "23", "--format", "json"):
         "11ec203891c0991cd10a7885a3108ee268b01fc393249a3a6a33f5f920b5c639",
     ("cusps", "393216", "--format", "json"):

@@ -20,14 +20,12 @@ from cuspdim import (
     evaluate,
     gamma0_character,
     j_factor,
-    random_level_element,
-    random_unimodular,
     unary_theta,
     verify_cocycle,
     verify_transformation,
 )
 from cuspdim.exact import PHASE_ONE, _dedekind_12c
-from cuspdim.verify import _build_row
+from cuspdim.verify import _build_row, _draw_level_element
 
 M = UnimodularMatrix
 HALF = Fraction(1, 2)
@@ -50,7 +48,7 @@ def test_j_factor_rejects_lower_half_plane():
 def test_j_factor_weight_additivity():
     rng = random.Random(20)
     for _ in range(50):
-        g = random_unimodular(rng, 20)
+        g = _draw_level_element(rng.getrandbits, 1, 20, 20)
         tau = complex(rng.uniform(-1, 1), rng.uniform(0.2, 2))
         a = j_factor(g, tau, HALF)
         b = j_factor(g, tau, 1)
@@ -117,14 +115,14 @@ def test_character_matches_fraction_formula():
     for n in range(1, 61):
         for h in divisors(math.gcd(n, 12)):
             for _ in range(20):
-                g = random_level_element(rng, n)
+                g = _draw_level_element(rng.getrandbits, n)
                 assert gamma0_character(n, h, g) == UnitPhase(Fraction(-g.c * g.d, n * h))
 
 
 def test_eta_multiplier_is_24th_root():
     rng = random.Random(21)
     for _ in range(300):
-        g = random_unimodular(rng, 50)
+        g = _draw_level_element(rng.getrandbits, 1, 50, 50)
         assert (eta_multiplier(g) ** 24).is_one
 
 
@@ -133,7 +131,7 @@ def test_eta_multiplier_negation_consistency():
     # so eps(-g) / eps(g) is always a quarter turn
     rng = random.Random(22)
     for _ in range(200):
-        g = random_unimodular(rng, 50)
+        g = _draw_level_element(rng.getrandbits, 1, 50, 50)
         ratio = eta_multiplier(-g) * eta_multiplier(g).inverse()
         assert ratio.turns in (Fraction(1, 4), Fraction(3, 4))
 
@@ -151,7 +149,7 @@ def test_trivial_character_value_is_the_shared_identity():
     rng = random.Random(28)
     for n, h in ((1, 1), (6, 2), (12, 12), (23, 1)):
         for _ in range(50):
-            assert gamma0_character(n, h, random_level_element(rng, n * h)) is PHASE_ONE
+            assert gamma0_character(n, h, _draw_level_element(rng.getrandbits, n * h)) is PHASE_ONE
     assert gamma0_character(6, 2, M(1, 0, 6, 1)) is not PHASE_ONE
     assert gamma0_character(6, 2, M(1, 0, 6, 1)) * UnitPhase(HALF) == PHASE_ONE
     assert gamma0_character(4, 1, M(1, 1, 4, 5)) is PHASE_ONE
@@ -205,7 +203,7 @@ def test_automorphy_context_validation():
 def test_cocycle_closes_for_eta_system():
     ctx = AutomorphyContext(weight=HALF, eta_power=1)
     rng = random.Random(24)
-    mats = [random_unimodular(rng, 30) for _ in range(12)]
+    mats = [_draw_level_element(rng.getrandbits, 1, 30, 30) for _ in range(12)]
     mats += [M.identity(), -M.identity(), M.inversion(), M.translation(1)]
     for g1 in mats:
         for g2 in mats:
@@ -219,8 +217,8 @@ def test_cocycle_closes_for_integer_weight():
     ctx = AutomorphyContext(weight=2)
     rng = random.Random(25)
     for _ in range(50):
-        g1 = random_unimodular(rng, 30)
-        g2 = random_unimodular(rng, 30)
+        g1 = _draw_level_element(rng.getrandbits, 1, 30, 30)
+        g2 = _draw_level_element(rng.getrandbits, 1, 30, 30)
         check = verify_cocycle(ctx, g1, g2, 1j)
         assert check.residual < 1e-12
         assert check.consistency_residual < 1e-15
@@ -273,7 +271,7 @@ def test_transformation_random_family():
     ctx = AutomorphyContext(weight=HALF, eta_power=1)
     rng = random.Random(26)
     for _ in range(25):
-        gamma = random_unimodular(rng, 50)
+        gamma = _draw_level_element(rng.getrandbits, 1, 50, 50)
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
         check = verify_transformation(eta_expansion, ctx, gamma, tau)
         assert check.ok, (gamma, tau, check)

@@ -10,6 +10,7 @@ from cuspdim import exact, gamma0, verify
 from cuspdim.cli import main
 from cuspdim import (
     AutomorphyContext,
+    FracQSeries,
     PrecisionError,
     SuiteResult,
     UnimodularMatrix,
@@ -24,8 +25,6 @@ from cuspdim import (
     eta_law_suite,
     euler_identity_suite,
     is_member,
-    random_level_element,
-    random_unimodular,
     rr_identity_suite,
     verify_transformation,
 )
@@ -35,19 +34,20 @@ from helpers import corrupt_local_factors
 classify_module = importlib.import_module("cuspdim.classify")
 
 
-def test_random_unimodular_stays_in_box():
-    rng = random.Random(30)
+def test_level_one_draws_stay_in_box():
+    # eta-law and cocycle draw at level 1 with both bounds 50.
+    getrandbits = random.Random(30).getrandbits
     for _ in range(500):
-        g = random_unimodular(rng, 50)
+        g = verify._draw_level_element(getrandbits, 1, 50, 50)
         assert g.a * g.d - g.b * g.c == 1
         assert max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) <= 50
 
 
-def test_random_level_element_membership():
-    rng = random.Random(31)
+def test_level_draws_are_members():
+    getrandbits = random.Random(31).getrandbits
     for n in (1, 6, 23, 60):
         for _ in range(100):
-            g = random_level_element(rng, n)
+            g = verify._draw_level_element(getrandbits, n)
             assert is_member(g, n)
 
 
@@ -57,6 +57,42 @@ def test_suites_pass_at_reduced_size():
     assert character_suite(n_max=12, pairs_per_level=500, kernel_samples=20).ok
     assert euler_identity_suite(depth=60).ok
     assert rr_identity_suite(n_max=500).ok
+
+
+def _flip(series, k):
+    """``series`` with the sign of its coefficient k flipped."""
+    coeffs = list(series.coeffs)
+    coeffs[k] = -coeffs[k]
+    return FracQSeries(series.offset, series.step, coeffs, series.growth)
+
+
+def _regrid(series, offset, step):
+    return FracQSeries(series.offset + offset, series.step * step, series.coeffs, series.growth)
+
+
+@pytest.mark.parametrize("name, corrupt, failing", [
+    # The pentagonal product with q^(25/24) of the wrong sign.
+    ("eta_expansion", lambda real: lambda p: _flip(real(p), 1), {"cube-vs-theta"}),
+    # The quotient's grid doubled, or its offset shifted by one.
+    ("eta_quotient_expansion", lambda real: lambda q, p: _regrid(real(q, p), 0, 2),
+     {"eta-quotient-1:3-vs-theta"}),
+    ("eta_quotient_expansion", lambda real: lambda q, p: _regrid(real(q, p), 1, 1),
+     {"eta-quotient-1:3-vs-theta"}),
+    # The theta sum with q^(1/8) of the wrong sign: both routes disagree with it.
+    ("unary_theta", lambda real: lambda ell, r, p: _flip(real(ell, r, p), 0),
+     {"cube-vs-theta", "eta-quotient-1:3-vs-theta"}),
+], ids=["eta", "quotient-grid", "quotient-offset", "theta"])
+def test_each_euler_identity_line_can_fail(monkeypatch, capsys, name, corrupt, failing):
+    # Each line compares two routes; a wrong route fails exactly the lines
+    # that read it, and the command exits 1.
+    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    result = euler_identity_suite(depth=64)
+    assert {line.split()[0] for line in result.lines if line.endswith(" FAIL")} == failing
+    assert result.failures == len(failing) and result.checks == 2
+    assert main(["verify", "euler-identity", "--precision", "64"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == list(result.lines)
+    assert out.rstrip().endswith("FAIL")
 
 
 def test_eta_law_counts_uncertified_samples(monkeypatch):
@@ -235,13 +271,15 @@ def _randint_level_element(rng, n, multiple_bound=3, entry_bound=50):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_draws_follow_the_randint_stream(seed):
     # Each seeded suite prints frozen bytes, so the draws must read the
-    # generator exactly as randint(-b, b) did.
+    # generator exactly as randint(-b, b) did.  Level 1 with both bounds 50
+    # is the draw of eta-law and cocycle; the default bounds, character's.
+    draw = verify._draw_level_element
     for level in (1, 7, 60, 240):
         ours, reference = random.Random(seed), random.Random(seed)
         for _ in range(200):
-            assert random_level_element(ours, level) == _randint_level_element(reference, level)
-            assert random_unimodular(ours) == _randint_unimodular(reference)
-        edge = random_level_element(ours, level, 0, 1)
+            assert draw(ours.getrandbits, level) == _randint_level_element(reference, level)
+            assert draw(ours.getrandbits, 1, 50, 50) == _randint_unimodular(reference)
+        edge = draw(ours.getrandbits, level, 0, 1)
         assert edge == _randint_level_element(reference, level, 0, 1)
         assert ours.getstate() == reference.getstate(), (seed, level)
     # The rejection edges: a span of 1 (multiple bound 0), spans of
@@ -252,13 +290,14 @@ def test_random_draws_follow_the_randint_stream(seed):
         for bounds in ((0, 50), (3, 63), (3, 64), (0, 63), (2, 2**33 + 5)):
             ours, reference = random.Random(seed), random.Random(seed)
             for _ in range(50):
-                got = random_level_element(ours, level, *bounds)
+                got = draw(ours.getrandbits, level, *bounds)
                 assert got == _randint_level_element(reference, level, *bounds), (level, bounds)
             assert ours.getstate() == reference.getstate(), (seed, level, bounds)
     for entry_bound in (1, 63, 64, 2**33 + 5):
         ours, reference = random.Random(seed), random.Random(seed)
         for _ in range(50):
-            assert random_unimodular(ours, entry_bound) == _randint_unimodular(reference, entry_bound)
+            got = draw(ours.getrandbits, 1, entry_bound, entry_bound)
+            assert got == _randint_unimodular(reference, entry_bound)
         assert ours.getstate() == reference.getstate(), (seed, entry_bound)
 
 
@@ -269,7 +308,6 @@ def test_suites_refuse_vacuous_input():
         lambda: eta_law_suite(samples=0),
         lambda: eta_law_suite(samples=True),
         lambda: eta_law_suite(samples=2, tolerance=float("nan")),
-        lambda: eta_law_suite(samples=2, entry_bound=0),
         lambda: cocycle_suite(samples=0),
         lambda: cocycle_suite(samples=2, tolerance=0.0),
         lambda: cocycle_suite(samples=2, tolerance=-1e-9),
@@ -279,17 +317,11 @@ def test_suites_refuse_vacuous_input():
         lambda: eta_law_suite(samples=2, tolerance=False),
         lambda: cocycle_suite(samples=2, tolerance=True),
         lambda: character_suite(n_max=0),
-        lambda: character_suite(n_max=2, pool_size=0),
         lambda: character_suite(n_max=2, pairs_per_level=0),
         lambda: character_suite(n_max=2, kernel_samples=False),
         lambda: euler_identity_suite(depth=0),
         lambda: rr_identity_suite(n_max=0),
         lambda: rr_identity_suite(n_max=2.0),
-        # No coprime pair exists in these boxes: the draw loops used to spin.
-        lambda: random_unimodular(random.Random(0), 0),
-        lambda: random_level_element(random.Random(0), 5, entry_bound=0),
-        lambda: random_level_element(random.Random(0), 5, multiple_bound=-1),
-        lambda: random_level_element(random.Random(0), 0),
     ):
         with pytest.raises(ValueError):
             bad()
@@ -326,7 +358,7 @@ def _per_draw_character_failures(n_max, pairs_per_level, kernel_samples, seed):
     for n in range(1, n_max + 1):
         for h in divisors(math.gcd(n, 12)):
             m = n * h
-            pool = [verify.random_level_element(rng, n) for _ in range(64)]
+            pool = [verify._draw_level_element(rng.getrandbits, n) for _ in range(64)]
             rng.choices(pool, k=50)
             rng.choices(pool, k=50)
             left = rng.choices(range(64), k=pairs_per_level)
@@ -336,7 +368,7 @@ def _per_draw_character_failures(n_max, pairs_per_level, kernel_samples, seed):
                 if (pool[i].c * pool[i].d + pool[j].c * pool[j].d - prod.c * prod.d) % m:
                     failing[(n, h, i, j)] += 1
             for _ in range(kernel_samples):
-                verify.random_level_element(rng, m)
+                verify._draw_level_element(rng.getrandbits, m)
     return sum(failing.values()), failing
 
 
@@ -365,9 +397,9 @@ def test_character_suite_counts_repeated_draws(monkeypatch):
 
 def _corrupt_nth_call(monkeypatch, level, nth):
     """Make the nth level-``level`` draw of ``_draw_level_element``, the
-    draw kernel of character_suite and of random_level_element, return a
-    matrix outside that group; returns the list of its level draws, which
-    the caller clears to replay the corruption."""
+    draw kernel of every randomized suite, return a matrix outside that
+    group; returns the list of its level draws, which the caller clears to
+    replay the corruption."""
     real = verify._draw_level_element
     calls = []
 
