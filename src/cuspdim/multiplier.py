@@ -13,7 +13,7 @@ from .exact import (
     PHASE_ONE, UnitPhase, _Checked, _check_int, _check_tau, _check_tolerance, _dedekind_12c,
 )
 from .gamma0 import UnimodularMatrix
-from .qseries import PrecisionError, _series_tail_bound, evaluate
+from .qseries import PrecisionError, _tail_bound, _tail_factors, evaluate
 
 __all__ = [
     "AutomorphyContext",
@@ -191,9 +191,12 @@ def verify_transformation(
         probe = series(1)
         if probe.growth is None:
             raise PrecisionError("series family carries no growth certificate")
+        # Every precision of the family has the same growth, offset and
+        # step, so the bound's factors are computed once, not per doubling.
         im_min = min(tau.imag, gt.imag)
+        factors = _tail_factors(probe, im_min)
         precision = 64
-        while _series_tail_bound(probe, im_min, precision) > target:
+        while _tail_bound(*factors, precision) > target:
             precision *= 2
             if precision > 1 << 26:
                 raise PrecisionError(

@@ -202,8 +202,8 @@ class FracQSeries:
         Each operand is packed into one ``int``, one lane per grid point
         (Kronecker substitution), and the two ints are multiplied once; see
         ``_kronecker`` for the lane width.  An operand with no nonzero term
-        in range makes every coefficient 0, and nothing is packed.  An
-        ``int`` or ``Fraction`` scales every term; a ``bool`` is no scalar.
+        in range makes every coefficient 0.  An ``int`` or ``Fraction``
+        scales every term; a ``bool`` is no scalar.
         """
         if type(other) in (int, Fraction):
             return self._scaled(other)
@@ -211,26 +211,21 @@ class FracQSeries:
             return NotImplemented
         step = _frac_gcd(self.step, other.step)
         count = int(min(self.precision * self.step, other.precision * other.step) / step)
-        a, den_a = _grid_terms(self, int(self.step / step), count)
-        b, den_b = _grid_terms(other, int(other.step / step), count)
-        coeffs = _kronecker(a, b, count) if a and b else [0] * count
+        a, den_a = _grid_lanes(self, int(self.step / step), count)
+        b, den_b = _grid_lanes(other, int(other.step / step), count)
+        coeffs = _kronecker(a, b, count)
         den = den_a * den_b
         if den != 1:
             coeffs = [Fraction(c, den) for c in coeffs]
-        if self.growth is not None and other.growth is not None:
-            # |sum_{i+j=k} f_i g_j| <= A B sum (1+i)^a (1+k-i)^b <= A B (1+k)^(a+b+1)
-            growth = (self.growth[0] * other.growth[0], self.growth[1] + other.growth[1] + 1.0)
-        else:
-            growth = None
+        growth = _product_growth(self.growth, other.growth)
         return FracQSeries(self.offset + other.offset, step, coeffs, growth)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FracQSeries":
-        """Reciprocal series.  Requires a nonzero coefficient in position 0.
+        """Reciprocal series by the recurrence of ``_reciprocal``.  Requires
+        a nonzero coefficient in position 0.
 
-        Term k sums c_i * out[k - i] over the nonzero c_i with 1 <= i <= k
-        only, so P terms cost O(P * |support|): O(P^1.5) for an eta series.
         The result carries no growth certificate, so it cannot be evaluated
         with a rigorous tail bound.
         """
@@ -238,19 +233,13 @@ class FracQSeries:
         if c0 == 0:
             raise ValueError("cannot invert a series whose leading retained term vanishes")
         inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
-        terms = self._nonzero()[1:]
-        out = [inv0] + [0] * (self.precision - 1)
-        for k in range(1, self.precision):
-            acc = 0
-            for i, ci in terms:
-                if i > k:
-                    break
-                acc += ci * out[k - i]
-            out[k] = -inv0 * acc
-        return FracQSeries(-self.offset, self.step, out, None)
+        coeffs = _reciprocal(self._nonzero()[1:], inv0, self.precision)
+        return FracQSeries(-self.offset, self.step, coeffs, None)
 
     def __pow__(self, k: int) -> "FracQSeries":
-        """Integer power by repeated squaring: about log2(k) products.
+        """Integer power by repeated squaring (``_lane_power``) on the
+        integer lanes of the operand over its common denominator: about
+        log2(k) products.
 
         The growth certificate is the one k - 1 sequential products carry,
         bit for bit: (A, alpha) -> (A * A0, alpha + alpha0 + 1), k - 1 times.
@@ -264,22 +253,12 @@ class FracQSeries:
             return self.inverse() ** (-k)
         if k == 0:
             return FracQSeries(0, self.step, (1,) + (0,) * (self.precision - 1), (1.0, 0.0))
-        growth = self.growth
-        if growth is not None:
-            a, alpha = a0, alpha0 = growth
-            for _ in range(k - 1):
-                a, alpha = a * a0, alpha + alpha0 + 1.0
-            growth = (a, alpha)
-        result = None
-        square = self
-        while True:
-            if k & 1:
-                result = square if result is None else result * square
-            k >>= 1
-            if not k:
-                break
-            square = square * square
-        return FracQSeries(result.offset, result.step, result.coeffs, growth)
+        lanes, den = _grid_lanes(self, 1, self.precision)
+        coeffs = _lane_power(lanes, k)
+        if den != 1:
+            den **= k
+            coeffs = [Fraction(c, den) for c in coeffs]
+        return FracQSeries(k * self.offset, self.step, coeffs, _power_growth(self.growth, k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FracQSeries):
@@ -309,39 +288,65 @@ class FracQSeries:
 # -- product kernels ---------------------------------------------------------
 
 
-def _grid_terms(series: FracQSeries, m: int, count: int) -> tuple[list[tuple[int, int]], int]:
-    """Nonzero terms of ``series`` at grid positions k*m below ``count``, as
-    (position, integer) pairs over one common denominator, and that
+def _grid_lanes(series: FracQSeries, m: int, count: int) -> tuple[list[int], int]:
+    """Lanes 0..count-1 holding term k of ``series`` in lane k*m and 0
+    elsewhere, as integers over one common denominator, and that
     denominator."""
-    terms = []
+    lanes = [0] * count
     den = None
     for k, c in series._nonzero():
         pos = k * m
         if pos >= count:
             break
-        terms.append((pos, c))
+        lanes[pos] = c
         if type(c) is not int:
             den = math.lcm(den or 1, c.denominator)
     if den is None:
-        return terms, 1
-    return [(pos, c.numerator * (den // c.denominator)) for pos, c in terms], den
+        return lanes, 1
+    return [c.numerator * (den // c.denominator) for c in lanes], den
 
 
-def _kronecker(a: list, b: list, count: int) -> list[int]:
-    """Coefficients 0..count-1 of a product from one multiplication of ints.
+def _product_growth(x, y):
+    """Growth certificate of a product.  |sum_{i+j=k} f_i g_j| <= A B sum
+    (1+i)^a (1+k-i)^b <= A B (1+k)^(a+b+1); None if either factor has none."""
+    if x is None or y is None:
+        return None
+    return (x[0] * y[0], x[1] + y[1] + 1.0)
 
-    Each operand becomes sum c * 2^(width * position), and their product
-    holds coefficient k in lane k.  That coefficient sums at most
-    min(|a|, |b|) products of terms, so
+
+def _power_growth(growth, k: int):
+    """The certificate that k - 1 sequential products carry, bit for bit:
+    (A, alpha) -> (A * A0, alpha + alpha0 + 1), k - 1 times.  Squaring would
+    round A^k differently."""
+    if growth is None:
+        return None
+    a, alpha = a0, alpha0 = growth
+    for _ in range(k - 1):
+        a, alpha = a * a0, alpha + alpha0 + 1.0
+    return (a, alpha)
+
+
+def _kronecker(a: list[int], b: list[int], count: int) -> list[int]:
+    """Lanes 0..count-1 of the product of two integer lane lists (each at
+    least ``count`` long) from one multiplication of ints.
+
+    Each operand becomes sum c * 2^(width * lane), and their product holds
+    coefficient k in lane k.  That coefficient sums at most min(|a|, |b|)
+    products of nonzero lanes, |a| counting the nonzero lanes of a, so
 
         |c_k| <= max|a| * max|b| * min(|a|, |b|).
 
     A lane holds the bit length of that bound plus a sign bit, rounded up to
     8, 16, 32 or 64 bits, or above that to whole bytes.  Adding 2^(width-1)
     to every lane makes each lane nonnegative, so no lane borrows from the
-    next; flipping that bit again leaves each lane in two's complement.
+    next; flipping that bit again leaves each lane in two's complement.  An
+    operand with no nonzero lane makes every lane 0, and nothing is packed.
     """
-    bound = max(abs(c) for _, c in a) * max(abs(c) for _, c in b) * min(len(a), len(b))
+    a, b = a[:count], b[:count]
+    terms = min(count - a.count(0), count - b.count(0))
+    if not terms:
+        return [0] * count
+    bound = max(map(abs, a)) * max(map(abs, b)) * terms
     bits = bound.bit_length() + 1
     for width, code in _LANE_CODES:
         if width >= bits:
@@ -351,15 +356,10 @@ def _kronecker(a: list, b: list, count: int) -> list[int]:
     size = width // 8
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
     packed = []
-    for terms in (a, b):
+    for lanes in (a, b):
         if code is None:
-            data = bytearray(size * count)
-            for pos, c in terms:
-                data[pos * size:(pos + 1) * size] = c.to_bytes(size, "little", signed=True)
+            data = b"".join(c.to_bytes(size, "little", signed=True) for c in lanes)
         else:
-            lanes = [0] * count
-            for pos, c in terms:
-                lanes[pos] = c
             data = struct.pack(f"<{count}{code}", *lanes)
         # Each lane holds its term in two's complement: take 2^width back
         # from the next lane for every negative one.
@@ -374,6 +374,39 @@ def _kronecker(a: list, b: list, count: int) -> list[int]:
         int.from_bytes(data[k:k + size], "little", signed=True)
         for k in range(0, size * count, size)
     ]
+
+
+def _lane_power(lanes: list[int], k: int) -> list[int]:
+    """The k-th power, k >= 1, of integer lanes, to as many lanes: repeated
+    squaring through ``_kronecker``, about log2(k) products."""
+    result = None
+    while True:
+        if k & 1:
+            result = lanes if result is None else _kronecker(result, lanes, len(lanes))
+        k >>= 1
+        if not k:
+            return result
+        lanes = _kronecker(lanes, lanes, len(lanes))
+
+
+def _reciprocal(terms, inv0, count: int) -> list:
+    """Coefficients 0..count-1 of 1/f, where ``inv0`` is 1/f_0 and ``terms``
+    are the nonzero (i, f_i) with i >= 1 in increasing i.
+
+    Term k sums f_i * out[k - i] over the nonzero f_i with 1 <= i <= k
+    only, so P terms cost O(P * |support|): O(P^1.5) for an eta series.
+    Exact on ``int`` and ``Fraction`` alike; ints stay ints when inv0 is 1
+    or -1.
+    """
+    out = [inv0] + [0] * (count - 1)
+    for k in range(1, count):
+        acc = 0
+        for i, ci in terms:
+            if i > k:
+                break
+            acc += ci * out[k - i]
+        out[k] = -inv0 * acc
+    return out
 
 
 # -- constructors ------------------------------------------------------------
@@ -481,32 +514,62 @@ class EtaQuotient(_Checked, _EtaQuotientFields):
         return Fraction(sum(d * r for d, r in self.exponents.items()), 24)
 
 
+def _eta_power(delta: int, r: int, count: int):
+    """eta(delta*tau)^r on its own grid of step delta: lanes 0..count-1,
+    offset delta*r/24 and growth certificate, the ones ``eta_expansion``
+    scaled by delta and raised to r by ``__pow__`` carry (none for r < 0)."""
+    lanes = _pentagonal_coeffs(count)
+    if r < 0:
+        lanes = _reciprocal([(k, c) for k, c in enumerate(lanes) if c][1:], 1, count)
+    growth = _power_growth((1.0, 0.0), r) if r > 0 else None
+    return _lane_power(lanes, abs(r)), Fraction(delta * r, 24), growth
+
+
 def eta_quotient_expansion(quotient: EtaQuotient, precision: int) -> FracQSeries:
     """Expand an eta quotient to the requested number of grid terms.
 
-    The grid step is the gcd of the scales; the offset is the sum of
-    delta*r/24.  Negative exponents go through series inversion.
+    The grid step is the gcd of the scales with a nonzero exponent; a zero
+    exponent contributes nothing, and a quotient of zero exponents only is
+    the constant 1.  All work is on plain integer lanes of the output grid:
+    per factor, the pentagonal coefficients (``_pentagonal_coeffs``) up to
+    the last lane below ``precision``, their reciprocal for a negative
+    exponent (``_reciprocal``), the power by squaring (``_lane_power``),
+    spread onto the output grid; then the factors multiplied by
+    ``_kronecker`` in increasing scale.  One ``FracQSeries`` is built at the
+    end, with the growth certificate the ``FracQSeries`` products would
+    carry, its floats computed in the same order.
+
+    Three checks compare the kernels with what is known beforehand: at
+    least ``precision`` lanes come back; the leading coefficient is 1, as
+    every factor's is; and the offset, summed factor by factor, is
+    ``quotient.leading_exponent()``.
     """
     _check_int(precision, "precision")
-    items = sorted(quotient.exponents.items())
-    step_out = math.gcd(*[d for d, _ in items])
-    span = precision * step_out
-    result = None
-    for delta, r in items:
-        if r == 0:
-            continue
-        terms = span // delta + 4
-        base = eta_expansion(terms)
-        scaled = FracQSeries(Fraction(delta, 24), delta, base.coeffs, base.growth)
-        factor = scaled**r
-        result = factor if result is None else result * factor
-    if result is None:
+    factors = [(delta, r) for delta, r in sorted(quotient.exponents.items()) if r]
+    if not factors:
         return FracQSeries(0, 1, (1,) + (0,) * (precision - 1), (1.0, 0.0))
-    if result.offset != quotient.leading_exponent():
-        raise ArithmeticError(f"expansion offset {result.offset} is not the leading exponent")
-    if result.precision < precision:
+    step = math.gcd(*[delta for delta, _ in factors])
+    lanes = None
+    for delta, r in factors:
+        m = delta // step
+        power, offset_r, growth_r = _eta_power(delta, r, (precision - 1) // m + 1)
+        if m > 1:
+            spread = [0] * (len(power) * m)
+            spread[::m] = power
+            power = spread
+        if lanes is None:
+            lanes, offset, growth = power, offset_r, growth_r
+        else:
+            lanes = _kronecker(lanes, power, min(len(lanes), len(power), precision))
+            offset += offset_r
+            growth = _product_growth(growth, growth_r)
+    if len(lanes) < precision:
         raise ArithmeticError("internal precision bookkeeping fell short")
-    return result.truncate(precision)
+    if lanes[0] != 1:
+        raise ArithmeticError(f"expansion leading coefficient {lanes[0]} is not 1")
+    if offset != quotient.leading_exponent():
+        raise ArithmeticError(f"expansion offset {offset} is not the leading exponent")
+    return FracQSeries(offset, step, lanes, growth)
 
 
 def eta_quotient_cusp_order(quotient: EtaQuotient, cusp) -> Fraction:
@@ -536,13 +599,15 @@ class EvalResult(NamedTuple):
     bound: float
 
 
-def _tail_bound(a: float, alpha: float, r: float, start: int, scale: float) -> float:
+def _tail_bound(a: float, alpha: float, r: float, scale: float, start: int) -> float:
     """Upper bound for A*scale*sum_{k >= start} (1+k)^alpha r^k, 0 <= r < 1.
 
     Split r^k = r^(k/10) * r^(9k/10); the polynomial-times-r^(k/10) factor is
-    maximized in closed form and the rest is geometric.  A peak past float
-    range leaves the tail unbounded, as r >= 1 does.
+    maximized in closed form and the rest is geometric.  A scale or a peak
+    past float range leaves the tail unbounded, as r >= 1 does.
     """
+    if scale == math.inf:
+        return math.inf
     if r <= 0.0:
         return 1e-300
     if r >= 1.0:
@@ -562,15 +627,22 @@ def _tail_bound(a: float, alpha: float, r: float, start: int, scale: float) -> f
     return a * scale * peak * geo / (1.0 - r**0.9) + 1e-300
 
 
-def _series_tail_bound(series: FracQSeries, im_tau: float, start: int) -> float:
-    """Tail bound from term ``start`` on, for this or a longer expansion."""
+def _tail_factors(series: FracQSeries, im_tau: float) -> tuple[float, float, float, float]:
+    """(A, alpha, r, scale) of ``_tail_bound`` for ``series`` at Im(tau) =
+    im_tau, the same for every longer expansion; scale is inf past float
+    range."""
     a, alpha = series.growth
     r = math.exp(-2.0 * math.pi * im_tau * float(series.step))
     try:
         scale = math.exp(-2.0 * math.pi * im_tau * float(series.offset))
     except OverflowError:
-        return math.inf
-    return _tail_bound(a, alpha, r, start, scale)
+        scale = math.inf
+    return a, alpha, r, scale
+
+
+def _series_tail_bound(series: FracQSeries, im_tau: float, start: int) -> float:
+    """Tail bound from term ``start`` on, for this or a longer expansion."""
+    return _tail_bound(*_tail_factors(series, im_tau), start)
 
 
 def evaluate(series: FracQSeries, tau: complex) -> EvalResult:

@@ -172,6 +172,17 @@ def test_qexp_eta_quotient(capsys):
     assert "1, -2, -1, 2, 1" in out
 
 
+def test_qexp_eta_quotient_zero_exponent_contributes_nothing(capsys):
+    # At 10 terms the scale 3 of a zero exponent once cut eta(6 tau) short.
+    for precision in ("4", "10"):
+        code, without, _ = run(capsys, ["qexp", "etaq", "12", "6:1", precision])
+        assert code == 0
+        code, out, _ = run(capsys, ["qexp", "etaq", "12", "6:1,3:0", precision])
+        assert (code, out) == (0, without)
+    code, out, _ = run(capsys, ["qexp", "etaq", "12", "3:0", "3", "--format", "tsv"])
+    assert (code, out) == (0, "index\texponent\tcoefficient\n0\t0\t1\n1\t1\t0\n2\t2\t0\n")
+
+
 def test_qexp_tsv_exponents(capsys):
     code, out, _ = run(capsys, ["qexp", "eta", "3", "--format", "tsv"])
     assert code == 0

@@ -526,17 +526,82 @@ def test_eta_quotient_negative_exponent():
     assert all(c == 0 for c in prod.coeffs[1:])
 
 
+# Each check of the expansion fires on a corrupted kernel: a factor's offset,
+# a product that returns one lane short, and a leading pentagonal coefficient.
+
+
 def test_eta_quotient_expansion_checks_offset(monkeypatch):
-    monkeypatch.setattr(EtaQuotient, "leading_exponent", lambda self: Fraction(99))
+    real = qseries._eta_power
+
+    def shifted(delta, r, count):
+        lanes, offset, growth = real(delta, r, count)
+        return lanes, offset + 1, growth
+
+    monkeypatch.setattr(qseries, "_eta_power", shifted)
     with pytest.raises(ArithmeticError, match="offset"):
         eta_quotient_expansion(EtaQuotient(23, {1: 2, 23: 2}), 10)
 
 
 def test_eta_quotient_expansion_checks_precision(monkeypatch):
-    real = qseries.eta_expansion
-    monkeypatch.setattr(qseries, "eta_expansion", lambda terms: real(2))
+    real = qseries._kronecker
+    monkeypatch.setattr(qseries, "_kronecker", lambda a, b, count: real(a, b, count)[:-1])
     with pytest.raises(ArithmeticError, match="precision"):
         eta_quotient_expansion(EtaQuotient(23, {1: 2, 23: 2}), 10)
+
+
+def test_eta_quotient_expansion_checks_leading_coefficient(monkeypatch):
+    real = qseries._pentagonal_coeffs
+    monkeypatch.setattr(qseries, "_pentagonal_coeffs", lambda count: [2] + real(count)[1:])
+    for exponents in ({1: 2, 23: 2}, {23: 1}):
+        with pytest.raises(ArithmeticError, match="leading coefficient"):
+            eta_quotient_expansion(EtaQuotient(23, exponents), 10)
+
+
+def test_eta_quotient_zero_exponent_contributes_nothing():
+    # The grid step is the gcd of the scales with a nonzero exponent; at 10
+    # terms the scale 3 once cut eta(6 tau) short.
+    for precision in (1, 4, 8, 10, 40):
+        got = eta_quotient_expansion(EtaQuotient(12, {6: 1, 3: 0}), precision)
+        want = eta_quotient_expansion(EtaQuotient(12, {6: 1}), precision)
+        assert_same_series(got, want)
+        assert got.step == 6 and got.precision == precision
+    for exponents in ({}, {3: 0}, {1: 0, 6: 0, 12: 0}):
+        one = eta_quotient_expansion(EtaQuotient(12, exponents), 5)
+        assert (one.offset, one.step, one.coeffs, one.growth) == (0, 1, (1, 0, 0, 0, 0), (1.0, 0.0))
+
+
+def reference_eta_quotient(quotient, precision):
+    """The expansion as products of ``FracQSeries``: eta(delta tau)^r from
+    ``eta_expansion`` by ``reference_pow``, multiplied in increasing scale by
+    ``reference_mul``, each factor long enough for ``precision`` terms."""
+    factors = [(d, r) for d, r in sorted(quotient.exponents.items()) if r]
+    if not factors:
+        return FracQSeries(0, 1, (1,) + (0,) * (precision - 1), (1.0, 0.0))
+    span = precision * math.gcd(*[d for d, _ in factors])
+    result = None
+    for delta, r in factors:
+        base = eta_expansion(-(-span // delta))
+        factor = reference_pow(FracQSeries(Fraction(delta, 24), delta, base.coeffs, base.growth), r)
+        result = factor if result is None else reference_mul(result, factor)
+    return result.truncate(precision)
+
+
+def test_eta_quotient_expansion_matches_reference_products():
+    rng = random.Random(33)
+    cases = [(EtaQuotient(12, {6: 1, 3: 0}), 10), (EtaQuotient(1, {1: -4}), 150),
+             (EtaQuotient(60, {1: 24, 60: -1}), 61)]
+    while len(cases) < 120:
+        level = rng.randint(1, 60)
+        divisors = [d for d in range(1, level + 1) if level % d == 0]
+        scales = rng.sample(divisors, min(len(divisors), rng.randint(1, 3)))
+        exponents = {d: rng.choice((0, rng.randint(-4, 24))) for d in scales}
+        cases.append((EtaQuotient(level, exponents), rng.randint(1, 150)))
+    for quotient, precision in cases:
+        got = eta_quotient_expansion(quotient, precision)
+        want = reference_eta_quotient(quotient, precision)
+        assert_same_series(got, want)
+        assert got.precision == precision
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 def test_eta_quotient_empty_is_one():
