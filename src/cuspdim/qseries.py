@@ -67,7 +67,7 @@ class FracQSeries:
     certifying that every coefficient of the underlying infinite series
     satisfies |c_k| <= A * (1+k)^alpha; it is what makes ``evaluate`` able to
     report a rigorous truncation bound.  Arithmetic propagates the certificate;
-    inversion drops it.
+    a negative power drops it.
     """
 
     __slots__ = ("offset", "step", "coeffs", "growth", "_terms", "_support")
@@ -223,42 +223,33 @@ class FracQSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "FracQSeries":
-        """Reciprocal series by the recurrence of ``_reciprocal``.  Requires
-        a nonzero coefficient in position 0.
-
-        The result carries no growth certificate, so it cannot be evaluated
-        with a rigorous tail bound.
-        """
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("cannot invert a series whose leading retained term vanishes")
-        inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
-        coeffs = _reciprocal(self._nonzero()[1:], inv0, self.precision)
-        return FracQSeries(-self.offset, self.step, coeffs, None)
+        """The power -1 (see ``__pow__``), with no growth certificate."""
+        return self ** -1
 
     def __pow__(self, k: int) -> "FracQSeries":
-        """Integer power by repeated squaring (``_lane_power``) on the
-        integer lanes of the operand over its common denominator: about
-        log2(k) products.
-
-        The growth certificate is the one k - 1 sequential products carry,
-        bit for bit: (A, alpha) -> (A * A0, alpha + alpha0 + 1), k - 1 times.
-        A negative k inverts first; a ``bool`` is not an exponent.
-        """
+        """Integer power: for k > 0 by squaring (``_lane_power``) the lanes
+        of the operand over their common denominator, with the certificate
+        of k - 1 sequential products (``_power_growth``); for k < 0, with a
+        nonzero first term, by ``_power_recurrence``, with no certificate.
+        A ``bool`` is not an exponent."""
         try:
             _check_int(k, "exponent", minimum=None)
         except ValueError:
             return NotImplemented
         if k < 0:
-            return self.inverse() ** (-k)
+            if self.coeffs[0] == 0:
+                raise ValueError("cannot invert a series whose leading retained term vanishes")
+            coeffs = _power_recurrence(self._nonzero(), k, self.precision)
+            return FracQSeries(k * self.offset, self.step, coeffs, None)
         if k == 0:
             return FracQSeries(0, self.step, (1,) + (0,) * (self.precision - 1), (1.0, 0.0))
+        growth = _power_growth(self.growth, k)
         lanes, den = _grid_lanes(self, 1, self.precision)
         coeffs = _lane_power(lanes, k)
         if den != 1:
             den **= k
             coeffs = [Fraction(c, den) for c in coeffs]
-        return FracQSeries(k * self.offset, self.step, coeffs, _power_growth(self.growth, k))
+        return FracQSeries(k * self.offset, self.step, coeffs, growth)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FracQSeries):
@@ -317,10 +308,16 @@ def _product_growth(x, y):
 def _power_growth(growth, k: int):
     """The certificate that k - 1 sequential products carry, bit for bit:
     (A, alpha) -> (A * A0, alpha + alpha0 + 1), k - 1 times.  Squaring would
-    round A^k differently."""
-    if growth is None:
-        return None
+    round A^k differently.  For A0 = 1 and an integral alpha0, as eta has,
+    no loop: (1, k (alpha0 + 1) - 1), exact up to 2^53, refused above."""
+    if growth is None or k == 1:
+        return growth
     a, alpha = a0, alpha0 = growth
+    if a0 == 1.0 and alpha0.is_integer():
+        top = k * (int(alpha0) + 1) - 1
+        if top > 2**53:
+            raise ValueError(f"exponent {k} is too large for an exact growth certificate")
+        return (1.0, float(top))
     for _ in range(k - 1):
         a, alpha = a * a0, alpha + alpha0 + 1.0
     return (a, alpha)
@@ -389,23 +386,40 @@ def _lane_power(lanes: list[int], k: int) -> list[int]:
         lanes = _kronecker(lanes, lanes, len(lanes))
 
 
-def _reciprocal(terms, inv0, count: int) -> list:
-    """Coefficients 0..count-1 of 1/f, where ``inv0`` is 1/f_0 and ``terms``
-    are the nonzero (i, f_i) with i >= 1 in increasing i.
-
-    Term k sums f_i * out[k - i] over the nonzero f_i with 1 <= i <= k
-    only, so P terms cost O(P * |support|): O(P^1.5) for an eta series.
-    Exact on ``int`` and ``Fraction`` alike; ints stay ints when inv0 is 1
-    or -1.
+def _power_recurrence(terms, r: int, count: int) -> list:
+    """Coefficients 0..count-1 of g = f^r, r < 0, from the nonzero (i, f_i)
+    of f in increasing i, f_0 first, by J. C. P. Miller's recurrence (Knuth,
+    TAOCP 4.7): k f_0 g_k = sum ((r+1) i - k) f_i g_(k-i) over 1 <= i <= k.
+    O(P^1.5) for P terms of eta, whatever r is; at r = -1 the weight -k
+    cancels.  ``int`` or ``Fraction`` term by term (ints when f_0 is 1 or
+    -1); an ``int`` sum that k does not divide raises ``ArithmeticError``.
     """
-    out = [inv0] + [0] * (count - 1)
+    (_, c0), *terms = terms
+    inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
+    out = [inv0 ** -r] + [0] * (count - 1)
+    if r == -1:
+        for k in range(1, count):
+            acc = 0
+            for i, ci in terms:
+                if i > k:
+                    break
+                acc += ci * out[k - i]
+            out[k] = -inv0 * acc
+        return out
+    weighted = [(i, ci, (r + 1) * i * ci) for i, ci in terms]
     for k in range(1, count):
         acc = 0
-        for i, ci in terms:
+        for i, ci, w in weighted:
             if i > k:
                 break
-            acc += ci * out[k - i]
-        out[k] = -inv0 * acc
+            acc += (w - k * ci) * out[k - i]
+        if type(acc) is int:
+            acc, rem = divmod(acc, k)
+            if rem:
+                raise ArithmeticError(f"power recurrence: term {k}'s sum is not divisible by {k}")
+        else:
+            acc /= k
+        out[k] = inv0 * acc
     return out
 
 
@@ -515,14 +529,17 @@ class EtaQuotient(_Checked, _EtaQuotientFields):
 
 
 def _eta_power(delta: int, r: int, count: int):
-    """eta(delta*tau)^r on its own grid of step delta: lanes 0..count-1,
-    offset delta*r/24 and growth certificate, the ones ``eta_expansion``
-    scaled by delta and raised to r by ``__pow__`` carry (none for r < 0)."""
+    """eta(delta*tau)^r on its own grid of step delta: lanes 0..count-1 by
+    ``_lane_power`` (r > 0) or ``_power_recurrence`` (r < 0), offset
+    delta*r/24, and the growth certificate of ``__pow__``, first, so that a
+    refused exponent costs no lanes."""
+    growth = _power_growth((1.0, 0.0), r) if r > 0 else None
     lanes = _pentagonal_coeffs(count)
     if r < 0:
-        lanes = _reciprocal([(k, c) for k, c in enumerate(lanes) if c][1:], 1, count)
-    growth = _power_growth((1.0, 0.0), r) if r > 0 else None
-    return _lane_power(lanes, abs(r)), Fraction(delta * r, 24), growth
+        lanes = _power_recurrence([(k, c) for k, c in enumerate(lanes) if c], r, count)
+    else:
+        lanes = _lane_power(lanes, r)
+    return lanes, Fraction(delta * r, 24), growth
 
 
 def eta_quotient_expansion(quotient: EtaQuotient, precision: int) -> FracQSeries:
@@ -531,9 +548,7 @@ def eta_quotient_expansion(quotient: EtaQuotient, precision: int) -> FracQSeries
     The grid step is the gcd of the scales with a nonzero exponent; a zero
     exponent contributes nothing, and a quotient of zero exponents only is
     the constant 1.  All work is on plain integer lanes of the output grid:
-    per factor, the pentagonal coefficients (``_pentagonal_coeffs``) up to
-    the last lane below ``precision``, their reciprocal for a negative
-    exponent (``_reciprocal``), the power by squaring (``_lane_power``),
+    per factor, ``_eta_power`` up to the last lane below ``precision``,
     spread onto the output grid; then the factors multiplied by
     ``_kronecker`` in increasing scale.  One ``FracQSeries`` is built at the
     end, with the growth certificate the ``FracQSeries`` products would

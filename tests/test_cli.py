@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspdim import cli, gamma0
+from cuspdim import cli, gamma0, qseries
 from cuspdim.cli import main
 from cuspdim.classify import (
     RULE_CANONICAL_EXCLUSION, RULE_SIMPLE_POLE, ClassificationReport, classify, classify_range
@@ -181,6 +181,21 @@ def test_qexp_eta_quotient_zero_exponent_contributes_nothing(capsys):
         assert (code, out) == (0, without)
     code, out, _ = run(capsys, ["qexp", "etaq", "12", "3:0", "3", "--format", "tsv"])
     assert (code, out) == (0, "index\texponent\tcoefficient\n0\t0\t1\n1\t1\t0\n2\t2\t0\n")
+
+
+def test_qexp_huge_eta_exponent(capsys, monkeypatch):
+    # The growth certificate of eta^r is (1, r - 1) in closed form, so
+    # r = 10^12 loops over nothing; past 2^53 it is refused before any lane.
+    code, out, _ = run(capsys, ["qexp", "etaq", "1", "1:1000000000000", "5"])
+    assert code == 0
+    assert "1, -1000000000000, 499999999998500000000000, " in out
+
+    def no_lanes(count):
+        raise AssertionError("lanes built for a refused exponent")
+
+    monkeypatch.setattr(qseries, "_pentagonal_coeffs", no_lanes)
+    for r in (2**53 + 2, 10**100):
+        assert_usage_error(capsys, ["qexp", "etaq", "1", f"1:{r}", "4000"], "too large")
 
 
 def test_qexp_tsv_exponents(capsys):
@@ -503,6 +518,12 @@ FROZEN_STDOUT_SHA256 = {
         "8f3b9ccead8a6bf00b19662f683a7f5e01c5b584cda8c2e30ccec64d48366791",
     ("qexp", "etaq", "6", "1:5,2:-2,3:-2,6:1", "100", "--format", "tsv"):
         "d04891fbbf00ef25f472e1046b2b31d55e74bbbe6bac8b6717eb2cbc701f12f8",
+    # Negative powers other than -1 and -8, recorded from a reciprocal raised
+    # by squaring: -3 and -2 spread onto a grid of step 3, and -2 alone.
+    ("qexp", "etaq", "18", "3:-3,6:1,9:-2", "100", "--format", "tsv"):
+        "f27d1d50ab581a86b1ccdadca0714d52d839a352abdf438fb40b93a28244a622",
+    ("qexp", "etaq", "49", "49:-2", "40"):
+        "286dbcd266916102c2cdbd72796c85fb66a0d8fe3ff5ec3a5ad5a462fe4ea5be",
     ("qexp", "theta", "3", "1", "60"):
         "c6ef95562c2152470a9f0a5a1cca46a865ecc9f47cb48d58e53873c833f49efd",
     ("verify", "eta-law", "--seed", "3"):

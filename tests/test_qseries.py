@@ -266,8 +266,10 @@ def test_power_and_inverse():
 #
 # Reference loops for the product, inverse and power kernels: every pair of
 # nonzero terms multiplied one by one, the reciprocal summed over every index,
-# and a power as k - 1 products.  The kernels must give the same offset, step,
-# coefficients and growth.
+# and a power as k - 1 products, a negative one as products of the reciprocal.
+# The kernels square positive powers and take a negative one, the reciprocal
+# among them, in one pass of the power recurrence.  They must give the same
+# offset, step, coefficients and growth.
 
 
 def reference_mul(x, y):
@@ -327,6 +329,13 @@ def assert_same_series(got, want, *operands):
     # Fraction zeros where the reference loop left int ones.
     if operands and all(type(c) is int for x in operands for c in x.coeffs):
         assert all(type(c) is int for c in got.coeffs)
+
+
+def assert_reference_types(got, want):
+    # Term by term the reference loop's type, but for a Fraction zero where
+    # no nonzero pair met in the reference's products and it left an int one.
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert type(g) is type(w) or (type(w) is int and g == 0), (g, w)
 
 
 def random_series(rng, fractions=False):
@@ -431,6 +440,63 @@ def test_powers_match_sequential_products():
             # A negative power of an integer series may hold Fractions.
             operands = (x,) if k >= 0 else ()
             assert_same_series(x**k, reference_pow(x, k), *operands)
+
+
+def test_negative_powers_of_fraction_and_non_unit_series():
+    rng = random.Random(34)
+    cases = [
+        FracQSeries(0, 1, [2, 1, 0, 0, 0, 0]),
+        FracQSeries(Fraction(1, 3), 1, [Fraction(2, 3), 0, Fraction(-1, 5), 1, 0, 7]),
+        FracQSeries(0, 2, [1, 0, Fraction(1, 2)] + [0] * 9 + [3]),
+        eta_expansion(40) * Fraction(1, 2),
+        eta_expansion(40) * -1,
+    ]
+    for _ in range(40):
+        x = random_series(rng, fractions=rng.random() < 0.5)
+        lead = rng.choice((1, -1, 3, Fraction(2, 3), Fraction(-5, 2)))
+        cases.append(FracQSeries(x.offset, x.step, (lead,) + x.coeffs[1:40], x.growth))
+    kinds = set()
+    for x in cases:
+        for k in range(-5, 0):
+            got, want = x**k, reference_pow(x, k)
+            assert_same_series(got, want)
+            assert_reference_types(got, want)
+            kinds |= {type(c) for c in got.coeffs[1:]}
+    assert kinds == {int, Fraction}
+
+
+def test_power_recurrence_refuses_an_inexact_division():
+    # Read in increasing index, (1 + q + q^2)^-2 is integral.  Read out of
+    # order the support ends early, and term 3 sums 8, which no integral
+    # power has: the division by 3 is refused, not floored.
+    assert qseries._power_recurrence([(0, 1), (1, 1), (2, 1)], -2, 6) == [1, -2, 1, 2, -4, 2]
+    with pytest.raises(ArithmeticError, match="not divisible by 3"):
+        qseries._power_recurrence([(0, 1), (2, 1), (1, 1)], -2, 6)
+
+
+@pytest.mark.parametrize("growth", [(1.0, 0.0), (1.0, 3.0), (1.0, 0.5), (1.0, 1e-300),
+                                    (3.0, 0.0), (6 + 2 * math.sqrt(2), 0.5), (0.5, 2.0)])
+def test_power_growth_is_the_loop_bit_for_bit(growth):
+    # A0 = 1 with an integral alpha0 takes the closed form; the others loop.
+    # Each must be the loop of k - 1 steps, run here alongside: at every k up
+    # to 10^5 for the closed form, and at a sample of k for the loop itself.
+    closed = growth[0] == 1.0 and growth[1].is_integer()
+    a, alpha = a0, alpha0 = growth
+    for k in range(1, 10**5 + 1):
+        if closed or k < 300 or k % 9973 == 0 or k == 10**5:
+            assert qseries._power_growth(growth, k) == (a, alpha), k
+        a, alpha = a * a0, alpha + alpha0 + 1.0
+
+
+def test_power_growth_past_float_integers_is_refused():
+    # alpha = k (alpha0 + 1) - 1 is exact up to 2^53 and refused above it.
+    assert qseries._power_growth((1.0, 0.0), 2**53 + 1) == (1.0, 2.0**53)
+    assert qseries._power_growth((1.0, 3.0), 2**51) == (1.0, 2.0**53 - 1)
+    for growth, k in (((1.0, 0.0), 2**53 + 2), ((1.0, 3.0), 2**51 + 1), ((1.0, 0.0), 10**100)):
+        with pytest.raises(ValueError, match="too large"):
+            qseries._power_growth(growth, k)
+    with pytest.raises(ValueError, match="too large"):
+        eta_expansion(4) ** (2**53 + 2)
 
 
 @pytest.mark.parametrize("x", [3 * eta_expansion(64), unary_theta(2, 1, 64)])
@@ -602,6 +668,24 @@ def test_eta_quotient_expansion_matches_reference_products():
         assert_same_series(got, want)
         assert got.precision == precision
         assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_negative_eta_powers_match_reference_products():
+    # One pass of the power recurrence against the reciprocal raised by
+    # products, r = -1..-8: one factor, and factors spread onto a finer grid,
+    # at 1, 2 and 100 lanes, with lanes below 2^63 and past 2^64.
+    peaks = []
+    for r in range(-8, 0):
+        for level, exponents in ((1, {1: r}), (7, {7: r}), (6, {2: r, 3: 1}),
+                                 (12, {3: r, 4: r + 9, 12: -1})):
+            quotient = EtaQuotient(level, exponents)
+            for precision in (1, 2, 100):
+                got = eta_quotient_expansion(quotient, precision)
+                want = reference_eta_quotient(quotient, precision)
+                assert_same_series(got, want)
+                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+            peaks.append(max(map(abs, got.coeffs)))
+    assert min(peaks) < 2**63 and max(peaks) > 2**64
 
 
 def test_eta_quotient_empty_is_one():
