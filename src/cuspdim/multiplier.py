@@ -87,6 +87,12 @@ def gamma0_character(n: int, h: int, gamma: UnimodularMatrix) -> UnitPhase:
     (``test_trivial_character_value_is_the_shared_identity``).
     """
     _check_character(n, h)
+    return _character_phase(n, h, gamma)
+
+
+def _character_phase(n: int, h: int, gamma: UnimodularMatrix) -> UnitPhase:
+    # The phase of gamma0_character for an (n, h) its caller has checked;
+    # gamma's membership is checked on every call.
     if gamma.c % n:
         raise ValueError(f"{gamma} is not in the level-{n} group")
     m = n * h
@@ -120,7 +126,8 @@ class AutomorphyContext(_Checked, _AutomorphyFields):
     def psi(self, gamma: UnimodularMatrix) -> UnitPhase:
         phase = eta_multiplier(gamma) ** self.eta_power if self.eta_power else PHASE_ONE
         if self.character_h is not None:
-            phase = phase * gamma0_character(self.level, self.character_h, gamma)
+            # Every constructor checked (level, character_h) in __new__.
+            phase = phase * _character_phase(self.level, self.character_h, gamma)
         return phase
 
 

@@ -80,22 +80,30 @@ def _residue_table(n: int) -> tuple[tuple[int, int, int], ...]:
 
 def _coset_table(n: int) -> dict[tuple[int, int], tuple[int, int, int, int]]:
     # The closure runs on (a, b, c, d) rows under right multiplication by
-    # S = [0 -1; 1 0], T and T^-1, labelled through the residue table; each
-    # stored row is checked for determinant one.
+    # S = [0 -1; 1 0], T and T^-1.  A successor is labelled through the
+    # residue table from its bottom row, (d, -c), (c, c + d) or (c, d - c),
+    # and its row is built and checked for determinant one only if it is new.
     res = _residue_table(n)
     start = (1, 0, 0, 1)
     rows = {_coset_key(0, 1, n): start}
     queue = deque([start])
+
+    def store(key, row):
+        if row[0] * row[3] - row[1] * row[2] != 1:
+            raise ArithmeticError(f"coset representative {row} has determinant != 1")
+        rows[key] = row
+        queue.append(row)
+
     while queue:
         a, b, c, d = queue.popleft()
-        for nxt in ((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c)):
-            g, n1, t = res[nxt[2] % n]
-            key = (g, nxt[3] * t % n1)
-            if key not in rows:
-                if nxt[0] * nxt[3] - nxt[1] * nxt[2] != 1:
-                    raise ArithmeticError(f"coset representative {nxt} has determinant != 1")
-                rows[key] = nxt
-                queue.append(nxt)
+        g, n1, t = res[d % n]
+        if (key := (g, -c * t % n1)) not in rows:
+            store(key, (b, -a, d, -c))
+        g, n1, t = res[c % n]
+        if (key := (g, (c + d) * t % n1)) not in rows:
+            store(key, (a, a + b, c, c + d))
+        if (key := (g, (d - c) * t % n1)) not in rows:
+            store(key, (a, b - a, c, d - c))
     return rows
 
 

@@ -70,7 +70,7 @@ class FracQSeries:
     a negative power drops it.
     """
 
-    __slots__ = ("offset", "step", "coeffs", "growth", "_terms", "_support")
+    __slots__ = ("offset", "step", "coeffs", "growth", "_terms", "_support", "_points")
 
     def __init__(self, offset, step, coeffs, growth=None):
         self.offset = Fraction(offset)
@@ -92,7 +92,7 @@ class FracQSeries:
                 raise ValueError(f"growth must be two finite numbers >= 0, got {growth!r}")
             growth = (float(a), float(alpha))
         self.growth = growth
-        self._terms = self._support = None
+        self._terms = self._support = self._points = None
 
     @property
     def precision(self) -> int:
@@ -111,7 +111,7 @@ class FracQSeries:
 
     def support(self) -> tuple[tuple[int, int | Fraction, float], ...]:
         """Nonzero terms as (index, coefficient, float(coefficient)), cached;
-        the float overflows above about 1.8e308, and only ``evaluate`` reads it."""
+        the float overflows above about 1.8e308."""
         if self._support is None:
             self._support = tuple((k, c, float(c)) for k, c in self._nonzero())
         return self._support
@@ -309,7 +309,9 @@ def _power_growth(growth, k: int):
     """The certificate that k - 1 sequential products carry, bit for bit:
     (A, alpha) -> (A * A0, alpha + alpha0 + 1), k - 1 times.  Squaring would
     round A^k differently.  For A0 = 1 and an integral alpha0, as eta has,
-    no loop: (1, k (alpha0 + 1) - 1), exact up to 2^53, refused above."""
+    no loop: (1, k (alpha0 + 1) - 1), exact up to 2^53, refused above.
+    Otherwise the loop is refused at the step where A overflows to inf
+    (A0 > 1), and runs all k - 1 steps when A stays finite."""
     if growth is None or k == 1:
         return growth
     a, alpha = a0, alpha0 = growth
@@ -320,6 +322,8 @@ def _power_growth(growth, k: int):
         return (1.0, float(top))
     for _ in range(k - 1):
         a, alpha = a * a0, alpha + alpha0 + 1.0
+        if a == math.inf:
+            raise ValueError(f"exponent {k} overflows the growth certificate")
     return (a, alpha)
 
 
@@ -674,7 +678,8 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
     Every float operation of the term loop is pinned: value and bound are
     bit-identical to the loop with its invariants written inline
     (``test_evaluate_is_bit_identical_to_the_inline_loop``), so the verify
-    suites print the same residuals.
+    suites print the same residuals.  The loop reads, cached with the series,
+    (float(offset) + k * float(step), k, float(c), abs(float(c))) per term.
     """
     tau = _check_tau(tau)
     v = tau.imag
@@ -687,8 +692,6 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
     den = u.denominator * off.denominator * step.denominator
     a = u.numerator * off.numerator * step.denominator % den
     b = u.numerator * step.numerator * off.denominator % den
-    off_f = float(series.offset)
-    step_f = float(series.step)
     # Invariants of the term loop, grouped as (-2 pi v) * x and
     # (2j pi) * phase: the grouping fixes every rounding.
     rate = -(2.0 * math.pi) * v
@@ -697,13 +700,17 @@ def evaluate(series: FracQSeries, tau: complex) -> EvalResult:
     total = 0j
     absmass = 0.0
     try:
-        for k, _, cf in series.support():
-            decay = exp(rate * (off_f + k * step_f))
+        if series._points is None:
+            off_f, step_f = float(off), float(step)
+            terms = series.support()
+            series._points = tuple((off_f + k * step_f, k, cf, abs(cf)) for k, _, cf in terms)
+        for x, k, cf, acf in series._points:
+            decay = exp(rate * x)
             if decay == 0.0:
                 break
             phase = (a + k * b) % den / den
             total += cf * decay * cexp(turn * phase)
-            absmass += abs(cf) * decay
+            absmass += acf * decay
         if absmass == math.inf:
             raise OverflowError
     except OverflowError:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -21,7 +22,8 @@ from .exact import _check_int, _check_tolerance, divisors
 from .gamma0 import UnimodularMatrix, _divisor_classes, _profile_window
 from .multiplier import (
     AutomorphyContext,
-    gamma0_character,
+    _character_phase,
+    _check_character,
     verify_cocycle,
     verify_transformation,
 )
@@ -182,18 +184,34 @@ def _skip_pair_draws(rng: random.Random, k: int) -> None:
     rng.getrandbits(128 * k)
 
 
-def _pair_failures(rows: list[tuple[int, int, int, int]], m: int) -> list[bool]:
-    # Whether c1*d1 + c2*d2 - c3*d3 != 0 mod m for each ordered pair of rows
-    # (a, b, c, d), such as matrices, left row outer, where
-    # (c3, d3) = (c1*a2 + d1*c2, c1*b2 + d1*d2) is the product's bottom row.
-    # As polynomials in the eight entries,
-    #   c1*d1 + c2*d2 - c3*d3 = x*alpha + u*beta + w*gamma,
-    # with (x, u, w) = (c1*d1, c1^2, 1 - d1^2) from the left row and
-    # (alpha, beta, gamma) = (1 - a2*d2 - b2*c2, -a2*b2, c2*d2) from the right,
-    # so each triple is reduced mod m once, for any integer rows.
+def _pair_failures(rows: list[tuple[int, int, int, int]], m: int) -> set[int]:
+    """Indices i * len(rows) + j of the ordered pairs of rows (a, b, c, d),
+    left row i, such as matrices, with c1*d1 + c2*d2 - c3*d3 != 0 mod m,
+    where (c3, d3) = (c1*a2 + d1*c2, c1*b2 + d1*d2) is the product's bottom
+    row.  As polynomials in the eight entries that is x*alpha + u*beta +
+    w*gamma, with (x, u, w) = (c1*d1, c1^2, 1 - d1^2) from the left row and
+    (alpha, beta, gamma) = (1 - a2*d2 - b2*c2, -a2*b2, c2*d2) from the right,
+    each triple reduced mod m once, for any integer rows.  The right triples
+    are packed into three ints R0, R1, R2 of one lane per row, so one
+    x*R0 + u*R1 + w*R2 holds all pairs of a left row.  A lane is at most
+    3(m - 1)^2: 32-bit lanes while that is below 2^32, 64-bit lanes below
+    2^64, and a larger m is refused."""
+    top = 3 * (m - 1) ** 2
+    if top >> 64:
+        raise ValueError(f"modulus {m} is too large for 64-bit lanes")
+    count = len(rows)
+    fmt = f"<{count}{'I' if top >> 32 == 0 else 'Q'}"
+    nbytes = struct.calcsize(fmt)
     left = [(c * d % m, c * c % m, (1 - d * d) % m) for _, _, c, d in rows]
     right = [((1 - a * d - b * c) % m, -a * b % m, c * d % m) for a, b, c, d in rows]
-    return [(x * al + u * be + w * ga) % m != 0 for x, u, w in left for al, be, ga in right]
+    r0, r1, r2 = (int.from_bytes(struct.pack(fmt, *lanes), "little") for lanes in zip(*right))
+    multiples = frozenset(range(0, top + 1, m))
+    failing = set()
+    for i, (x, u, w) in enumerate(left):
+        lanes = struct.unpack(fmt, (x * r0 + u * r1 + w * r2).to_bytes(nbytes, "little"))
+        if not multiples.issuperset(lanes):
+            failing.update(i * count + j for j, v in enumerate(lanes) if v % m)
+    return failing
 
 
 def character_suite(
@@ -209,15 +227,18 @@ def character_suite(
     character multiplies by adding exponent numerators, so the homomorphism
     statement for a pair is exactly c1*d1 + c2*d2 = c3*d3 mod n*h, where
     (c3, d3) is the product's bottom row.  It is evaluated once for each
-    ordered pair of the level's pool of 64 draws, and a failing pair counts
-    once for each time it is drawn.  The pairs_per_level draws are read only
-    when some pair fails; otherwise they would add nothing, and the generator
-    is advanced past them in one step (``_skip_pair_draws``), so every later
+    ordered pair of the level's pool of 64 draws, by one packed product per
+    pool row (``_pair_failures``), and a failing pair counts once for each
+    time it is drawn.  The pairs_per_level draws are read only when some
+    pair fails; otherwise they would add nothing, and the generator is
+    advanced past them in one step (``_skip_pair_draws``), so every later
     (n, h) sees the same pool and samples either way.  The first few pairs
-    per (n, h) additionally run through the public phase API and must agree
-    with the reduction.  An API pair with an element outside the level-n
-    group, or a kernel sample outside the level-(n*h) group, counts as a
-    failure; it never reaches the phase API, which would raise.
+    per (n, h) additionally run through the phase and must agree with the
+    reduction.  (n, h) is checked once, as ``gamma0_character`` checks it;
+    the API pairs and the kernel samples then call the phase kernel behind
+    it.  An API pair with an element outside the level-n group, or a kernel
+    sample outside the level-(n*h) group, counts as a failure; it never
+    reaches the phase, which would raise.
     """
     _check_int(n_max, "largest level")
     _check_int(pairs_per_level, "pairs per level")
@@ -232,6 +253,7 @@ def character_suite(
     slots = range(pool_size)
     for n in range(1, n_max + 1):
         for h in divisors(math.gcd(n, 12)):
+            _check_character(n, h)
             m = n * h
             pool = [_draw_level_element(getrandbits, n) for _ in range(pool_size)]
             bad = 0
@@ -241,22 +263,22 @@ def character_suite(
                     bad += 1
                     continue
                 prod = g1 * g2
-                phase_law = gamma0_character(n, h, g1) * gamma0_character(n, h, g2)
-                api_ok = phase_law == gamma0_character(n, h, prod)
+                phase_law = _character_phase(n, h, g1) * _character_phase(n, h, g2)
+                api_ok = phase_law == _character_phase(n, h, prod)
                 int_ok = (g1.c * g1.d + g2.c * g2.d - prod.c * prod.d) % m == 0
                 if not api_ok or api_ok != int_ok:
                     bad += 1
             pair_bad = _pair_failures(pool, m)
-            if any(pair_bad):
+            if pair_bad:
                 drawn = zip(rng.choices(slots, k=pairs_per_level),
                             rng.choices(slots, k=pairs_per_level))
-                bad += sum(pair_bad[i * pool_size + j] for i, j in drawn)
+                bad += sum(i * pool_size + j in pair_bad for i, j in drawn)
             else:
                 _skip_pair_draws(rng, pairs_per_level)
             kernel_bad = 0
             for _ in range(kernel_samples):
                 g = _draw_level_element(getrandbits, m)
-                if g.c % m or not gamma0_character(n, h, g).is_one:
+                if g.c % m or not _character_phase(n, h, g).is_one:
                     kernel_bad += 1
             checks += api_pairs + pairs_per_level + kernel_samples
             failures += bad + kernel_bad

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -480,12 +481,25 @@ def test_power_growth_is_the_loop_bit_for_bit(growth):
     # A0 = 1 with an integral alpha0 takes the closed form; the others loop.
     # Each must be the loop of k - 1 steps, run here alongside: at every k up
     # to 10^5 for the closed form, and at a sample of k for the loop itself.
+    # Once the loop's A is inf (A0 > 1) the certificate is refused.
     closed = growth[0] == 1.0 and growth[1].is_integer()
     a, alpha = a0, alpha0 = growth
     for k in range(1, 10**5 + 1):
-        if closed or k < 300 or k % 9973 == 0 or k == 10**5:
+        if a == math.inf and (k % 9973 == 0 or k == 10**5):
+            with pytest.raises(ValueError, match="overflows"):
+                qseries._power_growth(growth, k)
+        elif closed or k < 300 or k % 9973 == 0 or k == 10**5:
             assert qseries._power_growth(growth, k) == (a, alpha), k
         a, alpha = a * a0, alpha + alpha0 + 1.0
+
+
+def test_power_growth_stops_where_the_certificate_overflows():
+    # The theta growth (6 + 2 sqrt 2, 1/2) overflows A at k = 326, so
+    # 10^12 is refused there, not after 10^12 steps of the loop.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="overflows"):
+        unary_theta(2, 1, 4) ** 10**12
+    assert time.perf_counter() - start < 1.0
 
 
 def test_power_growth_past_float_integers_is_refused():

@@ -14,6 +14,7 @@ from cuspdim import (
     PrecisionError,
     SuiteResult,
     UnimodularMatrix,
+    UnitPhase,
     bound_crude,
     bound_strong,
     bound_weak,
@@ -332,22 +333,31 @@ def test_suites_refuse_vacuous_input():
 
 
 def test_pair_check_triples_match_the_product_form():
-    # Integer rows of any determinant, most of them not 1: the reduced
-    # triples give the same boolean as the bottom-row product, pair by pair.
+    # Integer rows of any determinant, most of them not 1: the packed kernel
+    # finds exactly the pairs the bottom-row product fails, pair by pair.
+    # m = 40000 needs 64-bit lanes (3 (m - 1)^2 >= 2^32).  Its rows add a
+    # pair whose lane is 4.77e9, (-1, -399, -400) . (-2, -2, -2) mod m with
+    # residues near m, and then the identity, which every pair with it
+    # passes: in a 32-bit lane the carry would fail that pair.  A modulus
+    # whose lanes would pass 64 bits is refused.
     rng = random.Random(7)
     dets = set()
-    for m in (1, 2, 5, 12, 36, 720):
+    for m in (1, 2, 5, 12, 36, 720, 40_000):
         rows = [tuple(rng.randint(-30, 30) for _ in range(4)) for _ in range(40)]
+        if m == 40_000:
+            rows += [(0, 0, 199, 201), (1, 2, 2, -1), (1, 0, 0, 1)]
         dets.update(a * d - b * c for a, b, c, d in rows)
         direct = [
             (c1 * d1 + c2 * d2 - (c1 * a2 + d1 * c2) * (c1 * b2 + d1 * d2)) % m != 0
             for _, _, c1, d1 in rows
             for a2, b2, c2, d2 in rows
         ]
-        assert verify._pair_failures(rows, m) == direct, m
+        assert verify._pair_failures(rows, m) == {i for i, bad in enumerate(direct) if bad}, m
         if m > 2:
             assert 0 < sum(direct) < len(direct), m
     assert len(dets) > 2
+    with pytest.raises(ValueError, match="64-bit lanes"):
+        verify._pair_failures(rows, 2**32)
 
 
 def _per_draw_character_failures(n_max, pairs_per_level, kernel_samples, seed):
@@ -466,6 +476,26 @@ def test_character_suite_counts_nonmember_kernel_sample(monkeypatch):
     assert [line for line in result.lines if line.endswith("FAIL")] == [
         "n=3 h=3 pairs=10050 kernel_samples=5 FAIL"
     ]
+
+
+def test_character_suite_calls_the_phase(monkeypatch):
+    # The draw corruptions above fail in the integer checks, so a suite that
+    # stopped calling the phase would pass them.  A phase kernel that is off
+    # by e(1/3) at (6, 2) must fail that line, and only it, once for every
+    # API pair (z^2 != z) and once for every kernel sample (z != 1).
+    real = verify._character_phase
+
+    def wrong(n, h, g):
+        phase = real(n, h, g)
+        return phase * UnitPhase(Fraction(1, 3)) if (n, h) == (6, 2) else phase
+
+    monkeypatch.setattr(verify, "_character_phase", wrong)
+    for kernel_samples in (5, 7):
+        result = character_suite(n_max=10, kernel_samples=kernel_samples, seed=0)
+        assert result.failures == 50 + kernel_samples
+        assert [line for line in result.lines if line.endswith("FAIL")] == [
+            f"n=6 h=2 pairs=10050 kernel_samples={kernel_samples} FAIL"
+        ]
 
 
 def test_cli_character_failure_exits_one(monkeypatch, capsys):
