@@ -65,7 +65,8 @@ MAX_RANGE_LEVELS = 10**6
 # Likewise a table of more cusp classes than this is refused before it is built.
 MAX_CUSP_CLASSES = 10**6
 # Likewise a series precision above this, before any product is computed: the widest products
-# grow fast (``qexp etaq 12 1:-4,6:3,12:-2 N``: 26 s at N = 15000, 48 to 72 s at N = 20000).
+# grow fast (``qexp etaq 12 1:-4,6:3,12:-2 15000 --format tsv``: 9.0 to 9.8 s in three runs on a
+# shared 2-core host, Python 3.11).
 MAX_SERIES_TERMS = 15000
 
 REPRESENTATIVE_NOTE = (
@@ -192,35 +193,32 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _emit_rows_json(key, row_texts, envelope) -> None:
+def _emit_rows_json(key, item_texts, envelope) -> None:
     """Print ``_emit_json`` of ``envelope()`` with a nonempty list under
-    ``key`` added, given each list item as its own indented JSON text.
-    The opening brace is printed first and each item as it arrives;
-    ``envelope`` is called after the last, and ``key`` must sort before
-    every key of what it returns."""
-    write, sep = sys.stdout.write, ""
+    ``key`` added, given each list item as its own indented JSON text led
+    by a comma and a newline, which the first item is written without.  The
+    opening brace is printed first and each item as it arrives; ``envelope``
+    is called after the last, and ``key`` must sort before every key of what
+    it returns."""
+    write, texts = sys.stdout.write, iter(item_texts)
     write(f'{{\n  "{key}": [\n')
-    for text in row_texts:
-        write(sep + text)
-        sep = ",\n"
+    write(next(texts)[2:])
+    for text in texts:
+        write(text)
     rest = json.dumps(envelope(), indent=2, sort_keys=True)
     write(f"\n  ],\n{rest[2:]}\n")
 
 
-def _emit_cusps_json(blocks, envelope) -> None:
-    """The cusp table as ``_emit_rows_json`` prints it, written from its
-    (d, width, numerators) blocks with one f-string per class, d and the
-    width formatted once per block: every field is an int or a
+def _cusp_json(blocks):
+    """Each class of the cusp table as an item of ``_emit_rows_json``, from
+    its (d, width, numerators) blocks with one f-string per class, d and
+    the width formatted once per block: every field is an int or a
     digits-and-slash string, so nothing needs escaping."""
-    write, sep = sys.stdout.write, '{\n  "cusps": [\n'
     for d, w, numerators in blocks:
         head = f',\n      "d": {d},\n      "representative": "'
         tail = f'{_denominator_text(d)}",\n      "width": {w}\n    }}'
         for a in numerators:
-            write(f'{sep}    {{\n      "a": {a}{head}{a}{tail}')
-            sep = ",\n"
-    rest = json.dumps(envelope(), indent=2, sort_keys=True)
-    write(f"\n  ],\n{rest[2:]}\n")
+            yield f',\n    {{\n      "a": {a}{head}{a}{tail}'
 
 
 def _certificate_json(c) -> str:
@@ -232,7 +230,7 @@ def _certificate_json(c) -> str:
         c[6], indent=2, sort_keys=True
     ).replace("\n", "\n      ")
     return (
-        f'    {{\n      "divisor_degree": {deg},\n      "genus": {genus},\n'
+        f',\n    {{\n      "divisor_degree": {deg},\n      "genus": {genus},\n'
         f'      "level": {n},\n      "rule": "{rule}",\n'
         f'      "strong_bound": "{bound}",\n      "verdict": "{verdict}",\n'
         f'      "witness": {witness}\n    }}'
@@ -329,7 +327,7 @@ def _cmd_cusps(args) -> int:
 
     write = sys.stdout.write
     if fmt == "json":
-        _emit_cusps_json(blocks, lambda: {
+        _emit_rows_json("cusps", _cusp_json(blocks), lambda: {
             "level": n, "index": profile.index, "oracle": oracle_verdict,
             "metadata": {"representative_convention": REPRESENTATIVE_NOTE},
         })
@@ -410,20 +408,27 @@ def _build_series(args):
 
 
 def _cmd_qexp(args) -> int:
+    """The series in the chosen format, each coefficient converted to text
+    once, before the first write: a coefficient too long for ``str`` is
+    refused with stdout still empty."""
     fmt = _value(args, "format")
     series = _build_series(args)
+    try:
+        obj = series.to_json_obj()
+    except ValueError:
+        raise ValueError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "the most this Python converts to text"
+        ) from None
     if fmt == "json":
-        _emit_json(series.to_json_obj())
+        _emit_json(obj)
     elif fmt == "tsv":
         rows = [("index", "exponent", "coefficient")]
-        rows += [
-            (str(k), str(series.exponent(k)), str(c))
-            for k, c in enumerate(series.coeffs)
-        ]
+        rows += [(str(k), str(series.exponent(k)), c) for k, c in enumerate(obj["coeffs"])]
         _emit_tsv(rows)
     else:
         print(f"offset {series.offset}, step {series.step}, {series.precision} terms")
-        print(", ".join(str(c) for c in series.coeffs))
+        print(", ".join(obj["coeffs"]))
     return 0
 
 

@@ -17,6 +17,9 @@ from cuspdim.classify import (
 )
 from cuspdim.gamma0 import cusps, group_profile
 
+import ci_steps
+from ci_steps import FROZEN_STDOUT_SHA256
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -196,6 +199,24 @@ def test_qexp_huge_eta_exponent(capsys, monkeypatch):
     monkeypatch.setattr(qseries, "_pentagonal_coeffs", no_lanes)
     for r in (2**53 + 2, 10**100):
         assert_usage_error(capsys, ["qexp", "etaq", "1", f"1:{r}", "4000"], "too large")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-text digit limit"
+)
+def test_qexp_refuses_a_coefficient_too_long_for_text_before_any_write(capsys):
+    # eta^(-10^8) has coefficients past the interpreter's digit limit within
+    # 800 terms; each one is converted before the first write, in every format.
+    limit = sys.get_int_max_str_digits()
+    message = f"a coefficient has more than {limit} decimal digits"
+    for fmt in ("text", "json", "tsv"):
+        argv = ["qexp", "etaq", "1", "1:-100000000", "800", "--format", fmt]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), fmt
+        assert message in err and "set_int_max_str_digits" not in err, err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_qexp_tsv_exponents(capsys):
@@ -499,107 +520,6 @@ def test_output_is_byte_deterministic(capsys):
     assert a == b
 
 
-# SHA-256 of stdout for fixed runs.  The bytes are part of the interface,
-# so a refactor that changes any of them is a regression.
-FROZEN_STDOUT_SHA256 = {
-    ("classify", "1..2000", "--format", "json"):
-        "ad495eac5c7b1e48b1679c27fd672893d59dbe0b702e3b6af06f36396000abfe",
-    ("classify", "1..2000", "--format", "tsv"):
-        "f4712e2687fa54643e356a75467bea8ed2cee0f4d12a589a742b0a4999d36ec7",
-    ("classify", "1..2000"):
-        "72cb63ce6ccd8bf8b6300527d8c030aa0251bd707caeb4dd065d164dbf5ea675",
-    ("cusps", "5040", "--format", "json"):
-        "dcf102f9118cae269788409a7c1d73dcb47a0c9131adcfb7ca0238c5da9b2763",
-    ("cusps", "120", "--oracle"):
-        "769225b59246f30e389dbe734c895a8cec05f7b94df52c72e102e2238ca02e7a",
-    ("qexp", "etaq", "4", "1:-8,2:16,4:-8", "120"):
-        "2889cd5a95b5c448f91701f46921dc45daa66d170c68d0b5a8ef6b414b41b340",
-    ("qexp", "etaq", "1", "1:-1", "400", "--format", "json"):
-        "8f3b9ccead8a6bf00b19662f683a7f5e01c5b584cda8c2e30ccec64d48366791",
-    ("qexp", "etaq", "6", "1:5,2:-2,3:-2,6:1", "100", "--format", "tsv"):
-        "d04891fbbf00ef25f472e1046b2b31d55e74bbbe6bac8b6717eb2cbc701f12f8",
-    # Negative powers other than -1 and -8, recorded from a reciprocal raised
-    # by squaring: -3 and -2 spread onto a grid of step 3, and -2 alone.
-    ("qexp", "etaq", "18", "3:-3,6:1,9:-2", "100", "--format", "tsv"):
-        "f27d1d50ab581a86b1ccdadca0714d52d839a352abdf438fb40b93a28244a622",
-    ("qexp", "etaq", "49", "49:-2", "40"):
-        "286dbcd266916102c2cdbd72796c85fb66a0d8fe3ff5ec3a5ad5a462fe4ea5be",
-    ("qexp", "theta", "3", "1", "60"):
-        "c6ef95562c2152470a9f0a5a1cca46a865ecc9f47cb48d58e53873c833f49efd",
-    ("verify", "eta-law", "--seed", "3"):
-        "890af94887a67782c7a290fb94c7a02e1430770bddbfbb0e9b7a83fcdee176d4",
-    ("cusps", "360", "--format", "tsv"):
-        "c4c1a6a5696d2b9d531727b60ebc78598752a9b5cae36c039c5c715514b4738d",
-    ("cusps", "301", "--oracle", "--oracle-cutoff", "310"):
-        "e7f7dc15c4153f08c23a9845d736e41d2ede7f0cd7f263180c2cb8be7e64818f",
-    ("qexp", "eta", "--precision", "64", "--format", "tsv"):
-        "752171d8e6775cfb0f2e9c050b2c1f3f941ce6bd533c66305f6ceeb43f05713d",
-    ("verify", "cocycle", "--seed", "2", "--tolerance", "1e-11"):
-        "c5ee69c6393683474a0f6860cd36443a8fb1210ab94b30d3a04360e93667b7b4",
-    ("verify", "euler-identity", "--precision", "64", "--format", "json"):
-        "f88c833a43efce2fe13a4460dd9cdc752846009da13b0ed06869c966f1d4c6c4",
-    ("classify", "23", "--format", "json"):
-        "11ec203891c0991cd10a7885a3108ee268b01fc393249a3a6a33f5f920b5c639",
-    ("cusps", "393216", "--format", "json"):
-        "6b2e37fef92bfe0059793cb03c4b06e5eaf74e4be84be9f9c5ef1e4783781232",
-    ("cusps", "6469693230", "--format", "json"):
-        "a6f1f27b86fe82df015a3e8a0a2cd54f2af7d731cea88e3a4ba9d40c707bc6ed",
-    ("cusps", "393216"):
-        "bded1529b58eca6e742cd524eaab4c6ff556db90bae7b8f968472398269d49a6",
-    ("cusps", "6469693230", "--format", "tsv"):
-        "3ab05814d4a13faacfc04616818217569fe7e47ec0d7b76f8134d0bc1fdfee39",
-    ("cusps", "5040"):
-        "5e2c4388cac93c7495ba2805e82f0c65a1badb4b48e332abefc4de37e495ac67",
-    ("cusps", "5040", "--format", "tsv"):
-        "db7444a216744219f9407fc40c3ae191f09fd0a461766f5adcd357753cedff0b",
-    ("cusps", "120", "--oracle", "--format", "json"):
-        "87306f81341c41a275b6dea239a7850a234416d5c5bcdc5aa2375ba624c5924b",
-    ("verify", "character", "--seed", "1"):
-        "2bfd54391b97db71effbfe9ffb79066b5aabb8b0173b7dbb36c26f89f60684c6",
-    ("verify", "character", "--format", "json"):
-        "d07fcc2de7f7fb7b6447ad6ce7c8d0b7ee9579e147bf8f7f97bc1ee8d23964db",
-    ("verify", "cocycle", "--seed", "4", "--format", "tsv"):
-        "f305e2e240e3585ca7b3e0c9ef3c9b3d8bb2136733095c71394c38c5f7774322",
-    ("verify", "rr-identity"):
-        "230798e620150e6a284bab2eb31003111d7ea030b2ed583bf55678f2e788413e",
-    ("cusps", "288", "--oracle", "--format", "tsv"):
-        "2dab6d0eb311e1c2c91e65d11b2635f17dfd69c71553e80bad8d8ce0c13515e6",
-    # 501 levels below isqrt(999500) = 999: the point-query path, not the sieve.
-    ("classify", "999000..999500", "--format", "tsv"):
-        "3d11289c6b1f077f1d1603f3930a97eaaafdae01f63ecb3ffa6640aadebcbf46",
-    ("classify", "1..30000", "--format", "tsv"):
-        "589b7ef202f1e9a70667667ce495083bb49bd2cfb9faa03dcf377e5cd6b8aca6",
-    ("classify", "999000..999500", "--format", "json"):
-        "053b7693bca51d93748ac1c85b137fcfa097bf6e952b5d3e3f441dcfee7b4f7e",
-    ("classify", "999000..999500"):
-        "00c02bffaf31097969ef91ebf4a3cf455441b4967846356d55b5a518c420e996",
-    # A text table with no M23 line.
-    ("classify", "24..40"):
-        "e30cb99587d97fa00e201a3c635009ad60219e427648046bce5192690a100086",
-    # Full-size series, recorded from the term-pair product loop.  Their
-    # products take the packed path with lanes on both sides of 64 bits,
-    # and 1:-1 at 2000 terms is one long inverse.
-    ("qexp", "etaq", "1", "1:24", "500"):
-        "709ec2064b11cd319dccb1ec02dd8ab2e27020c27d24af0ad7449ce727938b21",
-    ("qexp", "etaq", "1", "1:-1", "2000", "--format", "json"):
-        "5f43c91483b8e97d65ed789128f5cdf17e3b315ef7e670cbde3cb379c4dcf30a",
-    ("qexp", "etaq", "4", "1:-8,2:16,4:-8", "300", "--format", "tsv"):
-        "050ed9cd5b35fb740d44b81fd8370df2d548d65f1ad85a3bd36c7dfb88fc93fa",
-    ("qexp", "eta3", "1024"):
-        "e96b50628f0107593249700f6928d54401b039081d9fc6e0b2eaa92f22bd199a",
-    ("cusps", "393216", "--format", "tsv"):
-        "d5d78f745b4442e1c82d745dc4cfae35abb36aadb29e0a6f47431089cf6fd5c9",
-    ("cusps", "6469693230"):
-        "bdff2d3655059b0576acf80e49ba5912b30078aa78ec4ccb4bcaa7af4bb49527",
-    # 2^10 3^4 5^2 7: 6,912 classes, and for 6,582 of them the numerator is
-    # searched for, because d has a prime that gcd(d, n/d) lacks.
-    ("cusps", "14515200", "--format", "tsv"):
-        "e5029a5ced95fabb7c41362786bfce891848bb14ac9f311a25fa2e45f0b27ddf",
-    ("cusps", "14515200"):
-        "488b634398f788c8663cb0f16acdcae50ec9faf19e3a059582e40768f6d8e8d3",
-}
-
-
 def test_output_bytes_frozen(capsys, monkeypatch):
     for name in ("FORMAT", "PRECISION", "TOLERANCE", "SEED", "ORACLE_CUTOFF"):
         monkeypatch.delenv(f"CUSPDIM_{name}", raising=False)
@@ -607,6 +527,22 @@ def test_output_bytes_frozen(capsys, monkeypatch):
         code, out, _ = run(capsys, list(argv))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_ci_steps_fails_exactly_the_altered_digest_and_a_late_child(capsys):
+    # The script's runner on fast commands: a digest as recorded, one altered,
+    # and a child killed at a timeout too short for it.
+    fast, altered = ("qexp", "eta", "8"), ("qexp", "theta", "2", "1", "8")
+    table = {a: hashlib.sha256(run(capsys, list(a))[1].encode()).hexdigest() for a in (fast, altered)}
+    recorded, table[altered] = table[altered], table[fast]
+    slow = ("classify", "1..100000")
+    checks = [ci_steps.cuspdim_check(argv, stdout=digest) for argv, digest in table.items()]
+    assert ci_steps.run([*checks, ci_steps.cuspdim_check(slow, 0.05)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS cuspdim qexp eta 8",
+        f"FAIL cuspdim qexp theta 2 1 8: stdout sha256 {recorded}",
+        "FAIL cuspdim classify 1..100000: no end within 0.05 s",
+    ]
 
 
 def test_range_scan_builds_no_width_list(capsys, monkeypatch):
@@ -858,7 +794,8 @@ def test_classify_tsv_rows_are_printed_as_decided(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[1].startswith("1\tDimOne\t")
     with pytest.raises(ArithmeticError, match="after the first level"):
         main(["classify", "1..5", "--format", "json"])
-    assert capsys.readouterr().out == '{\n  "certificates": [\n' + cli._certificate_json(classify(1))
+    first = cli._certificate_json(classify(1))[2:]  # an item text without its leading ",\n"
+    assert capsys.readouterr().out == '{\n  "certificates": [\n' + first
 
 
 def test_cusps_json_rows_match_json_module(capsys):
@@ -874,7 +811,7 @@ def test_cusps_json_rows_match_json_module(capsys):
                 "oracle": oracle,
                 "metadata": {"representative_convention": cli.REPRESENTATIVE_NOTE},
             }
-            cli._emit_cusps_json(gamma0._cusp_blocks(n), lambda: envelope)
+            cli._emit_rows_json("cusps", cli._cusp_json(gamma0._cusp_blocks(n)), lambda: envelope)
             rows = [
                 {"a": c.a, "d": c.d, "representative": str(c.representative), "width": c.width}
                 for c in cusps(n)
