@@ -404,7 +404,44 @@ def _build_series(args):
     exponents = dict(pairs)
     if len(exponents) < len(pairs):
         raise ValueError(f"a scale repeats in eta quotient {params[1]!r}")
-    return eta_quotient_expansion(EtaQuotient(level, exponents), prec)
+    quotient = EtaQuotient(level, exponents)
+    _refuse_unprintable(quotient, prec)
+    return eta_quotient_expansion(quotient, prec)
+
+
+def _too_long_for_text() -> ValueError:
+    return ValueError(
+        f"a coefficient has more than {sys.get_int_max_str_digits()} decimal digits, "
+        "the most this Python converts to text"
+    )
+
+
+def _refuse_unprintable(quotient, prec: int) -> None:
+    """Refuse, before expanding it, a quotient of negative powers only whose
+    output would hold a coefficient with more decimal digits than the
+    interpreter's limit L converts to text; quotients of mixed sign pass.
+
+    Each factor eta(d tau)^(-R) is q^(-dR/24) times prod (1 - q^(dn))^(-R),
+    whose coefficients are nonnegative with constant term 1.  In a product
+    of such series a coefficient is at least that of any one factor, and in
+    that factor at least that of (1 - q^d)^(-R) alone, C(R+J-1, J) at
+    q^(dJ).  That is the product of (R-1+t)/t over 1 <= t <= J, each at
+    least (R+J-1)/J, so it is at least m^J with m = (R+J-1)//J, and
+    m >= 2^(bit_length(m)-1).  With J = (P-1)*step//d, q^(dJ) past the
+    offset is grid index dJ/step <= P-1, a printed term.  As log2(10) <
+    3.322, 2^ceil(3.322 L) > 10^L has more than L digits, so no refused
+    quotient had printable output.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    factors = [(d, r) for d, r in quotient.exponents.items() if r]
+    if not limit or any(r > 0 for _, r in factors):
+        return
+    bits = -(-3322 * limit // 1000)
+    step = math.gcd(*(d for d, _ in factors))
+    for d, r in factors:
+        j = (prec - 1) * step // d
+        if j and j * (((j - r - 1) // j).bit_length() - 1) >= bits:
+            raise _too_long_for_text()
 
 
 def _cmd_qexp(args) -> int:
@@ -416,10 +453,7 @@ def _cmd_qexp(args) -> int:
     try:
         obj = series.to_json_obj()
     except ValueError:
-        raise ValueError(
-            f"a coefficient has more than {sys.get_int_max_str_digits()} decimal digits, "
-            "the most this Python converts to text"
-        ) from None
+        raise _too_long_for_text() from None
     if fmt == "json":
         _emit_json(obj)
     elif fmt == "tsv":

@@ -223,15 +223,19 @@ class FracQSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "FracQSeries":
-        """The power -1 (see ``__pow__``), with no growth certificate."""
+        """The power -1 (see ``__pow__``), with no growth certificate: one
+        pass of ``_power_recurrence`` that adds up the earlier coefficients
+        of each value among this series' terms and multiplies once per
+        value, so the reciprocal of eta takes additions only."""
         return self ** -1
 
     def __pow__(self, k: int) -> "FracQSeries":
         """Integer power: for k > 0 by squaring (``_lane_power``) the lanes
         of the operand over their common denominator, with the certificate
         of k - 1 sequential products (``_power_growth``); for k < 0, with a
-        nonzero first term, by ``_power_recurrence``, with no certificate.
-        A ``bool`` is not an exponent."""
+        nonzero first term, by one pass of ``_power_recurrence``, with no
+        certificate (k = -1 sums the terms of each coefficient value
+        together; see ``inverse``).  A ``bool`` is not an exponent."""
         try:
             _check_int(k, "exponent", minimum=None)
         except ValueError:
@@ -394,22 +398,45 @@ def _power_recurrence(terms, r: int, count: int) -> list:
     """Coefficients 0..count-1 of g = f^r, r < 0, from the nonzero (i, f_i)
     of f in increasing i, f_0 first, by J. C. P. Miller's recurrence (Knuth,
     TAOCP 4.7): k f_0 g_k = sum ((r+1) i - k) f_i g_(k-i) over 1 <= i <= k.
-    O(P^1.5) for P terms of eta, whatever r is; at r = -1 the weight -k
-    cancels.  ``int`` or ``Fraction`` term by term (ints when f_0 is 1 or
-    -1); an ``int`` sum that k does not divide raises ``ArithmeticError``.
+    O(P^1.5) for P terms of eta, whatever r is.  ``int`` or ``Fraction``
+    term by term (ints when f_0 is 1 or -1); an ``int`` sum that k does not
+    divide raises ``ArithmeticError``.
+
+    At r = -1 the weight -k cancels: f_0 g_k = -sum f_i g_(k-i), the
+    reciprocal.  Its terms are grouped by coefficient value (an ``int`` and
+    an equal ``Fraction`` apart), and each g_k adds up the g_(k-i) of one
+    group and multiplies that sum by the value, once per group.  Index i
+    joins its group at k = i, so a group exists only once it has a term to
+    add.  Eta's values are 1 and -1, on the generalized pentagonal numbers,
+    so the partition numbers take additions only.  The outputs are kept
+    newest first (``rev[j]`` is g_(k-1-j)), so each index reads one fixed
+    position.  A series whose nonzero values are all distinct has one group
+    per term, a loop of one addition and one product each: for dense series
+    of 40 to 300 terms that took 1.2 to 1.7 times as long as a loop of one
+    product per term.  No CLI path builds such a series.
     """
     (_, c0), *terms = terms
     inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
-    out = [inv0 ** -r] + [0] * (count - 1)
     if r == -1:
+        rev, neg, groups, live, pending = [inv0], -inv0, {}, [], iter(terms)
+        nxt, cn = next(pending, (count, 0))
         for k in range(1, count):
+            if k == nxt:
+                group = groups.get((type(cn), cn))
+                if group is None:
+                    groups[type(cn), cn] = group = []
+                    live.append((cn, group))
+                group.append(k - 1)
+                nxt, cn = next(pending, (count, 0))
             acc = 0
-            for i, ci in terms:
-                if i > k:
-                    break
-                acc += ci * out[k - i]
-            out[k] = -inv0 * acc
-        return out
+            for ci, idx in live:
+                s = 0
+                for j in idx:
+                    s += rev[j]
+                acc += ci * s
+            rev.insert(0, neg * acc)
+        return rev[::-1]
+    out = [inv0 ** -r] + [0] * (count - 1)
     weighted = [(i, ci, (r + 1) * i * ci) for i, ci in terms]
     for k in range(1, count):
         acc = 0

@@ -93,7 +93,8 @@ FROZEN_STDOUT_SHA256 = {
         "e30cb99587d97fa00e201a3c635009ad60219e427648046bce5192690a100086",
     # Full-size series, recorded from the term-pair product loop.  Their
     # products take the packed path with lanes on both sides of 64 bits,
-    # and 1:-1 at 2000 terms is one long inverse.
+    # and 1:-1 at 2000 terms is one long reciprocal: Euler's pentagonal
+    # recurrence, recorded with a product per term and now summed by sign.
     ("qexp", "etaq", "1", "1:24", "500"):
         "709ec2064b11cd319dccb1ec02dd8ab2e27020c27d24af0ad7449ce727938b21",
     ("qexp", "etaq", "1", "1:-1", "2000", "--format", "json"):
@@ -116,7 +117,8 @@ FROZEN_STDOUT_SHA256 = {
 
 # Too slow or too large for Tier-1: the verify suites at their default sizes, the largest cusp
 # table (524,288 classes), seven 16,384-level sieve blocks (the text table prints each level's
-# index, cusps, mu2 and mu3), and three eta factors of both signs on lanes wider than 64 bits.
+# index, cusps, mu2 and mu3), three eta factors of both signs on lanes wider than 64 bits, and
+# the partition numbers at the term cap, recorded with a product per term of the reciprocal.
 CI_STDOUT_SHA256 = {
     ("verify", "character"): "2bfd54391b97db71effbfe9ffb79066b5aabb8b0173b7dbb36c26f89f60684c6",
     ("verify", "eta-law"): "f9cc68c44dbb7aa291ebcfbb4b620e9acfedbabd526a548a27934d5ed9396ced",
@@ -132,6 +134,8 @@ CI_STDOUT_SHA256 = {
         "22d715ab84b8e10a53c73f0b9465eedb0b6e2e31cdce3fe4b212e7309c65b07f",
     ("qexp", "etaq", "12", "1:-4,6:3,12:-2", "6000", "--format", "tsv"):
         "421e6b6526841c4e16e2495b9674a4a3338f017ae538a51cf8073bebb5f07cb7",
+    ("qexp", "etaq", "1", "1:-1", "15000", "--format", "tsv"):
+        "4ef991b84a56ff2faa0c557794aca810b931c5043712f1a4eb7748df977888f0",
 }
 
 # Leading VAR=value words set variables.  A variable read nowhere in the call changes nothing, nor
@@ -146,7 +150,8 @@ SAME_STDOUT = {
 }
 
 # Each ends within 10 s with one of its statuses.  A flag that would change nothing is refused,
-# and so is a variable where it is read; eta^r takes no loop of r steps.
+# and so is a variable where it is read; eta^r takes no loop of r steps, and a quotient of
+# negative powers whose coefficients no str() can print is refused before it is expanded.
 EXIT_STATUS = {
     ("verify", "character", "--tolerance", "1e-300"): {2},
     ("cusps", "12", "--oracle-cutoff", "5"): {2},
@@ -155,6 +160,7 @@ EXIT_STATUS = {
     ("CUSPDIM_ORACLE_CUTOFF=0", "cusps", "12", "--oracle"): {2},
     ("CUSPDIM_PRECISION=abc", "qexp", "eta"): {2},
     ("qexp", "etaq", "1", "1:1000000000000", "5"): {0, 2},
+    ("qexp", "etaq", "1", "1:-1000000000000", "15000"): {2},
 }
 
 # name: (timeout, what follows -O); it exits 0 when its check holds.

@@ -219,6 +219,39 @@ def test_qexp_refuses_a_coefficient_too_long_for_text_before_any_write(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-text digit limit"
+)
+def test_qexp_refuses_an_unprintable_negative_quotient_before_expanding(capsys, monkeypatch):
+    # The bound of cli._refuse_unprintable for eta^(-R) at J + 1 terms: refused from
+    # J * (bit_length((R + J - 1) // J) - 1) >= ceil(3.322 L), which is 2127 at L = 640.
+    def no_expansion(quotient, precision):
+        raise AssertionError("expanded a refused quotient")
+
+    limit = sys.get_int_max_str_digits()
+    message = "decimal digits, the most this Python converts to text"
+    # At J = 2, R = 2^1065 gives 2 * 1064.  At J = 1 the q^1 coefficient is R itself, and
+    # 10^640 - 1 has 640 digits and bit length 2127: just under the bound, printed.
+    over, under = str(2**1065), str(10**640 - 1)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "eta_quotient_expansion", no_expansion)
+            for spec, prec in (("1:-1000000000000", "15000"), ("1:-1000000", "15000"),
+                               ("2:-1,4:-10000000", "15000")):
+                assert_usage_error(capsys, ["qexp", "etaq", "4", spec, prec], message)
+            sys.set_int_max_str_digits(640)
+            assert_usage_error(capsys, ["qexp", "etaq", "1", f"1:-{over}", "3"], message)
+        code, out, _ = run(capsys, ["qexp", "etaq", "1", f"1:-{under}", "2"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and out.split("\n")[1] == f"1, {under}"
+    # A quotient of mixed signs is left to the expansion.
+    one = qseries.FracQSeries(0, 1, [1])
+    monkeypatch.setattr(cli, "eta_quotient_expansion", lambda quotient, precision: one)
+    code, out, _ = run(capsys, ["qexp", "etaq", "2", "1:-1000000000000,2:1", "15000"])
+    assert (code, out) == (0, "offset 0, step 1, 1 terms\n1\n")
+
+
 def test_qexp_tsv_exponents(capsys):
     code, out, _ = run(capsys, ["qexp", "eta", "3", "--format", "tsv"])
     assert code == 0

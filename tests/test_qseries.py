@@ -21,6 +21,7 @@ from cuspdim import (
     unary_theta,
 )
 from cuspdim import qseries
+from cuspdim.cli import main
 from helpers import convolve, eta_product_coefficients, reference_evaluate
 
 ETA_AT_I = 0.7682254223260567  # Gamma(1/4) / (2 pi^(3/4))
@@ -419,6 +420,16 @@ def test_product_lanes_at_their_bound(spacing, width, sign):
 def test_inverse_matches_reference_loop():
     rng = random.Random(19)
     cases = [eta_expansion(300), eta_expansion(40) * 3, FracQSeries(0, 1, [2, 1, 0, 0])]
+    # The reciprocal sums the terms of one coefficient value together: values that repeat,
+    # an int beside an equal Fraction, a gap that leaves no term live at k = 1, 1 and 2
+    # terms, and eta at the sizes the benchmark and the CLI reach.
+    third = Fraction(1, 3)
+    for lead in (1, -1, 2, Fraction(2, 7)):
+        for tail in ([3, 0, 3, -1, 3, -1, 0, 3], [third, 3, third, 0, -third, third, 3],
+                     [1, Fraction(1), 1, Fraction(1), -1, Fraction(-1), 1],
+                     [0, 0, 5, 5, 0, 5, -2, -2], [], [7]):
+            cases.append(FracQSeries(Fraction(1, 24), 1, [lead, *tail]))
+    cases += [eta_expansion(p) for p in (1, 2, 40, 100, 2000)]
     for _ in range(60):
         x = random_series(rng, fractions=rng.random() < 0.3)
         if x.coeffs[0] == 0:
@@ -428,6 +439,19 @@ def test_inverse_matches_reference_loop():
         got, want = x.inverse(), reference_inverse(x)
         assert_same_series(got, want)
         assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_partition_numbers_from_the_cli_match_a_coin_change_count(capsys):
+    # 1/eta = q^(-1/24) sum p(n) q^n; p(n) counts the ways to make n from parts of any size.
+    assert main(["qexp", "etaq", "1", "1:-1", "500"]) == 0
+    head, coeffs = capsys.readouterr().out.splitlines()
+    count = [1] + [0] * 499
+    for part in range(1, 500):
+        for n in range(part, 500):
+            count[n] += count[n - part]
+    assert head == "offset -1/24, step 1, 500 terms"
+    assert [int(c) for c in coeffs.split(", ")] == count
+    assert count[100] == 190569292
 
 
 def test_powers_match_sequential_products():
