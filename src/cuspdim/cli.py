@@ -305,7 +305,7 @@ def _cmd_cusps(args) -> int:
     one write per class, d and the width formatted once per divisor block.
     The table's size, the oracle's cutoff and the table's widths are checked
     before anything is printed; the oracle's widths are compared with the
-    profile's width multiset, the one ``_cusp_blocks`` checked the table by."""
+    profile's full width multiset, which ``_cusp_blocks`` checks only by moments."""
     if args.oracle_cutoff is not None and not args.oracle:
         raise ValueError(f"--oracle-cutoff {args.oracle_cutoff} changes nothing without --oracle")
     fmt = _value(args, "format")

@@ -149,11 +149,32 @@ def _canonical_a(r: int, g: int, q: int) -> int:
     raise ArithmeticError(f"no representative coprime to {q} in class {r} mod {g}")
 
 
+def _sieve(size: int, primes) -> bytearray:
+    """Flags over 0 <= x < size, set where x is divisible by none of ``primes``:
+    one slice assignment per prime."""
+    flags = bytearray([1]) * size
+    for p in primes:
+        flags[::p] = bytes(len(range(0, size, p)))
+    return flags
+
+
 # Bounded: the small moduli, which most divisors share, stay cached.
 @lru_cache(maxsize=1024)
 def _coprime_residues(g: int) -> tuple[int, ...]:
-    """The residues 0 < r < g coprime to g, for g > 1."""
-    return tuple(r for r in range(1, g) if math.gcd(r, g) == 1)
+    """The residues 0 < r < g coprime to g, for g > 1, read from a ``_sieve``
+    over the primes of g.  They come by trial division, not ``factorize``:
+    g = gcd(d, n/d) is at most the square root of its level, and the range
+    suite, which shares these residues, factors nothing."""
+    primes, rest, p = [], g, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    return tuple(itertools.compress(range(g), _sieve(g, primes)))
 
 
 def _divisor_classes(n: int, divs):
@@ -169,33 +190,56 @@ def _cusp_blocks(n: int):
     """An iterator of (d, width, numerators) blocks, one per divisor d of n in
     increasing order, the numerators a ordered by a mod g = gcd(d, n/d).
 
-    The classes of every divisor are kept, and the width multiset
-    ``_width_counts`` is counted down by each block's class count; every
-    count must end at zero before any block is returned.  Then the least
-    a = r (mod g) coprime to d is r itself unless d has a prime that g
-    lacks; only then is it searched for, coprime to q, the part of d prime
-    to g.  With g = 1 it is 0 at d = 1, else 1."""
+    The classes of every divisor are kept and checked, before any block is
+    returned, by four moments of their widths w against the profile: the
+    class count, sum w = index, sum ceil(w/8), and sum w^2, the product of
+    the local sums (p^2 + 1 at p^1, from ``_local`` at p^e with e >= 2).  A
+    class lost, added or moved to another width fails one of them unless
+    the change keeps all four: widths {1, 5, 6} and {2, 3, 7} agree in every
+    one, so only the full multiset (``GroupProfile.widths``) tells those
+    apart.  The blocks are then resolved as ``_resolved`` says."""
     _check_int(n, "level")
-    # The multiset first, so that its interim dicts are gone before the classes are built.
-    counts = _width_counts(n)
+    profile = group_profile(n)
+    factors = factorize(n).factors
     classes = list(_divisor_classes(n, divisors(n)))
+    count = first = second = eighths = 0
     for _, _, w, residues in classes:
-        counts[w] = counts.get(w, 0) - len(residues)
-    if any(counts.values()):
+        c = len(residues)
+        count += c
+        first += c * w
+        second += c * w * w
+        eighths += c * -(-w // 8)
+    squares = math.prod(
+        p * p + 1 if e == 1 else sum(k * v * v for v, k in _local(p, e)[1])
+        for p, e in factors.items()
+    )
+    expected = profile.cusp_count, profile.index, squares, profile.ceil_eighths_sum
+    if (count, first, second, eighths) != expected:
         raise ArithmeticError(f"cusp enumeration disagrees with the width multiset at level {n}")
-    return _resolved(classes)
+    return _resolved(classes, tuple(factors))
 
 
-def _resolved(classes):
-    """The blocks of ``_cusp_blocks``, resolved as they are read."""
+def _resolved(classes, primes):
+    """The blocks of ``_cusp_blocks``, resolved as they are read; ``primes``
+    are the primes of the level.  The least a = r (mod g) coprime to d is r
+    itself unless d has a prime that g lacks, and those primes, read from
+    ``primes``, are the primes of q, the part of d prime to g.  Only then is
+    it searched for: a ``_sieve`` over 0 <= x < 2g of the numbers coprime
+    to q gives r or else r + g, and ``_canonical_a`` steps on from r only
+    when both fail.  With g = 1 it is 0 at d = 1, else 1."""
     for d, g, w, residues in classes:
         if g == 1:
             yield d, w, (0,) if d == 1 else (1,)
             continue
-        q = d
-        while (h := math.gcd(q, g)) > 1:
-            q //= h
-        yield d, w, residues if q == 1 else [_canonical_a(r, g, q) for r in residues]
+        lacking = [p for p in primes if not d % p and g % p]
+        if not lacking:
+            yield d, w, residues
+            continue
+        coprime, q = _sieve(2 * g, lacking), math.prod(lacking)
+        yield d, w, [
+            r if coprime[r] else r + g if coprime[r + g] else _canonical_a(r, g, q)
+            for r in residues
+        ]
 
 
 def cusp_rows(n: int) -> tuple[tuple[int, int, int], ...]:

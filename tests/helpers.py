@@ -23,6 +23,23 @@ def corrupt_local_factors(monkeypatch, change, routes=("_local", "_prime_factors
         monkeypatch.setattr(gamma0, "_prime_factors", lambda q: change(q, real_prime(q)))
 
 
+def canonical_numerators(n):
+    """The numerators of ``gamma0.cusp_rows(n)`` in order, one ``_canonical_a``
+    call per residue: for each divisor d, each r coprime to g = gcd(d, n/d)
+    by gcd, and q the part of d prime to g, found by repeated gcd."""
+    numerators = []
+    for d in gamma0.divisors(n):
+        g = math.gcd(d, n // d)
+        if g == 1:
+            numerators.append(0 if d == 1 else 1)
+            continue
+        q = d
+        while (h := math.gcd(q, g)) > 1:
+            q //= h
+        numerators += [gamma0._canonical_a(r, g, q) for r in range(1, g) if math.gcd(r, g) == 1]
+    return numerators
+
+
 def primes(limit):
     """All primes <= limit, by sieve."""
     if limit < 2:

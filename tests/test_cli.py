@@ -579,21 +579,26 @@ def test_ci_steps_fails_exactly_the_altered_digest_and_a_late_child(capsys):
 
 
 def test_range_scan_builds_no_width_list(capsys, monkeypatch):
-    # The bounds read the sum of ceil(w/8) from residues mod 8.  The width
-    # counts are built only by the cusp-table check, at the levels whose rule
-    # reads individual cusp classes, and the profile's widths are never read.
+    # The bounds read the sum of ceil(w/8) from residues mod 8, and the
+    # cusp-table check, run at the levels whose rule reads individual cusp
+    # classes, compares moments of the widths: no width multiset is built and
+    # the profile's widths are never read.
     def unread(profile):
         raise AssertionError(f"widths of level {profile.level} read on a range scan")
 
-    built = []
-    real = gamma0._width_counts
+    def unbuilt(n):
+        raise AssertionError(f"width multiset of level {n} built on a range scan")
 
-    def record(n):
-        built.append(n)
-        return real(n)
+    checked = []
+    real = gamma0._divisor_classes
+
+    def record(n, divs):
+        checked.append(n)
+        return real(n, divs)
 
     monkeypatch.setattr(gamma0.GroupProfile, "widths", property(unread))
-    monkeypatch.setattr(gamma0, "_width_counts", record)
+    monkeypatch.setattr(gamma0, "_width_counts", unbuilt)
+    monkeypatch.setattr(gamma0, "_divisor_classes", record)
     cusps.cache_clear()
     report = classify_range(2000)
     assert report.matches_m23()
@@ -603,8 +608,8 @@ def test_range_scan_builds_no_width_list(capsys, monkeypatch):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_STDOUT_SHA256[argv]
     assert json.loads(out) == report.to_json_obj()
     by_cusp_class = {RULE_SIMPLE_POLE, RULE_CANONICAL_EXCLUSION}
-    assert set(built) == {c.level for c in report.certificates if c.rule in by_cusp_class}
-    assert set(built) == {11, 14, 15, 23}
+    assert set(checked) == {c.level for c in report.certificates if c.rule in by_cusp_class}
+    assert set(checked) == {11, 14, 15, 23}
 
 
 def test_range_scan_builds_no_fraction(capsys, monkeypatch):
@@ -707,20 +712,37 @@ def test_cusps_refuses_oversized_table(capsys, monkeypatch):
 
 
 def test_cusps_checks_the_table_before_the_first_row(capsys, monkeypatch):
-    # Drop residue 2 of the classes over d = 3 at level 405: the width
-    # multiset disagrees, and in no format does any row, header or opening
-    # brace reach stdout first.
+    # Each corruption of level 405 = 3^4 5 is refused, and in no format does
+    # any row, header or opening brace reach stdout first: residue 2 of the
+    # classes over d = 3 dropped (the count falls); the one class over d = 1
+    # moved from width 405 to 406 (sum w rises); and that move with the one
+    # class over d = 81 moved from width 5 to 4, which keeps the count,
+    # sum w and sum ceil(w/8), so only sum w^2 sees it.
     real = gamma0._divisor_classes
+    profile = gamma0.group_profile(405)
+    wider = {1: lambda w, residues: (w + 1, residues)}
+    corruptions = (
+        {3: lambda w, residues: (w, residues[:-1])},
+        wider,
+        {**wider, 81: lambda w, residues: (w - 1, residues)},
+    )
+    for changes in corruptions:
 
-    def corrupted(n, divs):
-        for d, g, w, residues in real(n, divs):
-            yield d, g, w, residues[:-1] if (n, d) == (405, 3) else residues
+        def corrupted(n, divs, changes=changes):
+            for d, g, w, residues in real(n, divs):
+                yield d, g, *changes.get(d, lambda *block: block)(w, residues)
 
-    monkeypatch.setattr(gamma0, "_divisor_classes", corrupted)
-    for fmt in ("json", "tsv", "text"):
-        with pytest.raises(ArithmeticError, match="width multiset at level 405"):
-            main(["cusps", "405", "--format", fmt])
-        assert capsys.readouterr().out == "", fmt
+        monkeypatch.setattr(gamma0, "_divisor_classes", corrupted)
+        for fmt in ("json", "tsv", "text"):
+            with pytest.raises(ArithmeticError, match="width multiset at level 405"):
+                main(["cusps", "405", "--format", fmt])
+            assert capsys.readouterr().out == "", fmt
+    # The last corruption keeps the three lower moments.
+    low = [
+        sum(len(residues) * f(w) for _, _, w, residues in corrupted(405, gamma0.divisors(405)))
+        for f in (lambda w: 1, lambda w: w, lambda w: -(-w // 8))
+    ]
+    assert low == [profile.cusp_count, profile.index, profile.ceil_eighths_sum]
 
 
 def test_factorization_beyond_budget_is_refused():

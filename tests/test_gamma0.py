@@ -21,7 +21,7 @@ from cuspdim import (
 )
 from cuspdim.classify import _classify_window
 from cuspdim.cli import main
-from helpers import corrupt_local_factors, primes
+from helpers import canonical_numerators, corrupt_local_factors, primes
 
 
 def test_matrix_determinant_enforced():
@@ -373,6 +373,35 @@ def test_cusp_rows_match_direct_enumeration():
         expected = _cusp_rows_direct(n)
         assert cusp_rows(n) == expected, n
         assert [(c.a, c.d, c.width) for c in cusps(n)] == list(expected), n
+
+
+def test_coprime_residues_match_gcd_definition():
+    # The sieve against gcd, residue by residue, uncached; 4 * 10007 and
+    # 3 * 10009 leave a prime above 10^4 after trial division.
+    for g in (*range(2, 3001), 4 * 10007, 3 * 10009):
+        expected = tuple(r for r in range(1, g) if math.gcd(r, g) == 1)
+        assert gamma0._coprime_residues.__wrapped__(g) == expected, g
+
+
+def test_cusp_numerators_match_canonical_search(monkeypatch):
+    # The numerator sieve against one _canonical_a call per residue.  At
+    # 3750 = 2 * 3 * 5^4, d = 150 has g = 25 and q = 6, and neither 2 nor
+    # 27 is coprime to 6: the search runs on from r = 2 to 77.  The sieve
+    # calls it only there, once per such residue.
+    levels = (*range(1, 5001), 207532836, 255091680, 167772160, 19448100, 21233664)
+    for n in levels:
+        assert [a for a, _, _ in cusp_rows(n)] == canonical_numerators(n), n
+    calls = []
+    real = gamma0._canonical_a
+
+    def counted(r, g, q):
+        calls.append((r, g, q))
+        return real(r, g, q)
+
+    monkeypatch.setattr(gamma0, "_canonical_a", counted)
+    assert (77, 150, 1) in cusp_rows(3750)
+    assert (2, 25, 6) in calls
+    assert all(real(r, g, q) >= r + 2 * g for r, g, q in calls)
 
 
 def test_cusp_enumeration_checked_against_profile(monkeypatch):

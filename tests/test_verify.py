@@ -244,10 +244,13 @@ def test_rr_suite_refuses_a_short_or_shifted_window(monkeypatch, lost):
 
 
 def test_rr_identity_needs_no_point_factorization(monkeypatch):
-    # The profile sieve and the divisor window factor nothing.
+    # The profile sieve and the divisor window factor nothing, and neither
+    # do the coprime residues, which are cleared so that every modulus is
+    # sieved afresh.
     def refuse(n):
         raise AssertionError(f"factorize({n}) called")
 
+    gamma0._coprime_residues.cache_clear()
     for name in ("cuspdim.exact", "cuspdim.gamma0"):
         monkeypatch.setattr(importlib.import_module(name), "factorize", refuse)
     assert rr_identity_suite(2000).ok
